@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import catalog, internal, sheaf, site
@@ -203,6 +201,15 @@ def parse_category(sec, name) -> TableCategory:
         comp = {(_decode(g), _decode(f)): _decode(gf) for g, f, gf in sec["composition"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"malformed category {name!r}: {exc}") from exc
+    known = set(objects)
+    for m, (a, b) in morphisms.items():
+        if a not in known or b not in known:
+            raise BundleError(f"malformed category {name!r}: morphism {m!r} has an unknown endpoint")
+    for (g, f), gf in comp.items():
+        if g not in morphisms or f not in morphisms or gf not in morphisms:
+            raise BundleError(
+                f"malformed category {name!r}: composition row {[g, f, gf]!r} names an unknown morphism"
+            )
     return TableCategory(objects, morphisms, identity, comp, name=name)
 
 
@@ -215,6 +222,16 @@ def parse_topology(sec, cats, name) -> site.Pretopology:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"malformed topology {name!r}: {exc}") from exc
+    objects = set(cat.objects)
+    for x, fs in fams.items():
+        if x not in objects:
+            raise BundleError(f"malformed topology {name!r}: families for unknown object {x!r}")
+        for fam in fs:
+            for m in fam:
+                if m not in cat._mor or cat.tgt(m) != x:
+                    raise BundleError(
+                        f"malformed topology {name!r}: family member {m!r} is not a morphism into {x!r}"
+                    )
     return site.Pretopology(cat, fams, name=name)
 
 
@@ -494,7 +511,11 @@ def cmd_check(path, op, args, mode="literal") -> int:
     except BundleError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    result = fn(*resolved)
+    try:
+        result = fn(*resolved)
+    except ValueError as exc:
+        print(f"invalid arguments: {exc}", file=sys.stderr)
+        return 2
     report = _report(op, args, result, started)
     _emit(report, f"{op}({', '.join(args)}): {'true' if report['verdict'] else 'false'}")
     return 0 if report["verdict"] else 1
@@ -522,31 +543,23 @@ def _validate_all(doc: BundleDoc):
     return checks
 
 
-def _run_checks(checks):
-    jobs = max(1, int(os.environ.get("FINSITE_JOBS", "1")))
-    if jobs == 1:
-        return [(name, fn()) for name, fn in checks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [(name, pool.submit(fn)) for name, fn in checks]
-        return [(name, fut.result()) for name, fut in futures]
-
-
 def cmd_validate(path) -> int:
     started = time.monotonic()
     try:
         doc = load_bundle(path)
         checks = _validate_all(doc)
+        for name, fn in checks:
+            result = fn()
+            if not result.ok:
+                report = _report(f"validate: {name}", [path], result, started)
+                _emit(report, f"INVALID {name}")
+                return 1
     except BundleError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invalid structure: {exc}", file=sys.stderr)
         return 2
-    for name, result in _run_checks(checks):
-        if not result.ok:
-            report = _report(f"validate: {name}", [path], result, started)
-            _emit(report, f"INVALID {name}")
-            return 1
     report = _report("validate", [path], CheckReport(True, "validate"), started)
     _emit(report, f"all {len(checks)} structures valid")
     return 0
@@ -641,7 +654,6 @@ def law_suite(extra_doc: BundleDoc = None):
 
 
 def cmd_laws(path=None) -> int:
-    started = time.monotonic()
     try:
         extra = load_bundle(path) if path else None
         laws = law_suite(extra)
@@ -649,8 +661,9 @@ def cmd_laws(path=None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     reports = []
-    for name, result in _run_checks(laws):
-        reports.append(_report(name, [], result, started))
+    for name, fn in laws:
+        started = time.monotonic()
+        reports.append(_report(name, [], fn(), started))
     ok = all(r["verdict"] for r in reports)
     print(json.dumps(reports, indent=2, sort_keys=True))
     failed = [r["check"] for r in reports if not r["verdict"]]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+from math import prod
 from typing import Any, Iterable, Iterator, Optional
 
 ObjId = Any
@@ -61,6 +62,9 @@ class TableCategory:
     morphisms: dict MorId -> (src, tgt)
     identity:  dict ObjId -> MorId
     comp:      dict (g, f) -> g.f  for every composable pair (f first)
+
+    The tables are immutable after construction: hom sets are built once,
+    and pullbacks and universality are memoized per category.
     """
 
     backend = "explicit-table"
@@ -71,12 +75,13 @@ class TableCategory:
         self._mor = dict(morphisms)
         self._identity = dict(identity)
         self._comp = dict(comp)
-        self._hom = {}
+        hom = {}
         for m, (a, b) in self._mor.items():
-            self._hom.setdefault((a, b), []).append(m)
-        for key in self._hom:
-            self._hom[key].sort(key=repr)
+            hom.setdefault((a, b), []).append(m)
+        self._hom = {key: tuple(sorted(ms, key=repr)) for key, ms in hom.items()}
         self._isos = None
+        self._pullbacks = {}
+        self._universal = {}
 
     # -- structure access ------------------------------------------------
 
@@ -99,7 +104,8 @@ class TableCategory:
         return self._comp[(g, f)]
 
     def hom(self, a, b):
-        return list(self._hom.get((a, b), []))
+        """The morphisms a -> b, sorted by repr."""
+        return self._hom.get((a, b), ())
 
     def is_identity(self, f):
         return self._identity.get(self.src(f)) == f and self.src(f) == self.tgt(f)
@@ -123,46 +129,98 @@ class TableCategory:
             self._isos = frozenset(f for f in self._mor if self.is_iso(f))
         return self._isos
 
-    # -- limits / colimits by cone enumeration ---------------------------
+    # -- limits / colimits by counted cones ------------------------------
+    #
+    # A cone (apex, legs) is terminal iff, for every object Q, composing
+    # with the legs is a bijection hom(Q, apex) -> cones(Q).  That map
+    # always lands in cones(Q), so it is a bijection iff it is injective
+    # and |hom(Q, apex)| = |cones(Q)|.  The counts depend on the apex
+    # alone, so they are compared before anything is composed.  Initial
+    # cocones are dual.  The loops below read the composition table
+    # directly: the legs end (or start) at the apex by construction, or
+    # the public entry point has checked that they do.
 
-    def _cospan_cones(self, f, g):
-        """All cones (apex, p, q) with f.p = g.q, grouped by apex."""
-        a, x = self._mor[f]
-        b, _ = self._mor[g]
-        by_apex = {}
-        for q0 in self.objects:
-            cones = set()
-            for p in self.hom(q0, a):
-                fp = self.compose(f, p)
-                for q in self.hom(q0, b):
-                    if fp == self.compose(g, q):
-                        cones.add((p, q))
-            by_apex[q0] = cones
-        return by_apex
+    def _fits_cone_counts(self, counts, apex):
+        hom = self._hom
+        return all(len(hom.get((q0, apex), ())) == counts[q0] for q0 in self.objects)
 
-    def _is_terminal_cone(self, by_apex, apex, legs, leg_targets):
-        # A cone is terminal iff, for every object Q, postcomposition with
-        # the legs is a bijection hom(Q, apex) -> cones(Q).
+    def _fits_cocone_counts(self, counts, apex):
+        hom = self._hom
+        return all(len(hom.get((apex, q0), ())) == counts[q0] for q0 in self.objects)
+
+    def _cone_injective(self, apex, legs):
+        comp = self._comp
         for q0 in self.objects:
-            seen = set()
-            for u in self.hom(q0, apex):
-                c = tuple(self.compose(leg, u) for leg in legs)
-                if c in seen:
-                    return False
-                seen.add(c)
-            if seen != by_apex[q0]:
+            homs = self._hom.get((q0, apex), ())
+            if len({tuple(comp[(leg, u)] for leg in legs) for u in homs}) != len(homs):
                 return False
         return True
 
-    def pullback(self, f, g):
-        if self.tgt(f) != self.tgt(g):
-            raise ValueError("pullback needs a cospan")
-        by_apex = self._cospan_cones(f, g)
+    def _cocone_injective(self, apex, legs):
+        comp = self._comp
+        for q0 in self.objects:
+            homs = self._hom.get((apex, q0), ())
+            if len({tuple(comp[(u, leg)] for leg in legs) for u in homs}) != len(homs):
+                return False
+        return True
+
+    def _first_terminal(self, counts, candidates):
+        """The first terminal (apex, legs): apexes in object order, the legs
+        candidates(apex) in repr order.  None if there is none."""
         for apex in self.objects:
-            for p, q in sorted(by_apex[apex], key=repr):
-                if self._is_terminal_cone(by_apex, apex, (p, q), None):
-                    return PullbackSquare(apex, p, q, f, g)
+            if self._fits_cone_counts(counts, apex):
+                for legs in sorted(candidates(apex), key=repr):
+                    if self._cone_injective(apex, legs):
+                        return apex, legs
         return None
+
+    def _first_initial(self, counts, candidates):
+        for apex in self.objects:
+            if self._fits_cocone_counts(counts, apex):
+                for legs in sorted(candidates(apex), key=repr):
+                    if self._cocone_injective(apex, legs):
+                        return apex, legs
+        return None
+
+    def _cospan_cones(self, f, g):
+        """All cones (p, q) with f.p = g.q, grouped by apex: hom(Q, B)
+        bucketed by g.q, joined with hom(Q, A) on f.p."""
+        comp, hom = self._comp, self._hom
+        a, b = self._mor[f][0], self._mor[g][0]
+        by_apex = {}
+        for q0 in self.objects:
+            by_gq = {}
+            for q in hom.get((q0, b), ()):
+                by_gq.setdefault(comp[(g, q)], []).append(q)
+            by_apex[q0] = [
+                (p, q) for p in hom.get((q0, a), ()) for q in by_gq.get(comp[(f, p)], ())
+            ]
+        return by_apex
+
+    def _coequalizing(self, f, g):
+        """All (q,) with q.f = q.g, grouped by the target of q."""
+        comp, b = self._comp, self.tgt(f)
+        return {
+            q0: [(q,) for q in self._hom.get((b, q0), ()) if comp[(q, f)] == comp[(q, g)]]
+            for q0 in self.objects
+        }
+
+    def _coproduct_counts(self, objs):
+        hom = self._hom
+        return {q0: prod(len(hom.get((o, q0), ())) for o in objs) for q0 in self.objects}
+
+    def pullback(self, f, g):
+        key = (f, g)
+        if key not in self._pullbacks:
+            if self.tgt(f) != self.tgt(g):
+                raise ValueError("pullback needs a cospan")
+            by_apex = self._cospan_cones(f, g)
+            counts = {q0: len(cones) for q0, cones in by_apex.items()}
+            found = self._first_terminal(counts, by_apex.__getitem__)
+            self._pullbacks[key] = (
+                None if found is None else PullbackSquare(found[0], *found[1], f, g)
+            )
+        return self._pullbacks[key]
 
     def into_pullback(self, square, a, b):
         """The unique u with to_left.u = a and to_right.u = b, or None."""
@@ -176,14 +234,14 @@ class TableCategory:
 
     def product(self, a, b):
         """Binary product as a PullbackSquare-shaped pair of projections."""
-        by_apex = {}
-        for q0 in self.objects:
-            by_apex[q0] = set(iproduct(self.hom(q0, a), self.hom(q0, b)))
-        for apex in self.objects:
-            for p, q in sorted(by_apex[apex], key=repr):
-                if self._is_terminal_cone(by_apex, apex, (p, q), None):
-                    return PullbackSquare(apex, p, q, None, None)
-        return None
+        hom = self._hom
+        counts = {
+            q0: len(hom.get((q0, a), ())) * len(hom.get((q0, b), ())) for q0 in self.objects
+        }
+        found = self._first_terminal(
+            counts, lambda apex: iproduct(self.hom(apex, a), self.hom(apex, b))
+        )
+        return None if found is None else PullbackSquare(found[0], *found[1], None, None)
 
     def into_product(self, square, a, b):
         z = self.src(a)
@@ -192,28 +250,22 @@ class TableCategory:
                 return u
         return None
 
-    def _is_initial_cocone(self, by_apex, apex, legs):
-        for q0 in self.objects:
-            seen = set()
-            for u in self.hom(apex, q0):
-                c = tuple(self.compose(u, leg) for leg in legs)
-                if c in seen:
-                    return False
-                seen.add(c)
-            if seen != by_apex[q0]:
-                return False
-        return True
-
     def coproduct(self, objs):
         objs = tuple(objs)
-        by_apex = {}
-        for q0 in self.objects:
-            by_apex[q0] = set(iproduct(*(self.hom(o, q0) for o in objs)))
-        for apex in self.objects:
-            for legs in sorted(by_apex[apex], key=repr):
-                if self._is_initial_cocone(by_apex, apex, legs):
-                    return CoproductCocone(apex, legs)
-        return None
+        found = self._first_initial(
+            self._coproduct_counts(objs),
+            lambda apex: iproduct(*(self.hom(o, apex) for o in objs)),
+        )
+        return None if found is None else CoproductCocone(*found)
+
+    def is_coproduct_cocone(self, apex, legs):
+        """Whether the legs, all ending at apex, form an initial cocone
+        under their sources."""
+        legs = tuple(legs)
+        if any(self.tgt(leg) != apex for leg in legs):
+            return False
+        counts = self._coproduct_counts(tuple(self.src(leg) for leg in legs))
+        return self._fits_cocone_counts(counts, apex) and self._cocone_injective(apex, legs)
 
     def initial_object(self):
         co = self.coproduct(())
@@ -236,36 +288,26 @@ class TableCategory:
     def coequalizer(self, f, g):
         if self._mor[f][0] != self._mor[g][0] or self._mor[f][1] != self._mor[g][1]:
             raise ValueError("coequalizer needs a parallel pair")
-        b = self.tgt(f)
-        by_apex = {}
-        for q0 in self.objects:
-            by_apex[q0] = set(
-                (q,) for q in self.hom(b, q0) if self.compose(q, f) == self.compose(q, g)
-            )
-        for apex in self.objects:
-            for (q,) in sorted(by_apex[apex], key=repr):
-                if self._is_initial_cocone(by_apex, apex, (q,)):
-                    return CoequalizerCocone(apex, q)
-        return None
+        by_apex = self._coequalizing(f, g)
+        counts = {q0: len(cones) for q0, cones in by_apex.items()}
+        found = self._first_initial(counts, by_apex.__getitem__)
+        return None if found is None else CoequalizerCocone(found[0], found[1][0])
 
     def is_cocone_coequalizer(self, f, g, apex, q):
         """Whether (apex, q) is an initial cocone for the parallel pair."""
-        if self.compose(q, f) != self.compose(q, g):
+        # q.f = q.g makes f, g parallel and ending at the source of q
+        if self.compose(q, f) != self.compose(q, g) or self.tgt(q) != apex:
             return False
-        by_apex = {}
-        b = self.tgt(f)
-        for q0 in self.objects:
-            by_apex[q0] = set(
-                (h,) for h in self.hom(b, q0) if self.compose(h, f) == self.compose(h, g)
-            )
-        return self._is_initial_cocone(by_apex, apex, (q,))
+        counts = {q0: len(cones) for q0, cones in self._coequalizing(f, g).items()}
+        return self._fits_cocone_counts(counts, apex) and self._cocone_injective(apex, (q,))
 
     def is_cone_pullback(self, f, g, apex, p, q):
         """Whether (apex, p, q) is a terminal cone over the cospan (f, g)."""
-        if self.compose(f, p) != self.compose(g, q):
+        # f.p = g.q makes (f, g) a cospan and p, q share a source
+        if self.compose(f, p) != self.compose(g, q) or self.src(p) != apex:
             return False
-        by_apex = self._cospan_cones(f, g)
-        return self._is_terminal_cone(by_apex, apex, (p, q), None)
+        counts = {q0: len(cones) for q0, cones in self._cospan_cones(f, g).items()}
+        return self._fits_cone_counts(counts, apex) and self._cone_injective(apex, (p, q))
 
     def has_all_pullbacks(self):
         return False
@@ -518,11 +560,12 @@ def is_universal(cat, f) -> bool:
     """Whether the pullback of f along every morphism with the same target exists."""
     if cat.has_all_pullbacks():
         return True
-    x = cat.tgt(f)
-    for g in cat.morphisms():
-        if cat.tgt(g) == x and cat.pullback(f, g) is None:
-            return False
-    return True
+    if f not in cat._universal:
+        x = cat.tgt(f)
+        cat._universal[f] = all(
+            cat.pullback(f, g) is not None for g in cat.morphisms() if cat.tgt(g) == x
+        )
+    return cat._universal[f]
 
 
 def is_epi(cat, f) -> bool:
@@ -717,20 +760,15 @@ def preserves_coproducts(F: FunctorData, which: str = "all") -> bool:
         raise ValueError(f"unknown coproduct scope {which!r}")
     src, tgt = F.source, F.target
     init = src.coproduct(())
-    if init is not None:
-        im = F.on_obj(init.apex)
-        by_apex = {q0: {()} for q0 in tgt.objects}
-        if not tgt._is_initial_cocone(by_apex, im, ()):
-            return False
+    if init is not None and not tgt.is_coproduct_cocone(F.on_obj(init.apex), ()):
+        return False
     for a, b, co in _existing_binary_coproducts(src):
         if which == "disjoint" and not coproduct_is_disjoint_stable(src, co):
             continue
-        fa, fb = F.on_obj(a), F.on_obj(b)
         legs = tuple(F.on_mor(i) for i in co.injections)
-        by_apex = {
-            q0: set(iproduct(tgt.hom(fa, q0), tgt.hom(fb, q0))) for q0 in tgt.objects
-        }
-        if not tgt._is_initial_cocone(by_apex, F.on_obj(co.apex), legs):
+        if tuple(tgt.src(leg) for leg in legs) != (F.on_obj(a), F.on_obj(b)):
+            return False
+        if not tgt.is_coproduct_cocone(F.on_obj(co.apex), legs):
             return False
     return True
 

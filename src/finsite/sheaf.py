@@ -172,7 +172,13 @@ def satisfies_descent(F: Presheaf, pi) -> bool:
     return len(set(image)) == len(image) and set(image) == set(des.elements)
 
 
+def _same_cat(F: Presheaf, T):
+    if F.cat is not T.cat:
+        raise ValueError(f"presheaf {F.name!r} and topology {T.name!r} live on different categories")
+
+
 def is_sheaf(F: Presheaf, T, mode: str = "literal") -> CheckReport:
+    _same_cat(F, T)
     ext = is_extensive_presheaf(F, mode)
     if not ext.ok:
         return CheckReport(False, "is_sheaf", counterexample={"extensivity": ext.counterexample})
@@ -183,6 +189,7 @@ def is_sheaf(F: Presheaf, T, mode: str = "literal") -> CheckReport:
 
 
 def is_traditional_sheaf(F: Presheaf, T) -> CheckReport:
+    _same_cat(F, T)
     cat = F.cat
     for x in cat.objects:
         for cov in T.covering_families(x):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -133,3 +134,61 @@ def test_kan_unresolved_names(bundle_path, capsys):
     assert cli.main([
         "kan", bundle_path, "--functor", "skel01-into-fs012", "--presheaf", "SHV",
     ]) == 2
+
+
+def test_laws_time_each_law(capsys):
+    started = time.perf_counter()
+    assert cli.main(["laws"]) == 0
+    elapsed = time.perf_counter() - started
+    laws = json.loads(capsys.readouterr().out)
+    assert sum(law["wall_time"] for law in laws) <= elapsed
+
+
+def _write_variant(bundle_path, tmp_path, edit):
+    doc = json.loads(open(bundle_path).read())
+    edit(doc)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_dangling_composition_row_exit_two(bundle_path, tmp_path, capsys):
+    path = _write_variant(
+        bundle_path,
+        tmp_path,
+        lambda doc: doc["categories"]["FIX-V"]["composition"].append(
+            ["oU_to_oX", "NOPE", "oU_to_oX"]
+        ),
+    )
+    assert cli.main(["validate", path]) == 2
+    assert "NOPE" in capsys.readouterr().err
+
+
+def test_dangling_morphism_endpoint_exit_two(bundle_path, tmp_path, capsys):
+    path = _write_variant(
+        bundle_path,
+        tmp_path,
+        lambda doc: doc["categories"]["FIX-V"]["morphisms"].append(["stray", "oU", "oNOPE"]),
+    )
+    assert cli.main(["validate", path]) == 2
+    assert "stray" in capsys.readouterr().err
+
+
+def test_dangling_family_member_exit_two(bundle_path, tmp_path, capsys):
+    def edit(doc):
+        for obj, fams in doc["topologies"]["T_op"]["families"]:
+            if obj == "oX":
+                fams.append(["ghost_mor"])
+
+    path = _write_variant(bundle_path, tmp_path, edit)
+    assert cli.main(["validate", path]) == 2
+    assert "ghost_mor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "op, args",
+    [("is_traditional_sheaf", ["K2_FS", "T_op"]), ("is_sheaf", ["K2_FS", "T_dis_V"])],
+)
+def test_sheaf_check_across_categories_exit_two(bundle_path, capsys, op, args):
+    assert cli.main(["check", bundle_path, "--op", op, "--args", *args]) == 2
+    assert "different categories" in capsys.readouterr().err

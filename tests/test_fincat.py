@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from finsite import catalog
 from finsite.fincat import (
     FinSetCat,
+    FunctorData,
     SetMap,
     TableCategory,
     compose_functors,
@@ -201,6 +202,44 @@ def test_skeleton_inclusion_coproduct_scopes():
     co = small.coproduct(("n1", "n1"))
     assert co.apex == "n1"
     assert not coproduct_is_disjoint_stable(small, co)
+
+
+def _skeleton_function(mid):
+    """'n3>n1:0,0,0' -> (3, 1, (0, 0, 0))."""
+    ends, _, values = mid.partition(":")
+    a, b = ends.split(">")
+    return int(a[1:]), int(b[1:]), tuple(int(v) for v in values.split(",") if v)
+
+
+def test_universal_matches_finite_set_oracle():
+    # In finset_skeleton([0..3]) the pullback of f: na -> nx along g: nb -> nx
+    # is the set {(i, j) : f(i) = g(j)}; it exists iff it has at most 3 elements.
+    cat = catalog.finset_skeleton([0, 1, 2, 3])
+    maps = {m: _skeleton_function(m) for m in cat.morphisms()}
+
+    def oracle(f):
+        _, x, fv = maps[f]
+        return all(
+            sum(fi == gj for fi in fv for gj in gv) <= 3
+            for _, y, gv in maps.values()
+            if y == x
+        )
+
+    expected = {m: oracle(m) for m in cat.morphisms()}
+    assert len(expected) == 60 and sum(expected.values()) == 24
+    for _ in range(2):  # the second pass reads the memo
+        assert {m: is_universal(cat, m) for m in cat.morphisms()} == expected
+
+
+def test_cone_checks_reject_legs_off_the_apex(fix_v):
+    assert fix_v.is_cone_pullback("oU_to_oX", "oV_to_oX", "oE", "oE_to_oU", "oE_to_oV")
+    assert not fix_v.is_cone_pullback("oU_to_oX", "oV_to_oX", "oU", "oE_to_oU", "oE_to_oV")
+    assert fix_v.is_coproduct_cocone("oX", ("oU_to_oX", "oV_to_oX"))
+    assert not fix_v.is_coproduct_cocone("oU", ("oU_to_oX", "oV_to_oX"))
+    sub, incl = catalog.fix_b()
+    swapped = dict(incl.obj_map, oU="oV", oV="oU")
+    bad = FunctorData(sub, incl.target, swapped, incl.mor_map)
+    assert not preserves_coproducts(bad)
 
 
 def test_extensivity_verdicts(fix_v, fs012):

@@ -79,6 +79,18 @@ def test_all_surjections_family_fails_pullback_stability(fs012):
     assert report.counterexample["member"].startswith("n2>n1")
 
 
+def test_composite_family_fails_axiom_two(v):
+    cat, _ = v
+    fams = {x: {frozenset({f})} for x in cat.objects for f in cat.isos() if cat.tgt(f) == x}
+    fams["oX"].add(frozenset({"oU_to_oX", "oV_to_oX"}))
+    fams["oU"].add(frozenset({"oE_to_oU"}))
+    report = validate_pretopology(Pretopology(cat, fams, name="T_ax2"))
+    assert not report.ok
+    # {oE_to_oU} covering oU composes with {oU_to_oX, oV_to_oX} to a family
+    # {oE_to_oX, oV_to_oX} that is not declared
+    assert report.counterexample == {"axiom": 2, "family": ("oU_to_oX", "oV_to_oX")}
+
+
 def test_locally_split_witnesses(v):
     cat, T_op = v
     # every singleton covering splits through itself
