@@ -239,9 +239,21 @@ def parse_functor(sec, cats, name) -> FunctorData:
     try:
         src = cats[sec["source"]]
         tgt = cats[sec["target"]]
-        return FunctorData(src, tgt, _unpairs(sec["on_objects"]), _unpairs(sec["on_morphisms"]), name=name)
+        obj_map, mor_map = _unpairs(sec["on_objects"]), _unpairs(sec["on_morphisms"])
+        for table, declared, images in (
+            (obj_map, src.objects, set(tgt.objects)),
+            (mor_map, src._mor, tgt._mor),
+        ):
+            for x in declared:
+                if x not in table:
+                    raise BundleError(f"malformed functor {name!r}: no image for {x!r}")
+                if table[x] not in images:
+                    raise BundleError(
+                        f"malformed functor {name!r}: image {table[x]!r} of {x!r} is not in the target"
+                    )
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"malformed functor {name!r}: {exc}") from exc
+    return FunctorData(src, tgt, obj_map, mor_map, name=name)
 
 
 def parse_presheaf(sec, cats, name) -> sheaf.Presheaf:
@@ -251,6 +263,17 @@ def parse_presheaf(sec, cats, name) -> sheaf.Presheaf:
         restriction = {_decode(m): _unpairs(r) for m, r in sec["restriction"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"malformed presheaf {name!r}: {exc}") from exc
+    for x in cat.objects:
+        if x not in values:
+            raise BundleError(f"malformed presheaf {name!r}: no value set for object {x!r}")
+    for m in restriction:
+        if m not in cat._mor:
+            raise BundleError(
+                f"malformed presheaf {name!r}: restriction row for unknown morphism {m!r}"
+            )
+    for m in cat._mor:
+        if m not in restriction:
+            raise BundleError(f"malformed presheaf {name!r}: no restriction row for {m!r}")
     return sheaf.Presheaf(cat, values, restriction, name=name)
 
 
@@ -413,48 +436,29 @@ def _emit(report, human):
 # ---------------------------------------------------------------------------
 
 
-class _Resolver:
-    def __init__(self, doc: BundleDoc):
-        self.doc = doc
+_SECTIONS = {
+    "category": "categories",
+    "topology": "topologies",
+    "functor": "functors",
+    "presheaf": "presheaves",
+    "groupoid": "groupoids",
+    "bundle": "bundles",
+}
 
-    def topology(self, ref):
-        if ref not in self.doc.topologies:
-            raise BundleError(f"unknown topology {ref!r}")
-        return self.doc.topologies[ref]
 
-    def category(self, ref):
-        if ref not in self.doc.categories:
-            raise BundleError(f"unknown category {ref!r}")
-        return self.doc.categories[ref]
-
-    def functor(self, ref):
-        if ref not in self.doc.functors:
-            raise BundleError(f"unknown functor {ref!r}")
-        return self.doc.functors[ref]
-
-    def presheaf(self, ref):
-        if ref not in self.doc.presheaves:
-            raise BundleError(f"unknown presheaf {ref!r}")
-        return self.doc.presheaves[ref]
-
-    def groupoid(self, ref):
-        if ref not in self.doc.groupoids:
-            raise BundleError(f"unknown groupoid {ref!r}")
-        return self.doc.groupoids[ref]
-
-    def bundle(self, ref):
-        if ref not in self.doc.bundles:
-            raise BundleError(f"unknown bundle {ref!r}")
-        return self.doc.bundles[ref]
-
-    def morphism(self, ref):
-        # "category:morphism-id"
+def _resolve(doc: BundleDoc, kind, ref):
+    """The structure of the given kind named ref; a morphism is named
+    "category:morphism-id" and resolves to (category, morphism)."""
+    if kind == "morphism":
         cat_name, _, mid = ref.partition(":")
-        cat = self.category(cat_name)
-        decoded = mid
-        if decoded not in cat._mor:
+        cat = _resolve(doc, "category", cat_name)
+        if mid not in cat._mor:
             raise BundleError(f"unknown morphism {mid!r} in category {cat_name!r}")
-        return cat, decoded
+        return cat, mid
+    section = getattr(doc, _SECTIONS[kind])
+    if ref not in section:
+        raise BundleError(f"unknown {kind} {ref!r}")
+    return section[ref]
 
 
 def _dispatch_table(mode):
@@ -506,8 +510,7 @@ def cmd_check(path, op, args, mode="literal") -> int:
         kinds, fn = table[op]
         if len(args) != len(kinds):
             raise BundleError(f"check {op!r} takes {len(kinds)} argument(s), got {len(args)}")
-        resolver = _Resolver(doc)
-        resolved = [getattr(resolver, kind)(a) for kind, a in zip(kinds, args)]
+        resolved = [_resolve(doc, kind, a) for kind, a in zip(kinds, args)]
     except BundleError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -682,9 +685,8 @@ def cmd_laws(path=None) -> int:
 def cmd_kan(path, functor, presheaf) -> int:
     try:
         doc = load_bundle(path)
-        resolver = _Resolver(doc)
-        F = resolver.functor(functor)
-        P = resolver.presheaf(presheaf)
+        F = _resolve(doc, "functor", functor)
+        P = _resolve(doc, "presheaf", presheaf)
         if P.cat is not F.source:
             raise BundleError(
                 f"presheaf {presheaf!r} does not live on the source of functor {functor!r}"

@@ -6,14 +6,25 @@ enumeration and every classification is decidable.  FinSetCat is the
 ambient category of extensional finite sets; its limits are constructed
 directly and classifications like "every morphism is universal" hold as
 meta-facts about finite sets rather than by enumeration.
+
+Both backends implement src, tgt, identity, compose, hom, is_identity,
+is_iso, inverse, pullback, into_pullback, product (a PullbackSquare with
+no cospan, so into_pullback mediates into it), coproduct, from_coproduct,
+coequalizer, is_cone_pullback, is_cocone_coequalizer and
+has_all_pullbacks.  Generic checks (is_effective_epi here, the fibre
+products of internal) call only these and run unchanged on either
+backend.  The FinSetTopology branches left in site answer meta-facts
+about an intensional topology (its axioms, its universal completion, the
+coarser order) that no enumeration over the ambient could decide, so
+they stay there rather than in methods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 from math import prod
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Optional
 
 ObjId = Any
 MorId = Any
@@ -110,19 +121,22 @@ class TableCategory:
     def is_identity(self, f):
         return self._identity.get(self.src(f)) == f and self.src(f) == self.tgt(f)
 
-    def is_iso(self, f):
-        a, b = self._mor[f]
-        for g in self.hom(b, a):
-            if self.compose(g, f) == self.identity(a) and self.compose(f, g) == self.identity(b):
-                return True
-        return False
-
-    def inverse(self, f):
+    def _inverse(self, f):
+        """The two-sided inverse of f, or None."""
         a, b = self._mor[f]
         for g in self.hom(b, a):
             if self.compose(g, f) == self.identity(a) and self.compose(f, g) == self.identity(b):
                 return g
-        raise ValueError(f"not an isomorphism: {f!r}")
+        return None
+
+    def is_iso(self, f):
+        return self._inverse(f) is not None
+
+    def inverse(self, f):
+        g = self._inverse(f)
+        if g is None:
+            raise ValueError(f"not an isomorphism: {f!r}")
+        return g
 
     def isos(self):
         if self._isos is None:
@@ -243,13 +257,6 @@ class TableCategory:
         )
         return None if found is None else PullbackSquare(found[0], *found[1], None, None)
 
-    def into_product(self, square, a, b):
-        z = self.src(a)
-        for u in self.hom(z, square.apex):
-            if self.compose(square.to_left, u) == a and self.compose(square.to_right, u) == b:
-                return u
-        return None
-
     def coproduct(self, objs):
         objs = tuple(objs)
         found = self._first_initial(
@@ -266,10 +273,6 @@ class TableCategory:
             return False
         counts = self._coproduct_counts(tuple(self.src(leg) for leg in legs))
         return self._fits_cocone_counts(counts, apex) and self._cocone_injective(apex, legs)
-
-    def initial_object(self):
-        co = self.coproduct(())
-        return co.apex if co else None
 
     def from_coproduct(self, cocone, legs):
         """The unique u with u . inj_i = legs[i], or None."""
@@ -446,9 +449,6 @@ class FinSetCat:
         q = SetMap(apex, b, {t: t[1] for t in apex})
         return PullbackSquare(apex, p, q, None, None)
 
-    def into_product(self, square, a, b):
-        return SetMap(a.src, square.apex, {z: (a(z), b(z)) for z in a.src})
-
     def coproduct(self, objs):
         objs = tuple(objs)
         apex = frozenset((i, x) for i, o in enumerate(objs) for x in o)
@@ -489,6 +489,22 @@ class FinSetCat:
         lookup = {b: c for c in apex for b in c}
         q = SetMap(f.tgt, apex, lookup)
         return CoequalizerCocone(apex, q)
+
+    def is_cocone_coequalizer(self, f, g, apex, q):
+        """Whether (apex, q) is an initial cocone for the parallel pair: the
+        mediator from the quotient by the generated equivalence is a bijection."""
+        if q.after(f) != q.after(g) or q.tgt != apex:
+            return False
+        co = self.coequalizer(f, g)
+        return SetMap(co.apex, apex, {c: q(next(iter(c))) for c in co.apex}).is_bijective()
+
+    def is_cone_pullback(self, f, g, apex, p, q):
+        """Whether (apex, p, q) is a terminal cone over the cospan (f, g): z ->
+        (p(z), q(z)) is a bijection onto the pair-set fibre product."""
+        if f.after(p) != g.after(q) or p.src != apex:
+            return False
+        pairs = {z: (p(z), q(z)) for z in apex}
+        return SetMap(apex, self.pullback(f, g).apex, pairs).is_bijective()
 
     def has_all_pullbacks(self):
         return True
@@ -544,18 +560,6 @@ def validate_category(cat) -> CheckReport:
     return CheckReport(True, "validate_category")
 
 
-def pullback(cat, f, g):
-    return cat.pullback(f, g)
-
-
-def coproduct(cat, objs):
-    return cat.coproduct(objs)
-
-
-def coequalizer(cat, f, g):
-    return cat.coequalizer(f, g)
-
-
 def is_universal(cat, f) -> bool:
     """Whether the pullback of f along every morphism with the same target exists."""
     if cat.has_all_pullbacks():
@@ -586,11 +590,6 @@ def is_effective_epi(cat, f) -> bool:
     kp = cat.pullback(f, f)
     if kp is None:
         return False
-    if isinstance(cat, FinSetCat):
-        co = cat.coequalizer(kp.to_left, kp.to_right)
-        # f is effective iff the mediator from the quotient is a bijection
-        mediator = SetMap(co.apex, f.tgt, {c: f(next(iter(c))) for c in co.apex})
-        return mediator.is_bijective()
     return cat.is_cocone_coequalizer(kp.to_left, kp.to_right, cat.tgt(f), f)
 
 
@@ -615,12 +614,6 @@ def universally_effective_epis(cat) -> frozenset:
                     changed = True
                     break
     return frozenset(current)
-
-
-def is_universally_effective_epi(cat, f) -> bool:
-    if isinstance(cat, FinSetCat):
-        return f.is_surjective()
-    return f in universally_effective_epis(cat)
 
 
 # ---------------------------------------------------------------------------
@@ -725,29 +718,33 @@ def _existing_binary_coproducts(cat):
     return out
 
 
-def coproduct_is_disjoint_stable(cat, co) -> bool:
-    """Whether the given binary coproduct cocone is disjoint and stable
-    under the pullbacks that exist."""
+def _coproduct_failure(cat, co, initial):
+    """Why the binary coproduct cocone co is not disjoint or not stable under
+    the pullbacks that exist, as counterexample entries; None if it is both."""
     i1, i2 = co.injections
-    init = cat.initial_object()
-    if init is None:
-        return False
     sq = cat.pullback(i1, i2)
-    if sq is None or not _isomorphic_objects(cat, sq.apex, init):
-        return False
+    if sq is None or not _isomorphic_objects(cat, sq.apex, initial):
+        return {"reason": "not disjoint"}
     for f in cat.morphisms():
         if cat.tgt(f) != co.apex:
             continue
         s1, s2 = cat.pullback(i1, f), cat.pullback(i2, f)
         if s1 is None or s2 is None:
-            return False
+            return {"pullback_along": f}
         parts = cat.coproduct((s1.apex, s2.apex))
         if parts is None:
-            return False
+            return {"decomposition_along": f}
         u = cat.from_coproduct(parts, (s1.to_right, s2.to_right))
         if u is None or not cat.is_iso(u):
-            return False
-    return True
+            return {"stability_along": f}
+    return None
+
+
+def coproduct_is_disjoint_stable(cat, co) -> bool:
+    """Whether the given binary coproduct cocone is disjoint and stable
+    under the pullbacks that exist."""
+    init = cat.coproduct(())
+    return init is not None and _coproduct_failure(cat, co, init.apex) is None
 
 
 def preserves_coproducts(F: FunctorData, which: str = "all") -> bool:
@@ -804,41 +801,12 @@ def is_extensive(cat) -> CheckReport:
     init = cat.coproduct(())
     if init is None:
         return CheckReport(False, "is_extensive", counterexample={"initial_object": None})
-    initial = init.apex
     for a, b, co in _existing_binary_coproducts(cat):
-        i1, i2 = co.injections
-        sq = cat.pullback(i1, i2)
-        if sq is None or not _isomorphic_objects(cat, sq.apex, initial):
+        failure = _coproduct_failure(cat, co, init.apex)
+        if failure is not None:
             return CheckReport(
-                False,
-                "is_extensive",
-                counterexample={"coproduct": (a, b, co.apex), "reason": "not disjoint"},
+                False, "is_extensive", counterexample={"coproduct": (a, b, co.apex), **failure}
             )
-        for f in cat.morphisms():
-            if cat.tgt(f) != co.apex:
-                continue
-            s1 = cat.pullback(i1, f)
-            s2 = cat.pullback(i2, f)
-            if s1 is None or s2 is None:
-                return CheckReport(
-                    False,
-                    "is_extensive",
-                    counterexample={"coproduct": (a, b, co.apex), "pullback_along": f},
-                )
-            parts = cat.coproduct((s1.apex, s2.apex))
-            if parts is None:
-                return CheckReport(
-                    False,
-                    "is_extensive",
-                    counterexample={"coproduct": (a, b, co.apex), "decomposition_along": f},
-                )
-            u = cat.from_coproduct(parts, (s1.to_right, s2.to_right))
-            if u is None or not cat.is_iso(u):
-                return CheckReport(
-                    False,
-                    "is_extensive",
-                    counterexample={"coproduct": (a, b, co.apex), "stability_along": f},
-                )
     return CheckReport(True, "is_extensive")
 
 

@@ -9,7 +9,7 @@ explicit-table ambients as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Any, Optional
 
@@ -19,17 +19,7 @@ from . import site as _site
 
 def _is_fibre_product(amb, square) -> bool:
     """Whether the square is a terminal cone over its cospan (f, g)."""
-    f, g = square.f, square.g
-    if amb.compose(f, square.to_left) != amb.compose(g, square.to_right):
-        return False
-    if isinstance(amb, FinSetCat):
-        can = amb.pullback(f, g)
-        pairs = {z: (square.to_left(z), square.to_right(z)) for z in square.apex}
-        if set(pairs.values()) - set(can.apex):
-            return False
-        u = SetMap(square.apex, can.apex, pairs)
-        return u.is_bijective()
-    return amb.is_cone_pullback(f, g, square.apex, square.to_left, square.to_right)
+    return amb.is_cone_pullback(square.f, square.g, square.apex, square.to_left, square.to_right)
 
 
 class InternalGroupoid:
@@ -168,22 +158,6 @@ def validate_internal_functor(F: InternalFunctor) -> CheckReport:
     return CheckReport(True, "validate_internal_functor")
 
 
-def compose_internal_functors(G2: InternalFunctor, G1: InternalFunctor) -> InternalFunctor:
-    amb = G1.src_gpd.ambient
-    return InternalFunctor(
-        G1.src_gpd,
-        G2.tgt_gpd,
-        amb.compose(G2.F0, G1.F0),
-        amb.compose(G2.F1, G1.F1),
-        name=f"{G2.name}.{G1.name}",
-    )
-
-
-def identity_internal_functor(G) -> InternalFunctor:
-    amb = G.ambient
-    return InternalFunctor(G, G, amb.identity(G.X0), amb.identity(G.X1), name="id")
-
-
 def is_fully_faithful(F: InternalFunctor) -> bool:
     """The square over the pairs of endpoints is a pullback."""
     G, H = F.src_gpd, F.tgt_gpd
@@ -193,12 +167,12 @@ def is_fully_faithful(F: InternalFunctor) -> bool:
     hh = amb.product(H.X0, H.X0)
     if gg is None or hh is None:
         raise ValueError("ambient lacks the products needed for fully-faithfulness")
-    ts_h = amb.into_product(hh, H.t, H.s)
-    f0f0 = amb.into_product(hh, c(F.F0, gg.to_left), c(F.F0, gg.to_right))
+    ts_h = amb.into_pullback(hh, H.t, H.s)
+    f0f0 = amb.into_pullback(hh, c(F.F0, gg.to_left), c(F.F0, gg.to_right))
     q = amb.pullback(f0f0, ts_h)
     if q is None:
         return False
-    ts_g = amb.into_product(gg, G.t, G.s)
+    ts_g = amb.into_pullback(gg, G.t, G.s)
     u = amb.into_pullback(q, ts_g, F.F1)
     return u is not None and amb.is_iso(u)
 
@@ -435,27 +409,6 @@ def pullback_bundle(f, B: Bundle) -> Bundle:
     )
     action = RightAction(B.gpd, carrier, anchor, act, dom)
     return Bundle(B.gpd, action, f.src, Q.to_left)
-
-
-def bundle_morphisms(B1: Bundle, B2: Bundle):
-    """All equivariant morphisms over the common base (finite-sets ambient)."""
-    amb = B1.gpd.ambient
-    out = []
-    for h in amb.hom(B1.action.carrier, B2.action.carrier):
-        if amb.compose(B2.p, h) != B1.p:
-            continue
-        if amb.compose(B2.action.anchor, h) != B1.action.anchor:
-            continue
-        if all(
-            h(B1.action.act((x, g))) == B2.action.act((h(x), g))
-            for (x, g) in B1.action.dom.apex
-        ):
-            out.append(h)
-    return out
-
-
-def bundles_isomorphic(B1: Bundle, B2: Bundle) -> bool:
-    return any(h.is_bijective() for h in bundle_morphisms(B1, B2))
 
 
 # ---------------------------------------------------------------------------
@@ -710,16 +663,6 @@ def are_isomorphic_anafunctors(A1: Anafunctor, A2: Anafunctor) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _map_square(F, sq: PullbackSquare) -> PullbackSquare:
-    return PullbackSquare(
-        F.on_obj(sq.apex),
-        F.on_mor(sq.to_left),
-        F.on_mor(sq.to_right),
-        F.on_mor(sq.f) if sq.f is not None else None,
-        F.on_mor(sq.g) if sq.g is not None else None,
-    )
-
-
 def map_groupoid(F, G: InternalGroupoid) -> InternalGroupoid:
     """Apply an ambient functor to a groupoid, carrying the fibre product."""
     return InternalGroupoid(
@@ -731,33 +674,13 @@ def map_groupoid(F, G: InternalGroupoid) -> InternalGroupoid:
         F.on_mor(G.i),
         F.on_mor(G.comp),
         F.on_mor(G.inv),
-        _map_square(F, G.X2),
+        PullbackSquare(
+            F.on_obj(G.X2.apex),
+            F.on_mor(G.X2.to_left),
+            F.on_mor(G.X2.to_right),
+            F.on_mor(G.X2.f),
+            F.on_mor(G.X2.g),
+        ),
         name=f"{F.name}({G.name})",
     )
 
-
-def map_internal_functor(F, fun: InternalFunctor, src_img=None, tgt_img=None) -> InternalFunctor:
-    src_img = src_img or map_groupoid(F, fun.src_gpd)
-    tgt_img = tgt_img or map_groupoid(F, fun.tgt_gpd)
-    return InternalFunctor(src_img, tgt_img, F.on_mor(fun.F0), F.on_mor(fun.F1))
-
-
-def map_bundle(F, B: Bundle, gpd_img=None) -> Bundle:
-    gpd_img = gpd_img or map_groupoid(F, B.gpd)
-    action = RightAction(
-        gpd_img,
-        F.on_obj(B.action.carrier),
-        F.on_mor(B.action.anchor),
-        F.on_mor(B.action.act),
-        _map_square(F, B.action.dom),
-    )
-    designated = _map_square(F, B.designated_pb) if B.designated_pb else None
-    return Bundle(gpd_img, action, F.on_obj(B.base), F.on_mor(B.p), designated)
-
-
-def map_anafunctor(F, A: Anafunctor, src_img=None, tgt_img=None) -> Anafunctor:
-    src_img = src_img or map_groupoid(F, A.gpd_src)
-    tgt_img = tgt_img or map_groupoid(F, A.gpd_tgt)
-    refined_img = map_groupoid(F, A.functor.src_gpd)
-    fun = InternalFunctor(refined_img, tgt_img, F.on_mor(A.functor.F0), F.on_mor(A.functor.F1))
-    return Anafunctor(src_img, tgt_img, F.on_mor(A.pi), fun, name=A.name)

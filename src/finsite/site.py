@@ -18,7 +18,6 @@ from .fincat import (
     FinSetCat,
     FunctorData,
     SetMap,
-    TableCategory,
     is_universal,
     universally_effective_epis,
     is_extensive,
@@ -250,9 +249,6 @@ def is_locally_split(T, f) -> Optional[SplitWitness]:
             if T.covers(f):
                 cov = CoveringFamily(f.tgt, (f,))
                 return SplitWitness(cov, (SetMap.ident(f.src),))
-            if T.kind == "all":
-                cov = CoveringFamily(f.tgt, (f,))
-                return SplitWitness(cov, (SetMap.ident(f.src),))
             return None
         # indiscrete: locally split means globally split
         if f.is_surjective():
@@ -291,10 +287,6 @@ def uni_class(T) -> frozenset:
 
 
 def uni_contains(T, f) -> bool:
-    if isinstance(T, FinSetTopology):
-        if T.kind == "all":
-            return True
-        return f.is_surjective()
     return is_universal(T.cat, f) and is_locally_split(T, f) is not None
 
 
@@ -474,37 +466,38 @@ def restrict_topology(T, incl: FunctorData):
 # ---------------------------------------------------------------------------
 
 
+def _fibre_product_failure(F: FunctorData, f):
+    """The first cospan (f, g) whose pullback is missing in the source of F
+    or is not sent to a fibre product, as a counterexample; None if none."""
+    src, tgt = F.source, F.target
+    x = src.tgt(f)
+    for g in src.morphisms():
+        if src.tgt(g) != x:
+            continue
+        sq = src.pullback(f, g)
+        if sq is None:
+            return {"clause": "source-pullback", "cospan": (f, g)}
+        if not tgt.is_cone_pullback(
+            F.on_mor(f),
+            F.on_mor(g),
+            F.on_obj(sq.apex),
+            F.on_mor(sq.to_left),
+            F.on_mor(sq.to_right),
+        ):
+            return {"clause": "fibre-product", "cospan": (f, g)}
+    return None
+
+
 def is_continuous(F: FunctorData, T1, T2) -> CheckReport:
     """Sends Uni(T1) into Uni(T2) and preserves fibre products with Uni(T1)."""
-    src, tgt = F.source, F.target
     for f in uni_class(T1):
         if not uni_contains(T2, F.on_mor(f)):
             return CheckReport(
                 False, "is_continuous", counterexample={"clause": "image", "morphism": f}
             )
-        x = src.tgt(f)
-        for g in src.morphisms():
-            if src.tgt(g) != x:
-                continue
-            sq = src.pullback(f, g)
-            if sq is None:
-                return CheckReport(
-                    False,
-                    "is_continuous",
-                    counterexample={"clause": "source-pullback", "cospan": (f, g)},
-                )
-            if not tgt.is_cone_pullback(
-                F.on_mor(f),
-                F.on_mor(g),
-                F.on_obj(sq.apex),
-                F.on_mor(sq.to_left),
-                F.on_mor(sq.to_right),
-            ):
-                return CheckReport(
-                    False,
-                    "is_continuous",
-                    counterexample={"clause": "fibre-product", "cospan": (f, g)},
-                )
+        failure = _fibre_product_failure(F, f)
+        if failure is not None:
+            return CheckReport(False, "is_continuous", counterexample=failure)
     return CheckReport(True, "is_continuous")
 
 
@@ -528,23 +521,9 @@ def continuity_sufficient(F: FunctorData, T1, T2) -> CheckReport:
             return CheckReport(
                 False, "continuity_sufficient", counterexample={"clause": "universal", "morphism": f}
             )
-        x = src.tgt(f)
-        for g in src.morphisms():
-            if src.tgt(g) != x:
-                continue
-            sq = src.pullback(f, g)
-            if sq is None or not tgt.is_cone_pullback(
-                F.on_mor(f),
-                F.on_mor(g),
-                F.on_obj(sq.apex),
-                F.on_mor(sq.to_left),
-                F.on_mor(sq.to_right),
-            ):
-                return CheckReport(
-                    False,
-                    "continuity_sufficient",
-                    counterexample={"clause": "fibre-product", "cospan": (f, g)},
-                )
+        failure = _fibre_product_failure(F, f)
+        if failure is not None:
+            return CheckReport(False, "continuity_sufficient", counterexample=failure)
     return CheckReport(True, "continuity_sufficient")
 
 

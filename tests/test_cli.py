@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +36,7 @@ def test_validate_malformed_file_exit_two(tmp_path, capsys):
 
 
 def test_validate_broken_bundle_exit_one(bundle_path, tmp_path, capsys):
-    doc = json.loads(open(bundle_path).read())
+    doc = json.loads(Path(bundle_path).read_text())
     # break associativity: declare swap composed with itself to be the swap
     comp = doc["categories"]["FIX-FS012"]["composition"]
     for row in comp:
@@ -105,7 +106,7 @@ def test_laws_catalog_only(capsys):
 
 
 def test_laws_with_broken_user_topology(bundle_path, tmp_path, capsys):
-    doc = json.loads(open(bundle_path).read())
+    doc = json.loads(Path(bundle_path).read_text())
     fams = doc["topologies"]["T_op"]["families"]
     for obj, fam_list in fams:
         if obj == "oX":
@@ -145,7 +146,7 @@ def test_laws_time_each_law(capsys):
 
 
 def _write_variant(bundle_path, tmp_path, edit):
-    doc = json.loads(open(bundle_path).read())
+    doc = json.loads(Path(bundle_path).read_text())
     edit(doc)
     path = tmp_path / "variant.json"
     path.write_text(json.dumps(doc))
@@ -192,3 +193,51 @@ def test_dangling_family_member_exit_two(bundle_path, tmp_path, capsys):
 def test_sheaf_check_across_categories_exit_two(bundle_path, capsys, op, args):
     assert cli.main(["check", bundle_path, "--op", op, "--args", *args]) == 2
     assert "different categories" in capsys.readouterr().err
+
+
+def _drop_value_set(obj):
+    def edit(doc):
+        values = doc["presheaves"]["SHV"]["values"]
+        values[:] = [row for row in values if row[0] != obj]
+
+    return edit
+
+
+KAN = ["kan", "--functor", "skel01-into-fs012", "--presheaf", "Yo_n1_small"]
+SHEAF = ["check", "--op", "is_sheaf", "--args", "SHV", "T_op", "--extensivity-mode", "disjoint"]
+
+
+@pytest.mark.parametrize(
+    "edit, command",
+    [
+        pytest.param(
+            lambda doc: doc["functors"]["skel01-into-fs012"]["on_morphisms"][0].__setitem__(1, "ghost"),
+            KAN,
+            id="functor-image-ghost",
+        ),
+        pytest.param(
+            lambda doc: doc["functors"]["skel01-into-fs012"]["on_objects"].pop(),
+            KAN,
+            id="functor-missing-object",
+        ),
+        pytest.param(
+            lambda doc: doc["presheaves"]["K2_V"]["restriction"].append(["ghost", [["a", "a"]]]),
+            ["validate"],
+            id="restriction-ghost",
+        ),
+        pytest.param(
+            lambda doc: doc["presheaves"]["SHV"]["restriction"].pop(0),
+            ["validate"],
+            id="restriction-row-missing",
+        ),
+        *(
+            pytest.param(_drop_value_set(obj), SHEAF, id=f"SHV-without-{obj}")
+            for obj in ("oE", "oU", "oV", "oX")
+        ),
+    ],
+)
+def test_unknown_functor_and_presheaf_ids_exit_two(bundle_path, tmp_path, capsys, edit, command):
+    path = _write_variant(bundle_path, tmp_path, edit)
+    assert cli.main([command[0], path, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "malformed" in err and "Traceback" not in err

@@ -241,6 +241,28 @@ def test_cone_checks_reject_legs_off_the_apex(fix_v):
     bad = FunctorData(sub, incl.target, swapped, incl.mor_map)
     assert not preserves_coproducts(bad)
 
+    f = SetMap({0, 1, 2}, {0, 1}, {0: 0, 1: 1, 2: 0})
+    g = SetMap({"u", "v"}, {0, 1}, {"u": 0, "v": 0})
+
+    def cone(pairs):
+        apex = frozenset(range(len(pairs)))
+        return (
+            apex,
+            SetMap(apex, f.src, {i: a for i, (a, _) in enumerate(pairs)}),
+            SetMap(apex, g.src, {i: b for i, (_, b) in enumerate(pairs)}),
+        )
+
+    pairs = sorted(FS.pullback(f, g).apex, key=repr)
+    apex, p, q = cone(pairs)
+    assert FS.is_cone_pullback(f, g, apex, p, q)  # apex relabelled 0..3
+    assert not FS.is_cone_pullback(f, g, *cone(pairs + pairs[:1]))
+    assert not FS.is_cone_pullback(f, g, frozenset(range(5)), p, q)
+
+    h = SetMap({0, 1}, {0, 1, 2}, {0: 0, 1: 1})
+    k = SetMap({0, 1}, {0, 1, 2}, {0: 1, 1: 1})
+    assert FS.is_cocone_coequalizer(h, k, frozenset("ab"), SetMap(h.tgt, "ab", {0: "a", 1: "a", 2: "b"}))
+    assert not FS.is_cocone_coequalizer(h, k, frozenset("a"), SetMap(h.tgt, "a", {0: "a", 1: "a", 2: "a"}))
+
 
 def test_extensivity_verdicts(fix_v, fs012):
     assert not is_extensive(fix_v).ok
