@@ -159,7 +159,7 @@ def skeleton_inclusion():
     return small, big, incl
 
 
-def table_copy(sets, names=None, validate=False):
+def table_copy(sets, names=None):
     """An explicit-table full subcategory of finite sets on the given carriers.
 
     Returns (cat, obj_of_set, mor_of_map) where mor_of_map translates a

@@ -85,12 +85,9 @@ def serialize_category(cat) -> dict:
         ([_encode(m), _encode(cat.src(m)), _encode(cat.tgt(m))] for m in cat.morphisms()),
         key=repr,
     )
-    composition = []
-    for f in cat.morphisms():
-        for g in cat.morphisms():
-            if cat.src(g) == cat.tgt(f):
-                composition.append([_encode(g), _encode(f), _encode(cat.compose(g, f))])
-    composition.sort(key=repr)
+    composition = sorted(
+        ([_encode(g), _encode(f), _encode(gf)] for (g, f), gf in cat._comp.items()), key=repr
+    )
     return {
         "objects": [_encode(x) for x in cat.objects],
         "morphisms": morphisms,
@@ -195,86 +192,48 @@ def serialize_bundle_doc(doc: BundleDoc) -> dict:
 
 def parse_category(sec, name) -> TableCategory:
     try:
-        objects = [_decode(x) for x in sec["objects"]]
-        morphisms = {_decode(m): (_decode(a), _decode(b)) for m, a, b in sec["morphisms"]}
-        identity = _unpairs(sec["identity"])
-        comp = {(_decode(g), _decode(f)): _decode(gf) for g, f, gf in sec["composition"]}
+        return TableCategory(
+            [_decode(x) for x in sec["objects"]],
+            {_decode(m): (_decode(a), _decode(b)) for m, a, b in sec["morphisms"]},
+            _unpairs(sec["identity"]),
+            {(_decode(g), _decode(f)): _decode(gf) for g, f, gf in sec["composition"]},
+            name=name,
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"malformed category {name!r}: {exc}") from exc
-    known = set(objects)
-    for m, (a, b) in morphisms.items():
-        if a not in known or b not in known:
-            raise BundleError(f"malformed category {name!r}: morphism {m!r} has an unknown endpoint")
-    for (g, f), gf in comp.items():
-        if g not in morphisms or f not in morphisms or gf not in morphisms:
-            raise BundleError(
-                f"malformed category {name!r}: composition row {[g, f, gf]!r} names an unknown morphism"
-            )
-    return TableCategory(objects, morphisms, identity, comp, name=name)
 
 
 def parse_topology(sec, cats, name) -> site.Pretopology:
     try:
-        cat = cats[sec["category"]]
         fams = {
             _decode(x): {frozenset(_decode(m) for m in fam) for fam in fs}
             for x, fs in sec["families"]
         }
+        return site.Pretopology(cats[sec["category"]], fams, name=name)
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"malformed topology {name!r}: {exc}") from exc
-    objects = set(cat.objects)
-    for x, fs in fams.items():
-        if x not in objects:
-            raise BundleError(f"malformed topology {name!r}: families for unknown object {x!r}")
-        for fam in fs:
-            for m in fam:
-                if m not in cat._mor or cat.tgt(m) != x:
-                    raise BundleError(
-                        f"malformed topology {name!r}: family member {m!r} is not a morphism into {x!r}"
-                    )
-    return site.Pretopology(cat, fams, name=name)
 
 
 def parse_functor(sec, cats, name) -> FunctorData:
     try:
-        src = cats[sec["source"]]
-        tgt = cats[sec["target"]]
-        obj_map, mor_map = _unpairs(sec["on_objects"]), _unpairs(sec["on_morphisms"])
-        for table, declared, images in (
-            (obj_map, src.objects, set(tgt.objects)),
-            (mor_map, src._mor, tgt._mor),
-        ):
-            for x in declared:
-                if x not in table:
-                    raise BundleError(f"malformed functor {name!r}: no image for {x!r}")
-                if table[x] not in images:
-                    raise BundleError(
-                        f"malformed functor {name!r}: image {table[x]!r} of {x!r} is not in the target"
-                    )
+        return FunctorData(
+            cats[sec["source"]],
+            cats[sec["target"]],
+            _unpairs(sec["on_objects"]),
+            _unpairs(sec["on_morphisms"]),
+            name=name,
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"malformed functor {name!r}: {exc}") from exc
-    return FunctorData(src, tgt, obj_map, mor_map, name=name)
 
 
 def parse_presheaf(sec, cats, name) -> sheaf.Presheaf:
     try:
-        cat = cats[sec["category"]]
         values = {_decode(x): tuple(_decode(v) for v in vs) for x, vs in sec["values"]}
         restriction = {_decode(m): _unpairs(r) for m, r in sec["restriction"]}
+        return sheaf.Presheaf(cats[sec["category"]], values, restriction, name=name)
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"malformed presheaf {name!r}: {exc}") from exc
-    for x in cat.objects:
-        if x not in values:
-            raise BundleError(f"malformed presheaf {name!r}: no value set for object {x!r}")
-    for m in restriction:
-        if m not in cat._mor:
-            raise BundleError(
-                f"malformed presheaf {name!r}: restriction row for unknown morphism {m!r}"
-            )
-    for m in cat._mor:
-        if m not in restriction:
-            raise BundleError(f"malformed presheaf {name!r}: no restriction row for {m!r}")
-    return sheaf.Presheaf(cat, values, restriction, name=name)
 
 
 def parse_groupoid(sec, name) -> internal.InternalGroupoid:
@@ -502,23 +461,14 @@ def _dispatch_table(mode):
 
 def cmd_check(path, op, args, mode="literal") -> int:
     started = time.monotonic()
-    try:
-        doc = load_bundle(path)
-        table = _dispatch_table(mode)
-        if op not in table:
-            raise BundleError(f"unknown check {op!r}")
-        kinds, fn = table[op]
-        if len(args) != len(kinds):
-            raise BundleError(f"check {op!r} takes {len(kinds)} argument(s), got {len(args)}")
-        resolved = [_resolve(doc, kind, a) for kind, a in zip(kinds, args)]
-    except BundleError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        result = fn(*resolved)
-    except ValueError as exc:
-        print(f"invalid arguments: {exc}", file=sys.stderr)
-        return 2
+    doc = load_bundle(path)
+    table = _dispatch_table(mode)
+    if op not in table:
+        raise BundleError(f"unknown check {op!r}")
+    kinds, fn = table[op]
+    if len(args) != len(kinds):
+        raise BundleError(f"check {op!r} takes {len(kinds)} argument(s), got {len(args)}")
+    result = fn(*(_resolve(doc, kind, a) for kind, a in zip(kinds, args)))
     report = _report(op, args, result, started)
     _emit(report, f"{op}({', '.join(args)}): {'true' if report['verdict'] else 'false'}")
     return 0 if report["verdict"] else 1
@@ -548,21 +498,13 @@ def _validate_all(doc: BundleDoc):
 
 def cmd_validate(path) -> int:
     started = time.monotonic()
-    try:
-        doc = load_bundle(path)
-        checks = _validate_all(doc)
-        for name, fn in checks:
-            result = fn()
-            if not result.ok:
-                report = _report(f"validate: {name}", [path], result, started)
-                _emit(report, f"INVALID {name}")
-                return 1
-    except BundleError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"invalid structure: {exc}", file=sys.stderr)
-        return 2
+    checks = _validate_all(load_bundle(path))
+    for name, fn in checks:
+        result = fn()
+        if not result.ok:
+            report = _report(f"validate: {name}", [path], result, started)
+            _emit(report, f"INVALID {name}")
+            return 1
     report = _report("validate", [path], CheckReport(True, "validate"), started)
     _emit(report, f"all {len(checks)} structures valid")
     return 0
@@ -657,12 +599,7 @@ def law_suite(extra_doc: BundleDoc = None):
 
 
 def cmd_laws(path=None) -> int:
-    try:
-        extra = load_bundle(path) if path else None
-        laws = law_suite(extra)
-    except BundleError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    laws = law_suite(load_bundle(path) if path else None)
     reports = []
     for name, fn in laws:
         started = time.monotonic()
@@ -683,17 +620,13 @@ def cmd_laws(path=None) -> int:
 
 
 def cmd_kan(path, functor, presheaf) -> int:
-    try:
-        doc = load_bundle(path)
-        F = _resolve(doc, "functor", functor)
-        P = _resolve(doc, "presheaf", presheaf)
-        if P.cat is not F.source:
-            raise BundleError(
-                f"presheaf {presheaf!r} does not live on the source of functor {functor!r}"
-            )
-    except BundleError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    doc = load_bundle(path)
+    F = _resolve(doc, "functor", functor)
+    P = _resolve(doc, "presheaf", presheaf)
+    if P.cat is not F.source:
+        raise BundleError(
+            f"presheaf {presheaf!r} does not live on the source of functor {functor!r}"
+        )
     ext = sheaf.right_kan_extension(F, P)
     names = {id(c): n for n, c in doc.categories.items()}
     out = {"presheaves": {ext.name: serialize_presheaf(ext, names[id(F.target)])}}
@@ -734,13 +667,17 @@ def main(argv=None) -> int:
     p_kan.add_argument("--presheaf", required=True)
 
     ns = parser.parse_args(argv)
-    if ns.command == "validate":
-        return cmd_validate(ns.file)
-    if ns.command == "check":
-        return cmd_check(ns.file, ns.op, ns.args, ns.extensivity_mode)
-    if ns.command == "laws":
-        return cmd_laws(ns.file)
-    return cmd_kan(ns.file, ns.functor, ns.presheaf)
+    try:
+        if ns.command == "validate":
+            return cmd_validate(ns.file)
+        if ns.command == "check":
+            return cmd_check(ns.file, ns.op, ns.args, ns.extensivity_mode)
+        if ns.command == "laws":
+            return cmd_laws(ns.file)
+        return cmd_kan(ns.file, ns.functor, ns.presheaf)
+    except (BundleError, ValueError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

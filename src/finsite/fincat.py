@@ -74,6 +74,10 @@ class TableCategory:
     identity:  dict ObjId -> MorId
     comp:      dict (g, f) -> g.f  for every composable pair (f first)
 
+    The constructor raises ValueError unless every endpoint and identity
+    row names declared ids and comp has one row of declared morphisms per
+    composable pair, so compose is total; validate_category checks the laws.
+
     The tables are immutable after construction: hom sets are built once,
     and pullbacks and universality are memoized per category.
     """
@@ -83,12 +87,29 @@ class TableCategory:
     def __init__(self, objects, morphisms, identity, comp, name=""):
         self.name = name
         self.objects = tuple(objects)
-        self._mor = dict(morphisms)
+        self._mor = mor = dict(morphisms)
         self._identity = dict(identity)
-        self._comp = dict(comp)
-        hom = {}
-        for m, (a, b) in self._mor.items():
+        self._comp = comp = dict(comp)
+        into, out, hom = dict.fromkeys(self.objects, 0), dict.fromkeys(self.objects, 0), {}
+        for m, (a, b) in mor.items():
+            if a not in out or b not in into:
+                raise ValueError(f"morphism {m!r} has an unknown endpoint")
+            out[a] += 1
+            into[b] += 1
             hom.setdefault((a, b), []).append(m)
+        for x, i in self._identity.items():
+            if x not in into or i not in mor:
+                raise ValueError(f"identity row {[x, i]!r} names an unknown object or morphism")
+        for (g, f), gf in comp.items():
+            if not (g in mor and f in mor and gf in mor and mor[g][0] == mor[f][1]):
+                raise ValueError(
+                    f"composition row {[g, f, gf]!r} names an unknown id or a non-composable pair"
+                )
+        if len(comp) != sum(into[x] * out[x] for x in into):
+            pair = next(
+                (g, f) for f in mor for g in mor if mor[g][0] == mor[f][1] and (g, f) not in comp
+            )
+            raise ValueError(f"composable pair {pair!r} has no composition row")
         self._hom = {key: tuple(sorted(ms, key=repr)) for key, ms in hom.items()}
         self._isos = None
         self._pullbacks = {}
@@ -106,7 +127,10 @@ class TableCategory:
         return self._mor[f][1]
 
     def identity(self, x):
-        return self._identity[x]
+        try:
+            return self._identity[x]
+        except KeyError:
+            raise ValueError(f"object {x!r} has no identity") from None
 
     def compose(self, g, f):
         """g after f."""
@@ -277,12 +301,9 @@ class TableCategory:
     def from_coproduct(self, cocone, legs):
         """The unique u with u . inj_i = legs[i], or None."""
         legs = tuple(legs)
-        if cocone.injections:
-            z = self.tgt(legs[0])
-        else:
-            # empty coproduct: any object works as codomain of the mediator,
-            # caller must give at least a target via legs; fall back below
+        if not cocone.injections:
             raise ValueError("need a codomain for the empty cocone mediator")
+        z = self.tgt(legs[0])
         for u in self.hom(cocone.apex, z):
             if all(self.compose(u, i) == leg for i, leg in zip(cocone.injections, legs)):
                 return u
@@ -520,26 +541,12 @@ def validate_category(cat) -> CheckReport:
         return CheckReport(True, "validate_category", witness={"note": "function composition"})
     for x in cat.objects:
         i = cat._identity.get(x)
-        if i is None or cat._mor.get(i) != (x, x):
+        if i is None or cat._mor[i] != (x, x):
             return CheckReport(False, "validate_category", counterexample={"identity": x})
-    for m, (a, b) in cat._mor.items():
-        if a not in cat.objects or b not in cat.objects:
-            raise ValueError(f"malformed table: dangling endpoint on {m!r}")
+    # endpoints of composites
     for (g, f), gf in cat._comp.items():
-        if f not in cat._mor or g not in cat._mor or gf not in cat._mor:
-            raise ValueError(f"malformed table: dangling entry {(g, f)!r}")
-    # totality on composable pairs, endpoints of composites
-    for f, (a, b) in cat._mor.items():
-        for g in cat.morphisms():
-            if cat.src(g) != b:
-                continue
-            gf = cat._comp.get((g, f))
-            if gf is None:
-                return CheckReport(False, "validate_category", counterexample={"missing": (g, f)})
-            if cat._mor[gf] != (a, cat.tgt(g)):
-                return CheckReport(
-                    False, "validate_category", counterexample={"endpoints": (g, f)}
-                )
+        if cat._mor[gf] != (cat.src(f), cat.tgt(g)):
+            return CheckReport(False, "validate_category", counterexample={"endpoints": (g, f)})
     # identity laws
     for f in cat.morphisms():
         a, b = cat._mor[f]
@@ -629,6 +636,17 @@ class FunctorData:
     mor_map: dict
     name: str = ""
 
+    def __post_init__(self):
+        for table, ids, images in (
+            (self.obj_map, self.source.objects, set(self.target.objects)),
+            (self.mor_map, self.source._mor, self.target._mor),
+        ):
+            for x in ids:
+                if x not in table:
+                    raise ValueError(f"no image for {x!r}")
+                if table[x] not in images:
+                    raise ValueError(f"image {table[x]!r} of {x!r} is not in the target")
+
     def on_obj(self, x):
         return self.obj_map[x]
 
@@ -659,22 +677,15 @@ def compose_functors(g: FunctorData, f: FunctorData) -> FunctorData:
 def validate_functor(F: FunctorData) -> CheckReport:
     src, tgt = F.source, F.target
     for x in src.objects:
-        if x not in F.obj_map:
-            raise ValueError(f"dangling object map entry: {x!r}")
         if F.on_mor(src.identity(x)) != tgt.identity(F.on_obj(x)):
             return CheckReport(False, "validate_functor", counterexample={"identity": x})
     for m in src.morphisms():
-        if m not in F.mor_map:
-            raise ValueError(f"dangling morphism map entry: {m!r}")
         im = F.on_mor(m)
         if tgt.src(im) != F.on_obj(src.src(m)) or tgt.tgt(im) != F.on_obj(src.tgt(m)):
             return CheckReport(False, "validate_functor", counterexample={"endpoints": m})
-    for f in src.morphisms():
-        for g in src.morphisms():
-            if src.src(g) != src.tgt(f):
-                continue
-            if F.on_mor(src.compose(g, f)) != tgt.compose(F.on_mor(g), F.on_mor(f)):
-                return CheckReport(False, "validate_functor", counterexample={"composition": (g, f)})
+    for (g, f), gf in src._comp.items():
+        if F.on_mor(gf) != tgt.compose(F.on_mor(g), F.on_mor(f)):
+            return CheckReport(False, "validate_functor", counterexample={"composition": (g, f)})
     return CheckReport(True, "validate_functor")
 
 

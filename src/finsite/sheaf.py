@@ -24,10 +24,28 @@ from . import site as _site
 
 @dataclass(frozen=True)
 class Presheaf:
+    """The constructor raises ValueError unless every object has a value set
+    and every morphism m has one restriction row, a function from
+    values[tgt m] into values[src m]; validate_presheaf checks the laws."""
+
     cat: Any
     values: dict  # obj -> tuple of elements
     restriction: dict  # mor -> dict mapping values(tgt) -> values(src)
     name: str = ""
+
+    def __post_init__(self):
+        values = {}
+        for x in self.cat.objects:
+            if x not in self.values:
+                raise ValueError(f"no value set for object {x!r}")
+            values[x] = set(self.values[x])
+        stray = self.restriction.keys() ^ self.cat._mor.keys()
+        if stray:
+            raise ValueError(f"restriction rows and morphisms differ at {min(stray, key=repr)!r}")
+        for m, (a, b) in self.cat._mor.items():
+            r = self.restriction[m]
+            if r.keys() != values[b] or not values[a].issuperset(r.values()):
+                raise ValueError(f"restriction {m!r} is not a map values[{b!r}] -> values[{a!r}]")
 
     def value(self, x):
         return self.values[x]
@@ -56,26 +74,15 @@ class DescentSet:
 def validate_presheaf(F: Presheaf) -> CheckReport:
     cat = F.cat
     for x in cat.objects:
-        if x not in F.values:
-            raise ValueError(f"missing value set for {x!r}")
         i = cat.identity(x)
         if any(F.res(i, a) != a for a in F.values[x]):
             return CheckReport(False, "validate_presheaf", counterexample={"identity": x})
-    for m in cat.morphisms():
-        a, b = cat.src(m), cat.tgt(m)
-        r = F.restriction.get(m)
-        if r is None or set(r) != set(F.values[b]) or not set(r.values()) <= set(F.values[a]):
-            return CheckReport(False, "validate_presheaf", counterexample={"restriction": m})
-    for u in cat.morphisms():
-        for v in cat.morphisms():
-            if cat.src(v) != cat.tgt(u):
-                continue
-            w = cat.compose(v, u)
-            for a in F.values[cat.tgt(v)]:
-                if F.res(w, a) != F.res(u, F.res(v, a)):
-                    return CheckReport(
-                        False, "validate_presheaf", counterexample={"functoriality": (v, u)}
-                    )
+    for (v, u), w in cat._comp.items():
+        for a in F.values[cat.tgt(v)]:
+            if F.res(w, a) != F.res(u, F.res(v, a)):
+                return CheckReport(
+                    False, "validate_presheaf", counterexample={"functoriality": (v, u)}
+                )
     return CheckReport(True, "validate_presheaf")
 
 

@@ -47,17 +47,25 @@ class Refinement:
 
 
 class Pretopology:
-    """Extensional pretopology on a TableCategory."""
+    """Extensional pretopology on a TableCategory.  The constructor checks
+    that each family is keyed by an object and made of morphisms into it;
+    validate_pretopology checks the axioms."""
 
     backend = "explicit-table"
 
     def __init__(self, cat, families, name=""):
         self.cat = cat
         self.name = name
+        stray = families.keys() - set(cat.objects)
+        if stray:
+            raise ValueError(f"families for unknown object {min(stray, key=repr)!r}")
         self.families = {}
         for x in cat.objects:
-            fams = families.get(x, ())
-            self.families[x] = frozenset(frozenset(s) for s in fams)
+            fams = frozenset(frozenset(s) for s in families.get(x, ()))
+            stray = frozenset().union(*fams).difference(*(cat.hom(a, x) for a in cat.objects))
+            if stray:
+                raise ValueError(f"family member {min(stray, key=repr)!r} is not a morphism into {x!r}")
+            self.families[x] = fams
 
     def covering_families(self, x):
         out = []
@@ -557,29 +565,32 @@ def is_cocontinuous(F: FunctorData, T1, T2) -> CheckReport:
     return CheckReport(True, "is_cocontinuous", witness={"lifts": len(witnesses)})
 
 
-def _multisets(items, max_size, max_mult):
-    """All non-empty multisets over items with the given bounds."""
+_MAX_MULT = 4
+
+
+def _multisets(items, max_size):
+    """All multisets of at most max_size items, each at most _MAX_MULT times."""
     items = list(items)
 
     def rec(i, size_left):
         if i == len(items):
             yield ()
             return
-        for mult in range(0, min(max_mult, size_left) + 1):
+        for mult in range(0, min(_MAX_MULT, size_left) + 1):
             for rest in rec(i + 1, size_left - mult):
                 yield (items[i],) * mult + rest
 
     return [m for m in rec(0, max_size)]
 
 
-def has_dense_image(F: FunctorData, T2, max_mult: int = 4) -> CheckReport:
+def has_dense_image(F: FunctorData, T2) -> CheckReport:
     src, tgt = F.source, F.target
     if not _full(F):
         return CheckReport(False, "has_dense_image", counterexample={"clause": "full"})
     if not _faithful(F):
         return CheckReport(False, "has_dense_image", counterexample={"clause": "faithful"})
     max_size = max(2, len(src.objects))
-    families = _multisets(src.objects, max_size, max_mult)
+    families = _multisets(src.objects, max_size)
     witnesses = {}
     for x in tgt.objects:
         found = None
@@ -605,7 +616,7 @@ def has_dense_image(F: FunctorData, T2, max_mult: int = 4) -> CheckReport:
             return CheckReport(
                 False,
                 "has_dense_image",
-                counterexample={"object": x, "multiplicity_cap": max_mult},
+                counterexample={"object": x, "multiplicity_cap": _MAX_MULT},
             )
         witnesses[x] = found
     return CheckReport(True, "has_dense_image", witness={"families": {repr(k): repr(v[0]) for k, v in witnesses.items()}})

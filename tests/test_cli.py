@@ -195,6 +195,15 @@ def test_sheaf_check_across_categories_exit_two(bundle_path, capsys, op, args):
     assert "different categories" in capsys.readouterr().err
 
 
+def _restriction_row(doc, m):
+    return next(r for k, r in doc["presheaves"]["SHV"]["restriction"] if k == m)
+
+
+def _drop_composition_row(doc):
+    comp = doc["categories"]["FIX-V"]["composition"]
+    comp[:] = [row for row in comp if row[:2] != ["oU_to_oX", "oE_to_oU"]]
+
+
 def _drop_value_set(obj):
     def edit(doc):
         values = doc["presheaves"]["SHV"]["values"]
@@ -234,6 +243,32 @@ SHEAF = ["check", "--op", "is_sheaf", "--args", "SHV", "T_op", "--extensivity-mo
             pytest.param(_drop_value_set(obj), SHEAF, id=f"SHV-without-{obj}")
             for obj in ("oE", "oU", "oV", "oX")
         ),
+        *(
+            pytest.param(
+                lambda doc: _restriction_row(doc, "oE_to_oU")[0].__setitem__(1, "zzz"),
+                command,
+                id=f"restriction-leaves-values-{command[0]}",
+            )
+            for command in (["validate"], SHEAF)
+        ),
+        *(
+            pytest.param(
+                lambda doc: _restriction_row(doc, "oE_to_oE").pop(0),
+                command,
+                id=f"restriction-misses-element-{command[0]}",
+            )
+            for command in (["validate"], SHEAF)
+        ),
+        pytest.param(
+            lambda doc: _restriction_row(doc, "oU_to_oX").pop(0),
+            SHEAF,
+            id="restriction-misses-element-oU_to_oX",
+        ),
+        pytest.param(
+            _drop_composition_row,
+            ["check", "--op", "is_local", "--args", "T_op"],
+            id="composition-row-missing",
+        ),
     ],
 )
 def test_unknown_functor_and_presheaf_ids_exit_two(bundle_path, tmp_path, capsys, edit, command):
@@ -241,3 +276,25 @@ def test_unknown_functor_and_presheaf_ids_exit_two(bundle_path, tmp_path, capsys
     assert cli.main([command[0], path, *command[1:]]) == 2
     err = capsys.readouterr().err
     assert "malformed" in err and "Traceback" not in err
+
+
+def _drop_identity_row(doc):
+    identity = doc["categories"]["FIX-V"]["identity"]
+    identity[:] = [row for row in identity if row[0] != "oU"]
+
+
+@pytest.mark.parametrize(
+    "edit, command",
+    [
+        pytest.param(
+            lambda doc: doc["functors"]["skel01-into-fs012"]["on_morphisms"][0].__setitem__(1, "n2>n2:1,0"),
+            KAN,
+            id="functor-wrong-endpoints",
+        ),
+        pytest.param(_drop_identity_row, SHEAF, id="identity-row-missing"),
+    ],
+)
+def test_law_breaking_bundle_exit_two(bundle_path, tmp_path, capsys, edit, command):
+    path = _write_variant(bundle_path, tmp_path, edit)
+    assert cli.main([command[0], path, *command[1:]]) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -65,6 +65,9 @@ def test_validate_category_raises_on_dangling_table_entry(fix_v):
     comp[("oU_to_oX", "oE_to_oU")] = "no-such-morphism"
     with pytest.raises(ValueError):
         validate_category(TableCategory(fix_v.objects, fix_v._mor, fix_v._identity, comp))
+    del comp[("oU_to_oX", "oE_to_oU")]
+    with pytest.raises(ValueError, match="oE_to_oU"):
+        validate_category(TableCategory(fix_v.objects, fix_v._mor, fix_v._identity, comp))
 
 
 def test_iso_detection(fix_v, fs012):

@@ -39,6 +39,15 @@ def test_fixture_presheaves_validate(v, fs012):
         assert sheaf.validate_presheaf(P).ok
 
 
+def test_restriction_leaving_the_source_values_raises(v):
+    cat, T_op, shv = v
+    restriction = {m: dict(r) for m, r in shv.restriction.items()}
+    row = restriction["oE_to_oU"]
+    row[next(iter(row))] = "zzz"
+    with pytest.raises(ValueError, match="oE_to_oU"):
+        sheaf.Presheaf(cat, shv.values, restriction, name="SHV-zzz")
+
+
 def test_extensivity_modes(v, fs012):
     cat, T_op, shv = v
     # poset self-coproducts kill literal extensivity for any 2-element value

@@ -91,6 +91,13 @@ def test_composite_family_fails_axiom_two(v):
     assert report.counterexample == {"axiom": 2, "family": ("oU_to_oX", "oV_to_oX")}
 
 
+def test_families_keyed_by_unknown_object_raise(v):
+    cat, T_op = v
+    fams = dict(T_op.families, oNOPE={frozenset({"oU_to_oX"})})
+    with pytest.raises(ValueError, match="oNOPE"):
+        Pretopology(cat, fams, name="T_stray")
+
+
 def test_locally_split_witnesses(v):
     cat, T_op = v
     # every singleton covering splits through itself
