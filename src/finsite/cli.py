@@ -275,22 +275,29 @@ def parse_bundle(sec, gpds, name) -> internal.Bundle:
         raise BundleError(f"malformed bundle {name!r}: {exc}") from exc
 
 
+def _section(doc: dict, key):
+    sec = doc.get(key, {})
+    if not isinstance(sec, dict):
+        raise BundleError(f"section {key!r} must be a JSON object")
+    return sec.items()
+
+
 def parse_bundle_doc(doc: dict) -> BundleDoc:
     if not isinstance(doc, dict):
         raise BundleError("top-level document must be a JSON object")
     out = BundleDoc()
-    for n, sec in doc.get("categories", {}).items():
+    for n, sec in _section(doc, "categories"):
         out.categories[n] = parse_category(sec, n)
-    for n, sec in doc.get("topologies", {}).items():
+    for n, sec in _section(doc, "topologies"):
         out.topologies[n] = parse_topology(sec, out.categories, n)
         out.topology_cat[n] = sec["category"]
-    for n, sec in doc.get("functors", {}).items():
+    for n, sec in _section(doc, "functors"):
         out.functors[n] = parse_functor(sec, out.categories, n)
-    for n, sec in doc.get("presheaves", {}).items():
+    for n, sec in _section(doc, "presheaves"):
         out.presheaves[n] = parse_presheaf(sec, out.categories, n)
-    for n, sec in doc.get("groupoids", {}).items():
+    for n, sec in _section(doc, "groupoids"):
         out.groupoids[n] = parse_groupoid(sec, n)
-    for n, sec in doc.get("bundles", {}).items():
+    for n, sec in _section(doc, "bundles"):
         out.bundles[n] = parse_bundle(sec, out.groupoids, n)
     return out
 

@@ -343,7 +343,11 @@ class TableCategory:
 
 
 class SetMap:
-    """An extensional function between finite sets (frozensets)."""
+    """An extensional function between finite sets (frozensets).
+
+    Construction checks the domain and codomain in O(|src|).  The hash,
+    which few maps ever need, is computed on first use and cached.
+    """
 
     __slots__ = ("src", "tgt", "mapping", "_hash")
 
@@ -351,14 +355,14 @@ class SetMap:
         src = frozenset(src)
         tgt = frozenset(tgt)
         mapping = dict(mapping)
-        if set(mapping) != set(src):
+        if frozenset(mapping) != src:
             raise ValueError("mapping domain mismatch")
-        if not set(mapping.values()) <= set(tgt):
+        if not tgt.issuperset(mapping.values()):
             raise ValueError("mapping codomain mismatch")
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "tgt", tgt)
         object.__setattr__(self, "mapping", mapping)
-        object.__setattr__(self, "_hash", hash((src, tgt, frozenset(mapping.items()))))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("SetMap is immutable")
@@ -367,6 +371,8 @@ class SetMap:
         return self.mapping[x]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, SetMap)
             and self.src == other.src
@@ -375,6 +381,8 @@ class SetMap:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.src, self.tgt, frozenset(self.mapping.items()))))
         return self._hash
 
     def __repr__(self):
@@ -387,9 +395,10 @@ class SetMap:
         return SetMap(s, s, {x: x for x in s})
 
     def after(self, other):
-        if other.tgt != self.src:
+        if other.tgt is not self.src and other.tgt != self.src:
             raise ValueError("not composable")
-        return SetMap(other.src, self.tgt, {x: self.mapping[other.mapping[x]] for x in other.src})
+        m = self.mapping
+        return SetMap(other.src, self.tgt, {x: m[y] for x, y in other.mapping.items()})
 
     def is_surjective(self):
         return set(self.mapping.values()) == set(self.tgt)
@@ -448,16 +457,22 @@ class FinSetCat:
         return f.inverse()
 
     def pullback(self, f, g):
+        """The pair-set fibre product, joined through g's fibres: O(|A| +
+        |B| + |apex|) for f: A -> X, g: B -> X."""
         if f.tgt != g.tgt:
             raise ValueError("pullback needs a cospan")
-        apex = frozenset((a, b) for a in f.src for b in g.src if f(a) == g(b))
+        fibres = {}
+        for b, x in g.mapping.items():
+            fibres.setdefault(x, []).append(b)
+        apex = frozenset((a, b) for a, x in f.mapping.items() for b in fibres.get(x, ()))
         p = SetMap(apex, f.src, {x: x[0] for x in apex})
         q = SetMap(apex, g.src, {x: x[1] for x in apex})
         return PullbackSquare(apex, p, q, f, g)
 
     def into_pullback(self, square, a, b):
-        pairs = {z: (a(z), b(z)) for z in a.src}
-        if not all(p in square.apex for p in pairs.values()):
+        bm = b.mapping
+        pairs = {z: (x, bm[z]) for z, x in a.mapping.items()}
+        if not square.apex.issuperset(pairs.values()):
             raise ValueError("legs do not factor through the given apex")
         u = SetMap(a.src, square.apex, pairs)
         if square.to_left.after(u) != a or square.to_right.after(u) != b:
@@ -524,7 +539,8 @@ class FinSetCat:
         (p(z), q(z)) is a bijection onto the pair-set fibre product."""
         if f.after(p) != g.after(q) or p.src != apex:
             return False
-        pairs = {z: (p(z), q(z)) for z in apex}
+        qm = q.mapping
+        pairs = {z: (x, qm[z]) for z, x in p.mapping.items()}
         return SetMap(apex, self.pullback(f, g).apex, pairs).is_bijective()
 
     def has_all_pullbacks(self):

@@ -1,10 +1,11 @@
-"""Independent brute-force oracle for the diamond poset of opens of the
-two-point discrete space.
+"""Independent brute-force oracles: the diamond poset of opens of the
+two-point discrete space, and the fibre product of finite sets.
 
 Deliberately separate from the main code path: the poset is rebuilt from
 raw subset data, morphisms are (src, tgt) pairs, and every universal
 property is decided by the textbook definition (existence and uniqueness
 of mediating morphisms), not by the bijection method the package uses.
+Finite-set functions are plain dicts.
 """
 
 from itertools import product as iproduct
@@ -157,3 +158,9 @@ def classification():
         "subcanonical": uni <= uee,
         "canonical_equals_isos": uee == isos,
     }
+
+
+def finset_pullback(f, A, g, B):
+    """The fibre product of f: A -> X and g: B -> X (dicts) by definition:
+    every pair of A x B on which f and g agree."""
+    return frozenset((a, b) for a in A for b in B if f[a] == g[b])

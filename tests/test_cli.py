@@ -35,6 +35,15 @@ def test_validate_malformed_file_exit_two(tmp_path, capsys):
     assert cli.main(["validate", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("doc, section", [({"categories": []}, "categories"), ({"bundles": 3}, "bundles")])
+def test_section_not_an_object_exit_two(tmp_path, capsys, doc, section):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert repr(section) in err and "Traceback" not in err
+
+
 def test_validate_broken_bundle_exit_one(bundle_path, tmp_path, capsys):
     doc = json.loads(Path(bundle_path).read_text())
     # break associativity: declare swap composed with itself to be the swap

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import finset_pullback
 
 from finsite import catalog
 from finsite.fincat import (
@@ -306,3 +307,68 @@ def test_finset_pullback_square_commutes(n, m, data):
     sq = FS.pullback(f, g)
     assert len(sq.apex) == n * m
     assert FS.compose(f, sq.to_left).mapping == FS.compose(g, sq.to_right).mapping
+
+
+def test_setmap_contract():
+    src, tgt = frozenset(range(4)), frozenset("ab")
+    items = [(0, "a"), (1, "b"), (2, "a"), (3, "b")]
+    for order in (items, items[::-1]):  # the hash is cached by whichever map is hashed first
+        first, second = SetMap(src, tgt, dict(order)), SetMap(src, tgt, dict(order[::-1]))
+        assert hash(first) == hash(second) and first == second
+    other = SetMap(src, tgt, {0: "b", 1: "b", 2: "a", 3: "b"})
+    assert len({SetMap(src, tgt, dict(items)), other, SetMap(src, tgt, dict(items[::-1])), other}) == 2
+    for mapping in ({0: "a"}, {**dict(items), 4: "a"}):
+        with pytest.raises(ValueError, match="domain"):
+            SetMap(src, tgt, mapping)
+    with pytest.raises(ValueError, match="codomain"):
+        SetMap(src, tgt, {**dict(items), 3: "c"})
+    f = SetMap(src, tgt, dict(items))
+    with pytest.raises(ValueError, match="not composable"):
+        f.after(f)
+    with pytest.raises(ValueError, match="not composable"):
+        SetMap.ident("abc").after(f)
+
+
+def _draw_function(data, dom, cod):
+    return {x: data.draw(st.sampled_from(sorted(cod, key=repr))) for x in dom}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_finset_pullback_matches_oracle(data):
+    sizes = st.integers(0, 5)
+    X = frozenset(range(data.draw(sizes)))
+    A = frozenset(range(data.draw(sizes if X else st.just(0))))
+    B = frozenset("abcde"[: data.draw(sizes if X else st.just(0))])
+    fd, gd = _draw_function(data, A, X), _draw_function(data, B, X)
+    f, g = SetMap(A, X, fd), SetMap(B, X, gd)
+
+    sq = FS.pullback(f, g)
+    apex = finset_pullback(fd, A, gd, B)
+    assert sq.apex == apex
+    assert (sq.to_left.src, sq.to_left.tgt, sq.to_left.mapping) == (apex, A, {z: z[0] for z in apex})
+    assert (sq.to_right.src, sq.to_right.tgt, sq.to_right.mapping) == (apex, B, {z: z[1] for z in apex})
+
+    assert FS.is_cone_pullback(f, g, sq.apex, sq.to_left, sq.to_right)
+    if apex:
+        pairs = sorted(apex, key=repr)
+        pairs.append(data.draw(st.sampled_from(pairs)))
+        cone = frozenset(range(len(pairs)))
+        p = SetMap(cone, A, {i: a for i, (a, _) in enumerate(pairs)})
+        q = SetMap(cone, B, {i: b for i, (_, b) in enumerate(pairs)})
+        assert not FS.is_cone_pullback(f, g, cone, p, q)
+
+    Z = frozenset(range(data.draw(st.integers(0, 4) if apex else st.just(0))))
+    ud = _draw_function(data, Z, apex)
+    u = FS.into_pullback(sq, SetMap(Z, A, {z: ud[z][0] for z in Z}), SetMap(Z, B, {z: ud[z][1] for z in Z}))
+    assert (u.src, u.tgt, u.mapping) == (Z, apex, ud)
+
+    Z = frozenset(range(data.draw(st.integers(0, 4) if A and B else st.just(0))))
+    ad, bd = _draw_function(data, Z, A), _draw_function(data, Z, B)
+    a, b = SetMap(Z, A, ad), SetMap(Z, B, bd)
+    if all(fd[ad[z]] == gd[bd[z]] for z in Z):
+        u = FS.into_pullback(sq, a, b)
+        assert (u.src, u.tgt, u.mapping) == (Z, apex, {z: (ad[z], bd[z]) for z in Z})
+    else:
+        with pytest.raises(ValueError):
+            FS.into_pullback(sq, a, b)

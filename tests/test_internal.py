@@ -34,6 +34,40 @@ def test_broken_groupoid_fails():
     assert not internal.validate_groupoid(bad).ok
 
 
+def test_pair_groupoid_with_identity_inverse_fails_inverse_endpoints():
+    X0 = frozenset(range(4))
+    bad = internal.make_groupoid(
+        FS,
+        X0=X0,
+        X1=frozenset((a, b) for a in X0 for b in X0),
+        s=lambda m: m[1],
+        t=lambda m: m[0],
+        i=lambda x: (x, x),
+        comp=lambda g, h: (g[0], h[1]),
+        inv=lambda m: m,
+    )
+    assert internal.validate_groupoid(bad).counterexample == {"axiom": "inverse-endpoints"}
+
+
+def test_trivial_z4_action_on_a_point_fails_shear():
+    point, carrier = frozenset({"*"}), frozenset({"p"})
+    z4 = internal.make_groupoid(
+        FS,
+        X0=point,
+        X1=frozenset(range(4)),
+        s=lambda g: "*",
+        t=lambda g: "*",
+        i=lambda x: 0,
+        comp=lambda g, h: (g + h) % 4,
+        inv=lambda g: -g % 4,
+    )
+    anchor = SetMap(carrier, point, {"p": "*"})
+    dom = FS.pullback(anchor, z4.t)
+    action = internal.RightAction(z4, carrier, anchor, SetMap(dom.apex, carrier, {e: "p" for e in dom.apex}), dom)
+    B = internal.Bundle(z4, action, point, anchor)
+    assert internal.validate_principal_bundle(B).counterexample == {"axiom": "shear-not-iso"}
+
+
 def test_opposite_groupoid_validates(gpds):
     for name in ("FIX-PAIR2", "FIX-Z2GPD"):
         assert internal.validate_groupoid(internal.opposite_groupoid(gpds[name])).ok
