@@ -6,7 +6,6 @@ embedding into a finite presheaf-category fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Any, Optional
 
 from .fincat import (
@@ -195,13 +194,58 @@ def is_sheaf(F: Presheaf, T, mode: str = "literal") -> CheckReport:
     return CheckReport(True, "is_sheaf")
 
 
+def _join(domains, by_last):
+    """Every tuple t with t[k] in domains[k] that satisfies every constraint,
+    each yielded once, in lexicographic order of the domains.
+
+    by_last maps k to the constraints (i, ri, j, rj), with i, j <= k, that
+    read ri[t[i]] == rj[t[j]]; ri and rj are dicts.  Variables are set in
+    the order 0, 1, ..., and each constraint is checked as soon as its last
+    variable k is set, so no inconsistent partial tuple is extended (the
+    join order of worst-case-optimal joins).  Cost: the nodes visited are
+    the consistent partial assignments, each tried against every value of
+    the next domain and that variable's constraints.
+    """
+    n = len(domains)
+    if not n:
+        yield ()
+        return
+    cons = [by_last.get(k, ()) for k in range(n)]
+    chosen = [None] * n
+    its = [iter(domains[0])]
+    k = 0
+    while its:
+        for v in its[k]:
+            chosen[k] = v
+            for i, ri, j, rj in cons[k]:
+                if ri[chosen[i]] != rj[chosen[j]]:
+                    break
+            else:
+                break  # every constraint of k holds: keep v
+        else:
+            its.pop()  # domain k exhausted: backtrack
+            k -= 1
+            continue
+        if k == n - 1:
+            yield tuple(chosen)
+        else:
+            k += 1
+            its.append(iter(domains[k]))
+
+
 def is_traditional_sheaf(F: Presheaf, T) -> CheckReport:
+    """Whether, for every covering {m_i: u_i -> x} of T, restriction is a
+    bijection from F(x) onto the matching families: the (s_i) in the
+    product of the F(u_i) that agree on every pairwise fibre product
+    u_i x_x u_j, i <= j.  _join enumerates the matching families with one
+    variable per member, so a partial family that already disagrees is never
+    extended.  The counterexample names the first covering that fails."""
     _same_cat(F, T)
     cat = F.cat
     for x in cat.objects:
         for cov in T.covering_families(x):
             members = cov.members
-            squares = {}
+            by_last = {}
             for i, mi in enumerate(members):
                 for j, mj in enumerate(members):
                     if i <= j:
@@ -210,18 +254,12 @@ def is_traditional_sheaf(F: Presheaf, T) -> CheckReport:
                             raise ValueError(
                                 f"pairwise fibre product missing for {mi!r}, {mj!r}"
                             )
-                        squares[(i, j)] = sq
-            matching = []
-            for combo in iproduct(*(F.values[cat.src(m)] for m in members)):
-                ok = True
-                for (i, j), sq in squares.items():
-                    if F.res(sq.to_left, combo[i]) != F.res(sq.to_right, combo[j]):
-                        ok = False
-                        break
-                if ok:
-                    matching.append(combo)
+                        by_last.setdefault(j, []).append(
+                            (i, F.restriction[sq.to_left], j, F.restriction[sq.to_right])
+                        )
+            matching = set(_join([F.values[cat.src(m)] for m in members], by_last))
             image = [tuple(F.res(m, s) for m in members) for s in F.values[x]]
-            if len(set(image)) != len(image) or set(image) != set(matching):
+            if len(set(image)) != len(image) or set(image) != matching:
                 return CheckReport(
                     False,
                     "is_traditional_sheaf",
@@ -305,26 +343,13 @@ def is_pre_covering(phi: PresheafMorphism, T) -> CheckReport:
     """Element-wise local lifting through phi along T-coverings."""
     F, G = phi.src, phi.tgt
     cat = F.cat
+    image = {u: {phi.at(u, a) for a in F.values[u]} for u in cat.objects}
     for x in cat.objects:
         for psi in G.values[x]:
-            found = None
-            for cov in T.covering_families(x):
-                lifts = []
-                for m in cov.members:
-                    u = cat.src(m)
-                    pick = None
-                    for cand in F.values[u]:
-                        if phi.at(u, cand) == G.res(m, psi):
-                            pick = cand
-                            break
-                    if pick is None:
-                        lifts = None
-                        break
-                    lifts.append(pick)
-                if lifts is not None:
-                    found = (cov, tuple(lifts))
-                    break
-            if found is None:
+            if not any(
+                all(G.res(m, psi) in image[cat.src(m)] for m in cov.members)
+                for cov in T.covering_families(x)
+            ):
                 return CheckReport(
                     False, "is_pre_covering", counterexample={"object": x, "element": psi}
                 )
@@ -374,30 +399,12 @@ def _slice_constraints(F: FunctorData, slice_objs):
 
 def _kan_families(F: FunctorData, P: Presheaf, y):
     slice_objs = _slice_objects(F, y)
-    cons = _slice_constraints(F, slice_objs)
+    domains = [P.values[x] for (x, _) in slice_objs]
+    ident = [{v: v for v in d} for d in domains]
     by_last = {}
-    for (i, j, f) in cons:
-        by_last.setdefault(max(i, j), []).append((i, j, f))
-    n = len(slice_objs)
-    families = []
-
-    def rec(k, chosen):
-        if k == n:
-            families.append(tuple(chosen))
-            return
-        for v in P.values[slice_objs[k][0]]:
-            chosen.append(v)
-            ok = True
-            for (i, j, f) in by_last.get(k, ()):
-                if P.res(f, chosen[j]) != chosen[i]:
-                    ok = False
-                    break
-            if ok:
-                rec(k + 1, chosen)
-            chosen.pop()
-
-    rec(0, [])
-    return slice_objs, families
+    for (i, j, f) in _slice_constraints(F, slice_objs):
+        by_last.setdefault(max(i, j), []).append((j, P.restriction[f], i, ident[i]))
+    return slice_objs, list(_join(domains, by_last))
 
 
 def right_kan_extension(F: FunctorData, P: Presheaf) -> Presheaf:
@@ -412,13 +419,9 @@ def right_kan_extension(F: FunctorData, P: Presheaf) -> Presheaf:
     for g in tgt.morphisms():
         y1, y2 = tgt.src(g), tgt.tgt(g)
         idx2 = slices[y2]
-        r = {}
-        for fam in values[y2]:
-            entries = []
-            for (x, phi) in sorted(slices[y1], key=repr):
-                entries.append(fam[idx2[(x, tgt.compose(g, phi))]])
-            r[fam] = tuple(entries)
-        restriction[g] = r
+        # slices[y1] iterates its slice objects in _slice_objects' repr order
+        at = [idx2[(x, tgt.compose(g, phi))] for (x, phi) in slices[y1]]
+        restriction[g] = {fam: tuple(fam[k] for k in at) for fam in values[y2]}
     return Presheaf(tgt, values, restriction, name=f"{F.name}_*{P.name}")
 
 
@@ -530,36 +533,27 @@ def verify_comparison(F: FunctorData, T1, T2, source_samples=(), target_samples=
 
 
 def presheaf_homs(F: Presheaf, G: Presheaf):
-    """All natural transformations F -> G, enumerated with naturality pruning."""
+    """All natural transformations F -> G, as component dicts
+    {x: {v: eta_x(v)}}.  _join enumerates one variable per element (x, v),
+    v in F(x), with domain G(x), in object-then-value order; the naturality
+    equation eta_a(F(m)v) = G(m)(eta_b(v)) of each m: a -> b and v in F(b)
+    is a constraint, so each single value is pruned as soon as it is set."""
     cat = F.cat
-    objs = list(cat.objects)
+    var = {(x, v): k for k, (x, v) in enumerate((x, v) for x in cat.objects for v in F.values[x])}
+    domains = [G.values[x] for (x, _) in var]
+    ident = {x: {w: w for w in G.values[x]} for x in cat.objects}
+    by_last = {}
+    for m in cat.morphisms():
+        a, b = cat.src(m), cat.tgt(m)
+        for v in F.values[b]:
+            i, j = var[(a, F.res(m, v))], var[(b, v)]
+            by_last.setdefault(max(i, j), []).append((i, ident[a], j, G.restriction[m]))
     results = []
-
-    def rec(k, comps):
-        if k == len(objs):
-            results.append({o: dict(c) for o, c in comps.items()})
-            return
-        x = objs[k]
-        cands = []
-        for values in iproduct(G.values[x], repeat=len(F.values[x])):
-            cands.append(dict(zip(F.values[x], values)))
-        for comp in cands:
-            comps[x] = comp
-            ok = True
-            for m in cat.morphisms():
-                a, b = cat.src(m), cat.tgt(m)
-                if a not in comps or b not in comps:
-                    continue
-                if any(
-                    comps[a][F.res(m, v)] != G.res(m, comps[b][v]) for v in F.values[b]
-                ):
-                    ok = False
-                    break
-            if ok:
-                rec(k + 1, comps)
-            del comps[x]
-
-    rec(0, {})
+    for t in _join(domains, by_last):
+        comps = {x: {} for x in cat.objects}
+        for (x, v), k in var.items():
+            comps[x][v] = t[k]
+        results.append(comps)
     return results
 
 

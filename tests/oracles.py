@@ -1,11 +1,14 @@
 """Independent brute-force oracles: the diamond poset of opens of the
-two-point discrete space, and the fibre product of finite sets.
+two-point discrete space, the fibre product of finite sets, the
+traditional sheaf condition on a finite space, and natural transformations
+between finite presheaves.
 
 Deliberately separate from the main code path: the poset is rebuilt from
 raw subset data, morphisms are (src, tgt) pairs, and every universal
 property is decided by the textbook definition (existence and uniqueness
 of mediating morphisms), not by the bijection method the package uses.
-Finite-set functions are plain dicts.
+Finite-set functions are plain dicts.  The sheaf and naturality oracles
+build the full product of candidates and filter it by the definition.
 """
 
 from itertools import product as iproduct
@@ -164,3 +167,62 @@ def finset_pullback(f, A, g, B):
     """The fibre product of f: A -> X and g: B -> X (dicts) by definition:
     every pair of A x B on which f and g agree."""
     return frozenset((a, b) for a in A for b in B if f[a] == g[b])
+
+
+def sections_sheaf(opens, values):
+    """The traditional sheaf condition, by definition, for the presheaf
+    U -> values[U] on the finite space with the given opens (frozensets),
+    where a section is a tuple of (point, value) pairs and restriction to
+    V <= U keeps the pairs whose point lies in V.
+
+    For every open U and every cover of U (a set of opens below U whose
+    union is U), restriction must be a bijection from values[U] onto the
+    families (s_V) that agree on every pairwise intersection V & W."""
+
+    def res(s, V):
+        return tuple(p for p in s if p[0] in V)
+
+    for U in opens:
+        below = [V for V in opens if V <= U]
+        for r in range(1 << len(below)):
+            cover = [V for i, V in enumerate(below) if r >> i & 1]
+            if frozenset().union(*cover) != U:
+                continue
+            matching = {
+                fam
+                for fam in iproduct(*(values[V] for V in cover))
+                if all(
+                    res(s, V & W) == res(t, V & W)
+                    for (V, s), (W, t) in iproduct(zip(cover, fam), repeat=2)
+                )
+            }
+            image = [tuple(res(s, V) for V in cover) for s in values[U]]
+            if len(set(image)) != len(image) or set(image) != matching:
+                return False
+    return True
+
+
+def natural_transformations(objects, morphisms, F, G):
+    """Every natural transformation F -> G, as dicts {x: {v: eta_x(v)}}.
+
+    morphisms maps each morphism id to its (src, tgt); a presheaf is a pair
+    (values, restriction) with values[x] a list and restriction[m] a dict
+    from values[tgt m] to values[src m].  Every choice of one function
+    F(x) -> G(x) per object is built, and those for which
+    eta_a(F(m)v) == G(m)(eta_b(v)) for every m: a -> b and v in F(b) kept."""
+    Fv, Fr = F
+    Gv, Gr = G
+    per_object = [
+        [dict(zip(Fv[x], img)) for img in iproduct(Gv[x], repeat=len(Fv[x]))]
+        for x in objects
+    ]
+    out = []
+    for choice in iproduct(*per_object):
+        eta = dict(zip(objects, choice))
+        if all(
+            eta[a][Fr[m][v]] == Gr[m][eta[b][v]]
+            for m, (a, b) in morphisms.items()
+            for v in Fv[b]
+        ):
+            out.append(eta)
+    return out

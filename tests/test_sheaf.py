@@ -1,6 +1,10 @@
 import itertools
+import math
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsite import catalog, sheaf
 from finsite.fincat import identity_functor, is_full, is_faithful
@@ -286,3 +290,100 @@ def test_presheaf_fragment_is_a_category(fs012):
     for a in fs012.objects:
         for b in fs012.objects:
             assert len(frag.hom(f"Yo_{a}", f"Yo_{b}")) == len(fs012.hom(a, b))
+
+
+def test_yoneda_homs_on_finset_skeleton():
+    cat = catalog.finset_skeleton([0, 1, 2, 3])
+    reps = {x: sheaf.representable(cat, x) for x in cat.objects}
+    for a in cat.objects:
+        for b in cat.objects:
+            homs = sheaf.presheaf_homs(reps[a], reps[b])
+            assert len(homs) == len(cat.hom(a, b)), (a, b)
+            # each hom is post-composition with exactly one h: a -> b
+            hs = []
+            for eta in homs:
+                (h,) = [
+                    h
+                    for h in cat.hom(a, b)
+                    if all(
+                        eta[y][g] == cat.compose(h, g)
+                        for y in cat.objects
+                        for g in reps[a].values[y]
+                    )
+                ]
+                hs.append(h)
+            assert sorted(hs) == sorted(cat.hom(a, b)), (a, b)
+
+
+def _restrict(s, V):
+    return tuple(p for p in s if p[0] in V)
+
+
+@st.composite
+def finite_spaces(draw):
+    """A topology on at most 3 points, as the down-sets of a random
+    preorder, with the sections presheaf of 1-3 values per point and the
+    subpresheaf U -> {s|U : s in S} generated by a random set S of global
+    sections; each presheaf is given as {open: sorted sections}."""
+    pts = range(draw(st.integers(1, 3)))
+    le = {(a, b) for a in pts for b in pts if a == b or draw(st.booleans())}
+    for k in pts:
+        le |= {(a, b) for a in pts for b in pts if (a, k) in le and (k, b) in le}
+    subsets = [frozenset(p for p in pts if r >> p & 1) for r in range(1 << len(pts))]
+    opens = [D for D in subsets if all(a in D for (a, b) in le if b in D)]
+    sizes = [draw(st.integers(1, 3)) for _ in pts]
+
+    def sections(U):
+        U = sorted(U)
+        return [tuple(zip(U, vs)) for vs in itertools.product(*(range(sizes[p]) for p in U))]
+
+    full = {U: sections(U) for U in opens}
+    S = draw(st.sets(st.sampled_from(full[subsets[-1]])))
+    sub = {U: sorted({_restrict(s, U) for s in S}) for U in opens}
+    return opens, full, sub
+
+
+def _finsite_site(opens, presheaves):
+    cat, T = catalog.open_poset(opens)
+    by_name = {"o" + "".join(map(str, sorted(U))): U for U in opens}
+    out = []
+    for values in presheaves:
+        restriction = {}
+        for m in cat.morphisms():
+            V, U = by_name[cat.src(m)], by_name[cat.tgt(m)]
+            restriction[m] = {s: _restrict(s, V) for s in values[U]}
+        vals = {x: tuple(values[U]) for x, U in by_name.items()}
+        out.append(sheaf.Presheaf(cat, vals, restriction))
+    return T, by_name, out
+
+
+def _raw_presheaf(opens, values):
+    restriction = {
+        (V, U): {s: _restrict(s, V) for s in values[U]} for U in opens for V in opens if V <= U
+    }
+    return values, restriction
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_spaces(), st.data())
+def test_sheaf_condition_and_homs_match_oracles(space, data):
+    opens, full, sub = space
+    T, by_name, (F_full, F_sub) = _finsite_site(opens, [full, sub])
+    for values, P in ((full, F_full), (sub, F_sub)):
+        if math.prod(max(len(values[U]), 1) for U in opens) <= 10**5:
+            assert sheaf.is_traditional_sheaf(P, T).ok == oracles.sections_sheaf(opens, values)
+    pick = st.sampled_from([(full, F_full), (sub, F_sub)])
+    (A, F), (B, G) = data.draw(pick), data.draw(pick)
+    if math.prod(len(B[U]) ** len(A[U]) for U in opens) > 10**5:
+        return
+    morphisms = {(V, U): (V, U) for U in opens for V in opens if V <= U}
+    want = oracles.natural_transformations(
+        opens, morphisms, _raw_presheaf(opens, A), _raw_presheaf(opens, B)
+    )
+    got = [{by_name[x]: comp for x, comp in eta.items()} for eta in sheaf.presheaf_homs(F, G)]
+
+    def images(homs):
+        return [tuple(eta[U][s] for U in opens for s in A[U]) for eta in homs]
+
+    assert len(set(images(got))) == len(got)
+    assert set(images(got)) == set(images(want))
