@@ -17,6 +17,12 @@ backend.  The FinSetTopology branches left in site answer meta-facts
 about an intensional topology (its axioms, its universal completion, the
 coarser order) that no enumeration over the ambient could decide, so
 they stay there rather than in methods.
+
+TableCategory alone also answers the two sieve questions that
+universality, locality and continuity ask: into(x), the morphisms with
+target x, and through(f), the sieve f generates with a witness factor for
+each member.  FinSetCat has neither: its hom sets are enumerated lazily,
+and no caller asks these questions of the ambient.
 """
 
 from __future__ import annotations
@@ -90,12 +96,12 @@ class TableCategory:
         self._mor = mor = dict(morphisms)
         self._identity = dict(identity)
         self._comp = comp = dict(comp)
-        into, out, hom = dict.fromkeys(self.objects, 0), dict.fromkeys(self.objects, 0), {}
+        into, out, hom = {x: [] for x in self.objects}, dict.fromkeys(self.objects, 0), {}
         for m, (a, b) in mor.items():
             if a not in out or b not in into:
                 raise ValueError(f"morphism {m!r} has an unknown endpoint")
             out[a] += 1
-            into[b] += 1
+            into[b].append(m)
             hom.setdefault((a, b), []).append(m)
         for x, i in self._identity.items():
             if x not in into or i not in mor:
@@ -105,11 +111,12 @@ class TableCategory:
                 raise ValueError(
                     f"composition row {[g, f, gf]!r} names an unknown id or a non-composable pair"
                 )
-        if len(comp) != sum(into[x] * out[x] for x in into):
+        if len(comp) != sum(len(into[x]) * out[x] for x in into):
             pair = next(
                 (g, f) for f in mor for g in mor if mor[g][0] == mor[f][1] and (g, f) not in comp
             )
             raise ValueError(f"composable pair {pair!r} has no composition row")
+        self._into = {x: tuple(ms) for x, ms in into.items()}
         self._hom = {key: tuple(sorted(ms, key=repr)) for key, ms in hom.items()}
         self._isos = None
         self._pullbacks = {}
@@ -141,6 +148,20 @@ class TableCategory:
     def hom(self, a, b):
         """The morphisms a -> b, sorted by repr."""
         return self._hom.get((a, b), ())
+
+    def into(self, x):
+        """The morphisms with target x, in table order."""
+        return self._into[x]
+
+    def through(self, f):
+        """The sieve f generates, with witnesses: each composite f.rho maps
+        to its first factor rho in hom (repr) order."""
+        y, comp, hom = self.src(f), self._comp, self._hom
+        sieve = {}
+        for a in self.objects:
+            for rho in hom.get((a, y), ()):
+                sieve.setdefault(comp[(f, rho)], rho)
+        return sieve
 
     def is_identity(self, f):
         return self._identity.get(self.src(f)) == f and self.src(f) == self.tgt(f)
@@ -470,14 +491,19 @@ class FinSetCat:
         return PullbackSquare(apex, p, q, f, g)
 
     def into_pullback(self, square, a, b):
-        bm = b.mapping
-        pairs = {z: (x, bm[z]) for z, x in a.mapping.items()}
-        if not square.apex.issuperset(pairs.values()):
-            raise ValueError("legs do not factor through the given apex")
-        u = SetMap(a.src, square.apex, pairs)
-        if square.to_left.after(u) != a or square.to_right.after(u) != b:
-            raise ValueError("mediator construction failed")
-        return u
+        """The unique u with to_left.u = a and to_right.u = b, for any
+        pullback square: the apex is indexed by (to_left(z), to_right(z))."""
+        if square.to_left.src != square.apex or square.to_right.src != square.apex:
+            raise ValueError("the legs of the square do not start at its apex")
+        if a.src != b.src:
+            raise ValueError("legs must share a source")
+        rm, bm = square.to_right.mapping, b.mapping
+        index = {(x, rm[z]): z for z, x in square.to_left.mapping.items()}
+        try:
+            u = {z: index[(x, bm[z])] for z, x in a.mapping.items()}
+        except KeyError:
+            raise ValueError("legs do not factor through the given apex") from None
+        return SetMap(a.src, square.apex, u)
 
     def product(self, a, b):
         apex = frozenset((x, y) for x in a for y in b)
@@ -588,10 +614,7 @@ def is_universal(cat, f) -> bool:
     if cat.has_all_pullbacks():
         return True
     if f not in cat._universal:
-        x = cat.tgt(f)
-        cat._universal[f] = all(
-            cat.pullback(f, g) is not None for g in cat.morphisms() if cat.tgt(g) == x
-        )
+        cat._universal[f] = all(cat.pullback(f, g) is not None for g in cat.into(cat.tgt(f)))
     return cat._universal[f]
 
 
@@ -627,10 +650,7 @@ def universally_effective_epis(cat) -> frozenset:
     while changed:
         changed = False
         for f in list(current):
-            x = cat.tgt(f)
-            for g in cat.morphisms():
-                if cat.tgt(g) != x:
-                    continue
+            for g in cat.into(cat.tgt(f)):
                 sq = cat.pullback(f, g)
                 if sq is None or sq.to_right not in current:
                     current.discard(f)
@@ -752,9 +772,7 @@ def _coproduct_failure(cat, co, initial):
     sq = cat.pullback(i1, i2)
     if sq is None or not _isomorphic_objects(cat, sq.apex, initial):
         return {"reason": "not disjoint"}
-    for f in cat.morphisms():
-        if cat.tgt(f) != co.apex:
-            continue
+    for f in cat.into(co.apex):
         s1, s2 = cat.pullback(i1, f), cat.pullback(i2, f)
         if s1 is None or s2 is None:
             return {"pullback_along": f}

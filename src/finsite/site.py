@@ -62,7 +62,7 @@ class Pretopology:
         self.families = {}
         for x in cat.objects:
             fams = frozenset(frozenset(s) for s in families.get(x, ()))
-            stray = frozenset().union(*fams).difference(*(cat.hom(a, x) for a in cat.objects))
+            stray = frozenset().union(*fams).difference(cat.into(x))
             if stray:
                 raise ValueError(f"family member {min(stray, key=repr)!r} is not a morphism into {x!r}")
             self.families[x] = fams
@@ -164,9 +164,7 @@ def validate_pretopology(T) -> CheckReport:
     # axiom 3: coverings pull back member-wise to coverings
     for x in cat.objects:
         for fam in T.families[x]:
-            for g in cat.morphisms():
-                if cat.tgt(g) != x:
-                    continue
+            for g in cat.into(x):
                 pulled = set()
                 failed = None
                 for m in fam:
@@ -195,42 +193,37 @@ def validate_pretopology(T) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
+def _singleton_topology(cat, morphisms, name):
+    """The pretopology whose coverings are the singletons {f}, f in morphisms."""
+    fams = {x: set() for x in cat.objects}
+    for f in morphisms:
+        fams[cat.tgt(f)].add(frozenset({f}))
+    return Pretopology(cat, fams, name=name)
+
+
 def indiscrete_topology(cat):
     if isinstance(cat, FinSetCat):
         return FinSetTopology("isos", cat)
-    fams = {x: set() for x in cat.objects}
-    for f in cat.isos():
-        fams[cat.tgt(f)].add(frozenset({f}))
-    return Pretopology(cat, fams, name="T_indis")
+    return _singleton_topology(cat, cat.isos(), "T_indis")
 
 
 def discrete_topology(cat):
     if isinstance(cat, FinSetCat):
         return FinSetTopology("all", cat)
-    fams = {x: set() for x in cat.objects}
-    for f in cat.morphisms():
-        if is_universal(cat, f):
-            fams[cat.tgt(f)].add(frozenset({f}))
-    return Pretopology(cat, fams, name="T_dis")
+    return _singleton_topology(cat, (f for f in cat.morphisms() if is_universal(cat, f)), "T_dis")
 
 
 def canonical_topology(cat):
     if isinstance(cat, FinSetCat):
         return FinSetTopology("surjections", cat)
-    fams = {x: set() for x in cat.objects}
-    for f in universally_effective_epis(cat):
-        fams[cat.tgt(f)].add(frozenset({f}))
-    return Pretopology(cat, fams, name="T_can")
+    return _singleton_topology(cat, universally_effective_epis(cat), "T_can")
 
 
 def _extensive_families(cat):
     """Per object, all incoming-morphism sets forming a coproduct cocone."""
     out = {x: set() for x in cat.objects}
-    incoming = {x: [] for x in cat.objects}
-    for m in cat.morphisms():
-        incoming[cat.tgt(m)].append(m)
     for x in cat.objects:
-        ms = sorted(incoming[x], key=repr)
+        ms = sorted(cat.into(x), key=repr)
         for r in range(0, len(ms) + 1):
             for legs in combinations(ms, r):
                 if cat.is_coproduct_cocone(x, legs):
@@ -263,22 +256,10 @@ def is_locally_split(T, f) -> Optional[SplitWitness]:
             cov = CoveringFamily(f.tgt, (SetMap.ident(f.tgt),))
             return SplitWitness(cov, (_choose_section(f),))
         return None
-    x = cat.tgt(f)
-    y = cat.src(f)
-    for cov in T.covering_families(x):
-        sections = []
-        for m in cov.members:
-            found = None
-            for rho in cat.hom(cat.src(m), y):
-                if cat.compose(f, rho) == m:
-                    found = rho
-                    break
-            if found is None:
-                sections = None
-                break
-            sections.append(found)
-        if sections is not None:
-            return SplitWitness(cov, tuple(sections))
+    sieve = cat.through(f)
+    for cov in T.covering_families(cat.tgt(f)):
+        if all(m in sieve for m in cov.members):
+            return SplitWitness(cov, tuple(sieve[m] for m in cov.members))
     return None
 
 
@@ -302,11 +283,7 @@ def universal_completion(T):
     if isinstance(T, FinSetTopology):
         kind = {"surjections": "surjections", "isos": "surjections", "all": "all"}[T.kind]
         return FinSetTopology(kind, T.cat)
-    cat = T.cat
-    fams = {x: set() for x in cat.objects}
-    for f in uni_class(T):
-        fams[cat.tgt(f)].add(frozenset({f}))
-    return Pretopology(cat, fams, name=f"Uni({T.name})")
+    return _singleton_topology(T.cat, uni_class(T), f"Uni({T.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -336,27 +313,14 @@ def are_equivalent(T1, T2) -> bool:
 
 def find_refinement(family: CoveringFamily, T2) -> Optional[Refinement]:
     """A T2-covering of the same target refining the family, if one exists."""
-    cat = T2.cat
+    sieves = [T2.cat.through(pi) for pi in family.members]
     for cov in T2.covering_families(family.target):
-        index_map = []
-        connecting = []
-        ok = True
-        for psi in cov.members:
-            hit = None
-            for i, pi in enumerate(family.members):
-                for rho in cat.hom(cat.src(psi), cat.src(pi)):
-                    if cat.compose(pi, rho) == psi:
-                        hit = (i, rho)
-                        break
-                if hit is not None:
-                    break
-            if hit is None:
-                ok = False
-                break
-            index_map.append(hit[0])
-            connecting.append(hit[1])
-        if ok:
-            return Refinement(family, cov, tuple(index_map), tuple(connecting))
+        hits = [
+            next(((i, s[psi]) for i, s in enumerate(sieves) if psi in s), None)
+            for psi in cov.members
+        ]
+        if None not in hits:
+            return Refinement(family, cov, tuple(h[0] for h in hits), tuple(h[1] for h in hits))
     return None
 
 
@@ -427,10 +391,7 @@ def is_local(T) -> bool:
     cat = T.cat
     uni = uni_class(T)
     for pi in cat.morphisms():
-        x = cat.tgt(pi)
-        for g in cat.morphisms():
-            if cat.tgt(g) != x:
-                continue
+        for g in cat.into(cat.tgt(pi)):
             sq = cat.pullback(pi, g)
             if sq is None:
                 continue
@@ -478,10 +439,7 @@ def _fibre_product_failure(F: FunctorData, f):
     """The first cospan (f, g) whose pullback is missing in the source of F
     or is not sent to a fibre product, as a counterexample; None if none."""
     src, tgt = F.source, F.target
-    x = src.tgt(f)
-    for g in src.morphisms():
-        if src.tgt(g) != x:
-            continue
+    for g in src.into(src.tgt(f)):
         sq = src.pullback(f, g)
         if sq is None:
             return {"clause": "source-pullback", "cospan": (f, g)}
@@ -536,33 +494,24 @@ def continuity_sufficient(F: FunctorData, T1, T2) -> CheckReport:
 
 
 def is_cocontinuous(F: FunctorData, T1, T2) -> CheckReport:
-    """Every Uni(T2) morphism into an image object lifts to a Uni(T1)
-    morphism up to a connecting morphism."""
+    """Every Uni(T2) morphism pi into an image object F(x) lifts: the sieve
+    pi generates holds F(pi1) for some Uni(T1) morphism pi1 into x."""
     src, tgt = F.source, F.target
     uni2 = uni_class(T2)
     uni1 = uni_class(T1)
-    witnesses = {}
+    lifts = 0
     for x in src.objects:
-        fx = F.on_obj(x)
-        for pi in uni2:
-            if tgt.tgt(pi) != fx:
+        images = [F.on_mor(pi1) for pi1 in src.into(x) if pi1 in uni1]
+        for pi in tgt.into(F.on_obj(x)):
+            if pi not in uni2:
                 continue
-            found = None
-            for pi1 in uni1:
-                if src.tgt(pi1) != x:
-                    continue
-                for h in tgt.hom(F.on_obj(src.src(pi1)), tgt.src(pi)):
-                    if tgt.compose(pi, h) == F.on_mor(pi1):
-                        found = (pi1, h)
-                        break
-                if found:
-                    break
-            if found is None:
+            sieve = tgt.through(pi)
+            if not any(im in sieve for im in images):
                 return CheckReport(
                     False, "is_cocontinuous", counterexample={"object": x, "morphism": pi}
                 )
-            witnesses[(x, pi)] = found
-    return CheckReport(True, "is_cocontinuous", witness={"lifts": len(witnesses)})
+            lifts += 1
+    return CheckReport(True, "is_cocontinuous", witness={"lifts": lifts})
 
 
 _MAX_MULT = 4

@@ -7,6 +7,7 @@ from finsite import catalog
 from finsite.fincat import (
     FinSetCat,
     FunctorData,
+    PullbackSquare,
     SetMap,
     TableCategory,
     compose_functors,
@@ -141,6 +142,44 @@ def test_into_pullback_mediator():
     ident = FS.identity(a)
     m = FS.into_pullback(sq, ident, ident)
     assert all(m(x) == (x, x) for x in a)
+
+
+def test_into_pullback_rejects_legs_off_the_apex():
+    a = frozenset({0, 1})
+    f = SetMap(a, a, {0: 0, 1: 0})
+    sq = FS.pullback(f, f)
+    ident = FS.identity(a)
+    stray = SetMap(frozenset({"z"}), a, {"z": 0})
+    for off in (
+        PullbackSquare(frozenset({"z"}), sq.to_left, sq.to_right, f, f),
+        PullbackSquare(sq.apex, stray, sq.to_right, f, f),
+        PullbackSquare(sq.apex, sq.to_left, stray, f, f),
+    ):
+        with pytest.raises(ValueError):
+            FS.into_pullback(off, ident, ident)
+    with pytest.raises(ValueError):
+        FS.into_pullback(sq, ident, SetMap(frozenset({0}), a, {0: 0}))
+
+
+SIEVE_CATEGORIES = {
+    "FIX-V": lambda: catalog.fix_v()[0],
+    "FS012": catalog.fix_fs012,
+    "skeleton0123": lambda: catalog.finset_skeleton([0, 1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIEVE_CATEGORIES))
+def test_into_and_through_match_their_definitions(name):
+    cat = SIEVE_CATEGORIES[name]()
+    for x in cat.objects:
+        assert list(cat.into(x)) == [m for m in cat.morphisms() if cat.tgt(m) == x]
+    for f in cat.morphisms():
+        factors = {}
+        for r in cat.morphisms():
+            if cat.tgt(r) == cat.src(f):
+                factors.setdefault(cat.compose(f, r), []).append(r)
+        expected = {m: min(rs, key=repr) for m, rs in factors.items()}
+        assert cat.through(f) == expected, f
 
 
 def test_epi_is_surjective_on_finite_sets():

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 from finsite import catalog, internal
-from finsite.fincat import FinSetCat, SetMap
+from finsite.fincat import FinSetCat, PullbackSquare, SetMap
 from finsite.site import FinSetTopology
 
 FS = FinSetCat()
@@ -139,6 +141,19 @@ def test_z2_bundle_principal_with_4_by_4_shear(gpds):
     sh = internal.shear_map(B)
     assert len(sh.src) == 4 and len(sh.tgt) == 4
     assert sh.is_bijective()
+
+
+def test_z2_bundle_with_relabelled_designated_fibre_product(gpds):
+    B = gpds["FIX-Z2BUNDLE"]
+    pb = FS.pullback(B.p, B.p)
+    label = {z: k for k, z in enumerate(sorted(pb.apex, key=repr))}
+    apex = frozenset(label.values())
+    left = SetMap(apex, B.p.src, {label[z]: pb.to_left(z) for z in pb.apex})
+    right = SetMap(apex, B.p.src, {label[z]: pb.to_right(z) for z in pb.apex})
+    relabelled = dataclasses.replace(B, designated_pb=PullbackSquare(apex, left, right, B.p, B.p))
+    assert internal.validate_principal_bundle(relabelled).ok
+    sh = internal.shear_map(relabelled)
+    assert sh.tgt == apex and sh.is_bijective()
 
 
 def test_groupoid_as_bundle(gpds):

@@ -162,6 +162,50 @@ def test_find_refinement(v):
     assert all(cat.is_identity(c) for c in r.connecting)
 
 
+def _sieve_site(name):
+    """The category with its catalog topologies and their universal completions."""
+    if name == "FIX-V":
+        cat, T_op = catalog.fix_v()
+        tops = [T_op]
+    elif name == "FS012":
+        cat = catalog.fix_fs012()
+        tops = [extensive_topology(cat)]
+    else:
+        cat, tops = catalog.finset_skeleton([0, 1, 2, 3]), []
+    tops += [indiscrete_topology(cat), discrete_topology(cat), canonical_topology(cat)]
+    return cat, tops + [universal_completion(T) for T in tops]
+
+
+@pytest.mark.parametrize("name", ["FIX-V", "FS012", "skeleton0123"])
+def test_split_witnesses_and_refinements_factor(name):
+    cat, tops = _sieve_site(name)
+    for T in tops:
+        for f in cat.morphisms():
+            w = is_locally_split(T, f)
+            splits = [
+                cov
+                for cov in T.covering_families(cat.tgt(f))
+                if all(
+                    any(cat.compose(f, r) == m for r in cat.hom(cat.src(m), cat.src(f)))
+                    for m in cov.members
+                )
+            ]
+            assert (w is None) == (not splits), (T.name, f)
+            if w is not None:
+                assert w.covering == splits[0]
+                assert [cat.compose(f, s) for s in w.sections] == list(w.covering.members)
+        for T2 in tops:
+            for x in cat.objects:
+                for fam in T.covering_families(x):
+                    r = find_refinement(fam, T2)
+                    if r is None:
+                        continue
+                    assert T2.has_family(x, r.refining_family.members)
+                    assert len(r.index_map) == len(r.connecting) == len(r.refining_family.members)
+                    for psi, i, rho in zip(r.refining_family.members, r.index_map, r.connecting):
+                        assert cat.compose(fam.members[i], rho) == psi, (T.name, T2.name, psi)
+
+
 def test_singletonize_rejected_on_non_extensive_poset(v):
     cat, T_op = v
     assert is_singletonizable(T_op)  # joins exist per family
