@@ -2,7 +2,11 @@
 suite, and emit right Kan extensions.
 
 Bundle file format: one JSON document with named sections (categories,
-topologies, functors, presheaves, groupoids, bundles).  Mappings are
+topologies, functors, presheaves, groupoids, bundles).  These six kinds
+are declared once, in `_kinds()`: each kind's section, parser and
+validator.  Parsing, argument resolution and `validate` read that table,
+and `parse_bundle_doc` is the one place that turns a malformed entry into
+a `BundleError`.  Mappings are
 arrays of [key, value] pairs, compositions arrays of [g, f, gf] meaning
 compose(g, f) = gf, and elements are JSON scalars or arrays (arrays
 decode to tuples).  Reports go to stdout as JSON; a human summary goes
@@ -68,7 +72,8 @@ class BundleDoc:
     presheaves: dict = field(default_factory=dict)
     groupoids: dict = field(default_factory=dict)
     bundles: dict = field(default_factory=dict)
-    topology_cat: dict = field(default_factory=dict)  # topology name -> category name
+    # read by nothing in finsite (a topology's category is T.cat); kept for callers that fill it
+    topology_cat: dict = field(default_factory=dict)
 
 
 class BundleError(Exception):
@@ -159,26 +164,26 @@ def serialize_bundle(B: internal.Bundle, gpd_name) -> dict:
 
 def serialize_bundle_doc(doc: BundleDoc) -> dict:
     out = {}
+    names = {id(c): n for n, c in doc.categories.items()}
+    gnames = {id(g): n for n, g in doc.groupoids.items()}
     if doc.categories:
         out["categories"] = {n: serialize_category(c) for n, c in doc.categories.items()}
     if doc.topologies:
         out["topologies"] = {
-            n: serialize_topology(T, doc.topology_cat[n]) for n, T in doc.topologies.items()
+            n: serialize_topology(T, names[id(T.cat)]) for n, T in doc.topologies.items()
         }
     if doc.functors:
-        out["functors"] = {}
-        names = {id(c): n for n, c in doc.categories.items()}
-        for n, F in doc.functors.items():
-            out["functors"][n] = serialize_functor(F, names[id(F.source)], names[id(F.target)])
+        out["functors"] = {
+            n: serialize_functor(F, names[id(F.source)], names[id(F.target)])
+            for n, F in doc.functors.items()
+        }
     if doc.presheaves:
-        names = {id(c): n for n, c in doc.categories.items()}
         out["presheaves"] = {
             n: serialize_presheaf(P, names[id(P.cat)]) for n, P in doc.presheaves.items()
         }
     if doc.groupoids:
         out["groupoids"] = {n: serialize_groupoid(G) for n, G in doc.groupoids.items()}
     if doc.bundles:
-        gnames = {id(g): n for n, g in doc.groupoids.items()}
         out["bundles"] = {
             n: serialize_bundle(B, gnames[id(B.gpd)]) for n, B in doc.bundles.items()
         }
@@ -190,115 +195,101 @@ def serialize_bundle_doc(doc: BundleDoc) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def parse_category(sec, name) -> TableCategory:
-    try:
-        return TableCategory(
-            [_decode(x) for x in sec["objects"]],
-            {_decode(m): (_decode(a), _decode(b)) for m, a, b in sec["morphisms"]},
-            _unpairs(sec["identity"]),
-            {(_decode(g), _decode(f)): _decode(gf) for g, f, gf in sec["composition"]},
-            name=name,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"malformed category {name!r}: {exc}") from exc
+def parse_category(sec, doc, name) -> TableCategory:
+    return TableCategory(
+        [_decode(x) for x in sec["objects"]],
+        {_decode(m): (_decode(a), _decode(b)) for m, a, b in sec["morphisms"]},
+        _unpairs(sec["identity"]),
+        {(_decode(g), _decode(f)): _decode(gf) for g, f, gf in sec["composition"]},
+        name=name,
+    )
 
 
-def parse_topology(sec, cats, name) -> site.Pretopology:
-    try:
-        fams = {
-            _decode(x): {frozenset(_decode(m) for m in fam) for fam in fs}
-            for x, fs in sec["families"]
-        }
-        return site.Pretopology(cats[sec["category"]], fams, name=name)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"malformed topology {name!r}: {exc}") from exc
+def parse_topology(sec, doc, name) -> site.Pretopology:
+    fams = {
+        _decode(x): {frozenset(_decode(m) for m in fam) for fam in fs}
+        for x, fs in sec["families"]
+    }
+    return site.Pretopology(doc.categories[sec["category"]], fams, name=name)
 
 
-def parse_functor(sec, cats, name) -> FunctorData:
-    try:
-        return FunctorData(
-            cats[sec["source"]],
-            cats[sec["target"]],
-            _unpairs(sec["on_objects"]),
-            _unpairs(sec["on_morphisms"]),
-            name=name,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"malformed functor {name!r}: {exc}") from exc
+def parse_functor(sec, doc, name) -> FunctorData:
+    return FunctorData(
+        doc.categories[sec["source"]],
+        doc.categories[sec["target"]],
+        _unpairs(sec["on_objects"]),
+        _unpairs(sec["on_morphisms"]),
+        name=name,
+    )
 
 
-def parse_presheaf(sec, cats, name) -> sheaf.Presheaf:
-    try:
-        values = {_decode(x): tuple(_decode(v) for v in vs) for x, vs in sec["values"]}
-        restriction = {_decode(m): _unpairs(r) for m, r in sec["restriction"]}
-        return sheaf.Presheaf(cats[sec["category"]], values, restriction, name=name)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"malformed presheaf {name!r}: {exc}") from exc
+def parse_presheaf(sec, doc, name) -> sheaf.Presheaf:
+    values = {_decode(x): tuple(_decode(v) for v in vs) for x, vs in sec["values"]}
+    restriction = {_decode(m): _unpairs(r) for m, r in sec["restriction"]}
+    return sheaf.Presheaf(doc.categories[sec["category"]], values, restriction, name=name)
 
 
-def parse_groupoid(sec, name) -> internal.InternalGroupoid:
-    try:
-        s = _unpairs(sec["s"])
-        t = _unpairs(sec["t"])
-        i = _unpairs(sec["i"])
-        inv = _unpairs(sec["inv"])
-        comp = {(_decode(g), _decode(h)): _decode(gh) for g, h, gh in sec["comp"]}
-        return internal.make_groupoid(
-            catalog.finite_sets_ambient(),
-            X0=frozenset(_decode(x) for x in sec["X0"]),
-            X1=frozenset(_decode(x) for x in sec["X1"]),
-            s=s.__getitem__,
-            t=t.__getitem__,
-            i=i.__getitem__,
-            comp=lambda g, h: comp[(g, h)],
-            inv=inv.__getitem__,
-            name=name,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"malformed groupoid {name!r}: {exc}") from exc
+def parse_groupoid(sec, doc, name) -> internal.InternalGroupoid:
+    s = _unpairs(sec["s"])
+    t = _unpairs(sec["t"])
+    i = _unpairs(sec["i"])
+    inv = _unpairs(sec["inv"])
+    comp = {(_decode(g), _decode(h)): _decode(gh) for g, h, gh in sec["comp"]}
+    return internal.make_groupoid(
+        catalog.finite_sets_ambient(),
+        X0=frozenset(_decode(x) for x in sec["X0"]),
+        X1=frozenset(_decode(x) for x in sec["X1"]),
+        s=s.__getitem__,
+        t=t.__getitem__,
+        i=i.__getitem__,
+        comp=lambda g, h: comp[(g, h)],
+        inv=inv.__getitem__,
+        name=name,
+    )
 
 
-def parse_bundle(sec, gpds, name) -> internal.Bundle:
-    try:
-        G = gpds[sec["groupoid"]]
-        amb = G.ambient
-        carrier = frozenset(_decode(x) for x in sec["carrier"])
-        base = frozenset(_decode(x) for x in sec["base"])
-        anchor = SetMap(carrier, G.X0, _unpairs(sec["anchor"]))
-        dom = amb.pullback(anchor, G.t)
-        act_table = {(_decode(x), _decode(g)): _decode(xg) for x, g, xg in sec["action"]}
-        act = SetMap(dom.apex, carrier, {e: act_table[e] for e in dom.apex})
-        action = internal.RightAction(G, carrier, anchor, act, dom)
-        p = SetMap(carrier, base, _unpairs(sec["projection"]))
-        return internal.Bundle(G, action, base, p)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"malformed bundle {name!r}: {exc}") from exc
+def parse_bundle(sec, doc, name) -> internal.Bundle:
+    G = doc.groupoids[sec["groupoid"]]
+    amb = G.ambient
+    carrier = frozenset(_decode(x) for x in sec["carrier"])
+    base = frozenset(_decode(x) for x in sec["base"])
+    anchor = SetMap(carrier, G.X0, _unpairs(sec["anchor"]))
+    dom = amb.pullback(anchor, G.t)
+    act_table = {(_decode(x), _decode(g)): _decode(xg) for x, g, xg in sec["action"]}
+    act = SetMap(dom.apex, carrier, {e: act_table[e] for e in dom.apex})
+    action = internal.RightAction(G, carrier, anchor, act, dom)
+    p = SetMap(carrier, base, _unpairs(sec["projection"]))
+    return internal.Bundle(G, action, base, p)
 
 
-def _section(doc: dict, key):
-    sec = doc.get(key, {})
-    if not isinstance(sec, dict):
-        raise BundleError(f"section {key!r} must be a JSON object")
-    return sec.items()
+def _kinds():
+    """The six kinds a bundle file holds, in parse order: kind ->
+    (BundleDoc section, parser, validator).  A parser reads one entry of its
+    section given the structures parsed before it.  Built on each call, so
+    that wrappers installed on the module names after import are used."""
+    return {
+        "category": ("categories", parse_category, validate_category),
+        "topology": ("topologies", parse_topology, site.validate_pretopology),
+        "functor": ("functors", parse_functor, validate_functor),
+        "presheaf": ("presheaves", parse_presheaf, sheaf.validate_presheaf),
+        "groupoid": ("groupoids", parse_groupoid, internal.validate_groupoid),
+        "bundle": ("bundles", parse_bundle, internal.validate_principal_bundle),
+    }
 
 
 def parse_bundle_doc(doc: dict) -> BundleDoc:
     if not isinstance(doc, dict):
         raise BundleError("top-level document must be a JSON object")
     out = BundleDoc()
-    for n, sec in _section(doc, "categories"):
-        out.categories[n] = parse_category(sec, n)
-    for n, sec in _section(doc, "topologies"):
-        out.topologies[n] = parse_topology(sec, out.categories, n)
-        out.topology_cat[n] = sec["category"]
-    for n, sec in _section(doc, "functors"):
-        out.functors[n] = parse_functor(sec, out.categories, n)
-    for n, sec in _section(doc, "presheaves"):
-        out.presheaves[n] = parse_presheaf(sec, out.categories, n)
-    for n, sec in _section(doc, "groupoids"):
-        out.groupoids[n] = parse_groupoid(sec, n)
-    for n, sec in _section(doc, "bundles"):
-        out.bundles[n] = parse_bundle(sec, out.groupoids, n)
+    for kind, (key, parse, _) in _kinds().items():
+        sec = doc.get(key, {})
+        if not isinstance(sec, dict):
+            raise BundleError(f"section {key!r} must be a JSON object")
+        for n, entry in sec.items():
+            try:
+                getattr(out, key)[n] = parse(entry, out, n)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise BundleError(f"malformed {kind} {n!r}: {exc}") from exc
     return out
 
 
@@ -321,18 +312,14 @@ def catalog_bundle() -> BundleDoc:
     shv_presheaf, fv, t_op = catalog.shv()
     out.categories["FIX-V"] = fv
     out.topologies["T_op"] = t_op
-    out.topology_cat["T_op"] = "FIX-V"
     out.topologies["T_indis_V"] = site.indiscrete_topology(fv)
-    out.topology_cat["T_indis_V"] = "FIX-V"
     out.topologies["T_dis_V"] = site.discrete_topology(fv)
-    out.topology_cat["T_dis_V"] = "FIX-V"
     out.presheaves["SHV"] = shv_presheaf
     out.presheaves["K2_V"] = catalog.k2(fv)
 
     fs012 = catalog.fix_fs012()
     out.categories["FIX-FS012"] = fs012
     out.topologies["T_ext"] = site.extensive_topology(fs012)
-    out.topology_cat["T_ext"] = "FIX-FS012"
     out.presheaves["K2_FS"] = catalog.k2(fs012)
 
     small, _, incl = catalog.skeleton_inclusion()
@@ -402,16 +389,6 @@ def _emit(report, human):
 # ---------------------------------------------------------------------------
 
 
-_SECTIONS = {
-    "category": "categories",
-    "topology": "topologies",
-    "functor": "functors",
-    "presheaf": "presheaves",
-    "groupoid": "groupoids",
-    "bundle": "bundles",
-}
-
-
 def _resolve(doc: BundleDoc, kind, ref):
     """The structure of the given kind named ref; a morphism is named
     "category:morphism-id" and resolves to (category, morphism)."""
@@ -421,7 +398,7 @@ def _resolve(doc: BundleDoc, kind, ref):
         if mid not in cat._mor:
             raise BundleError(f"unknown morphism {mid!r} in category {cat_name!r}")
         return cat, mid
-    section = getattr(doc, _SECTIONS[kind])
+    section = getattr(doc, _kinds()[kind][0])
     if ref not in section:
         raise BundleError(f"unknown {kind} {ref!r}")
     return section[ref]
@@ -459,11 +436,13 @@ def _dispatch_table(mode):
         "is_universal": (("morphism",), lambda cm: is_universal(cm[0], cm[1])),
         "is_epi": (("morphism",), lambda cm: is_epi(cm[0], cm[1])),
         "is_effective_epi": (("morphism",), lambda cm: is_effective_epi(cm[0], cm[1])),
-        "is_locally_split": (
-            ("morphism", "topology"),
-            lambda cm, T: site.is_locally_split(T, cm[1]) is not None,
-        ),
+        "is_locally_split": (("morphism", "topology"), _is_locally_split),
     }
+
+
+def _is_locally_split(cm, T):
+    site._same_cat(T, cm[0], f"category {cm[0].name!r}")
+    return site.is_locally_split(T, cm[1]) is not None
 
 
 def cmd_check(path, op, args, mode="literal") -> int:
@@ -487,20 +466,11 @@ def cmd_check(path, op, args, mode="literal") -> int:
 
 
 def _validate_all(doc: BundleDoc):
-    checks = []
-    for n, c in doc.categories.items():
-        checks.append((f"category {n}", lambda c=c: validate_category(c)))
-    for n, T in doc.topologies.items():
-        checks.append((f"topology {n}", lambda T=T: site.validate_pretopology(T)))
-    for n, F in doc.functors.items():
-        checks.append((f"functor {n}", lambda F=F: validate_functor(F)))
-    for n, P in doc.presheaves.items():
-        checks.append((f"presheaf {n}", lambda P=P: sheaf.validate_presheaf(P)))
-    for n, G in doc.groupoids.items():
-        checks.append((f"groupoid {n}", lambda G=G: internal.validate_groupoid(G)))
-    for n, B in doc.bundles.items():
-        checks.append((f"bundle {n}", lambda B=B: internal.validate_principal_bundle(B)))
-    return checks
+    return [
+        (f"{kind} {n}", lambda validate=validate, x=x: validate(x))
+        for kind, (key, _, validate) in _kinds().items()
+        for n, x in getattr(doc, key).items()
+    ]
 
 
 def cmd_validate(path) -> int:

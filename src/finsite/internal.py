@@ -10,11 +10,11 @@ explicit-table ambients as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Any, Optional
 
 from .fincat import CheckReport, FinSetCat, PullbackSquare, SetMap, is_universal
 from . import site as _site
+from .sheaf import _join
 
 
 def _is_fibre_product(amb, square) -> bool:
@@ -271,8 +271,8 @@ class LeftAction:
     dom: PullbackSquare  # fibre product of (s, anchor); elements (g, x)
 
 
-def validate_action(a: RightAction, G=None) -> CheckReport:
-    G = G or a.gpd
+def validate_action(a: RightAction) -> CheckReport:
+    G = a.gpd
     amb = G.ambient
     c = amb.compose
 
@@ -342,15 +342,15 @@ def shear_map(B: Bundle):
     return _pair(amb, rep, pr1, act)
 
 
-def validate_principal_bundle(B: Bundle, G=None) -> CheckReport:
-    G = G or B.gpd
+def validate_principal_bundle(B: Bundle) -> CheckReport:
+    G = B.gpd
     amb = G.ambient
     c = amb.compose
 
     def fail(what):
         return CheckReport(False, "validate_principal_bundle", counterexample={"axiom": what})
 
-    rep = validate_action(B.action, G)
+    rep = validate_action(B.action)
     if not rep.ok:
         return rep
     if amb.src(B.p) != B.action.carrier or amb.tgt(B.p) != B.base:
@@ -504,7 +504,7 @@ def validate_bibundle(P: Bibundle) -> CheckReport:
     rep = validate_left_action(P.left)
     if not rep.ok:
         return rep
-    rep = validate_action(P.right, P.right_gpd)
+    rep = validate_action(P.right)
     if not rep.ok:
         return rep
     # the anchors ignore the opposite actions
@@ -610,48 +610,29 @@ def is_weakly_invertible_anafunctor(A: Anafunctor, T) -> bool:
 
 def anafunctor_transformations(A1: Anafunctor, A2: Anafunctor):
     """All natural transformations between two anafunctors G -> H,
-    enumerated over the common refinement Y x_{G0} Y'."""
+    enumerated over the common refinement Z = Y x_{G0} Y'.  sheaf._join sets
+    one component eta_z per z in repr order, ranging over the arrows
+    F0_2(y') -> F0_1(y) of H, and checks each naturality square
+    F1_1(m1) . eta_z2 == eta_z1 . F1_2(m2) as soon as both components are set."""
     G = A1.gpd_src
     H = A1.gpd_tgt
-    amb = G.ambient
-    z_sq = amb.pullback(A1.pi, A2.pi)
-    Z = z_sq.apex  # pairs (y, y')
+    Z = G.ambient.pullback(A1.pi, A2.pi).apex  # pairs (y, y')
     F0_1, F1_1 = A1.functor.F0, A1.functor.F1
     F0_2, F1_2 = A2.functor.F0, A2.functor.F1
-    candidates = {}
-    for z in Z:
-        y, y2 = z
-        candidates[z] = [
-            h for h in H.X1 if H.t(h) == F0_1(y) and H.s(h) == F0_2(y2)
-        ]
-        if not candidates[z]:
-            return []
     zs = sorted(Z, key=repr)
-    out = []
-    for values in iproduct(*(candidates[z] for z in zs)):
-        eta = dict(zip(zs, values))
-        ok = True
-        for z1 in Z:
-            for z2 in Z:
-                for g in G.X1:
-                    if G.t(g) != A1.pi(z1[0]) or G.s(g) != A1.pi(z2[0]):
-                        continue
-                    if A2.pi(z1[1]) != G.t(g) or G.s(g) != A2.pi(z2[1]):
-                        continue
-                    m1 = ((z1[0], g), z2[0])
-                    m2 = ((z1[1], g), z2[1])
-                    lhs = H.comp((F1_1(m1), eta[z2]))
-                    rhs = H.comp((eta[z1], F1_2(m2)))
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(SetMap(frozenset(Z), H.X1, eta))
-    return out
+    domains = [[h for h in H.X1 if H.t(h) == F0_1(y) and H.s(h) == F0_2(y2)] for y, y2 in zs]
+    by_last = {}
+    for i, (y1, y1_) in enumerate(zs):
+        for j, (y2, y2_) in enumerate(zs):
+            for g in G.X1:
+                if G.t(g) != A1.pi(y1) or G.s(g) != A1.pi(y2):
+                    continue
+                f1 = F1_1(((y1, g), y2))
+                f2 = F1_2(((y1_, g), y2_))
+                lhs = {h: H.comp((f1, h)) for h in domains[j]}
+                rhs = {h: H.comp((h, f2)) for h in domains[i]}
+                by_last.setdefault(max(i, j), []).append((j, lhs, i, rhs))
+    return [SetMap(frozenset(Z), H.X1, dict(zip(zs, t))) for t in _join(domains, by_last)]
 
 
 def are_isomorphic_anafunctors(A1: Anafunctor, A2: Anafunctor) -> bool:

@@ -178,13 +178,8 @@ def satisfies_descent(F: Presheaf, pi) -> bool:
     return len(set(image)) == len(image) and set(image) == set(des.elements)
 
 
-def _same_cat(F: Presheaf, T):
-    if F.cat is not T.cat:
-        raise ValueError(f"presheaf {F.name!r} and topology {T.name!r} live on different categories")
-
-
 def is_sheaf(F: Presheaf, T, mode: str = "literal") -> CheckReport:
-    _same_cat(F, T)
+    _site._same_cat(T, F.cat, f"presheaf {F.name!r}")
     ext = is_extensive_presheaf(F, mode)
     if not ext.ok:
         return CheckReport(False, "is_sheaf", counterexample={"extensivity": ext.counterexample})
@@ -240,7 +235,7 @@ def is_traditional_sheaf(F: Presheaf, T) -> CheckReport:
     u_i x_x u_j, i <= j.  _join enumerates the matching families with one
     variable per member, so a partial family that already disagrees is never
     extended.  The counterexample names the first covering that fails."""
-    _same_cat(F, T)
+    _site._same_cat(T, F.cat, f"presheaf {F.name!r}")
     cat = F.cat
     for x in cat.objects:
         for cov in T.covering_families(x):

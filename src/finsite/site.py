@@ -291,16 +291,26 @@ def universal_completion(T):
 # ---------------------------------------------------------------------------
 
 
-def _same_cat(T1, T2):
-    if isinstance(T1, FinSetTopology) != isinstance(T2, FinSetTopology):
-        raise ValueError("topologies live on different backends")
-    if not isinstance(T1, FinSetTopology) and T1.cat is not T2.cat:
-        raise ValueError("topologies live on different categories")
+def _same_cat(T, cat, owner):
+    """Raise ValueError unless the topology T lives on cat, the category of
+    owner (named in the message).  Two TableCategory objects with the same
+    tables are the same category, and so are any two FinSetCat objects."""
+    if T.cat is not cat and any(
+        getattr(T.cat, a, None) != getattr(cat, a, None)
+        for a in ("backend", "_mor", "_identity", "_comp")
+    ):
+        raise ValueError(f"{owner} and topology {T.name!r} live on different categories")
+
+
+def _functor_sites(F: FunctorData, T1, T2):
+    """Require T1 on the source of F and T2 on its target."""
+    _same_cat(T1, F.source, f"the source of functor {F.name!r}")
+    _same_cat(T2, F.target, f"the target of functor {F.name!r}")
 
 
 def is_coarser(T1, T2) -> bool:
     """Every universal T1-locally split morphism is T2-locally split."""
-    _same_cat(T1, T2)
+    _same_cat(T2, T1.cat, f"topology {T1.name!r}")
     if isinstance(T1, FinSetTopology):
         rank = {"surjections": 1, "isos": 1, "all": 2}
         return rank[T1.kind] <= rank[T2.kind]
@@ -455,8 +465,13 @@ def _fibre_product_failure(F: FunctorData, f):
 
 
 def is_continuous(F: FunctorData, T1, T2) -> CheckReport:
-    """Sends Uni(T1) into Uni(T2) and preserves fibre products with Uni(T1)."""
-    for f in uni_class(T1):
+    """Sends Uni(T1) into Uni(T2) and preserves fibre products with Uni(T1).
+    The counterexample is the first failing morphism in table order."""
+    _functor_sites(F, T1, T2)
+    uni1 = uni_class(T1)
+    for f in F.source.morphisms():
+        if f not in uni1:
+            continue
         if not uni_contains(T2, F.on_mor(f)):
             return CheckReport(
                 False, "is_continuous", counterexample={"clause": "image", "morphism": f}
@@ -470,15 +485,15 @@ def is_continuous(F: FunctorData, T1, T2) -> CheckReport:
 def continuity_sufficient(F: FunctorData, T1, T2) -> CheckReport:
     """The stronger criterion: coverings map to coverings, universal
     morphisms stay universal, and their fibre products are preserved."""
+    _functor_sites(F, T1, T2)
     src, tgt = F.source, F.target
     for x in src.objects:
-        for fam in T1.families[x]:
-            image = frozenset(F.on_mor(m) for m in fam)
-            if not T2.has_family(F.on_obj(x), image):
+        for cov in T1.covering_families(x):
+            if not T2.has_family(F.on_obj(x), (F.on_mor(m) for m in cov.members)):
                 return CheckReport(
                     False,
                     "continuity_sufficient",
-                    counterexample={"clause": "covering", "family": tuple(sorted(fam, key=repr))},
+                    counterexample={"clause": "covering", "family": cov.members},
                 )
     for f in src.morphisms():
         if not is_universal(src, f):
@@ -496,6 +511,7 @@ def continuity_sufficient(F: FunctorData, T1, T2) -> CheckReport:
 def is_cocontinuous(F: FunctorData, T1, T2) -> CheckReport:
     """Every Uni(T2) morphism pi into an image object F(x) lifts: the sieve
     pi generates holds F(pi1) for some Uni(T1) morphism pi1 into x."""
+    _functor_sites(F, T1, T2)
     src, tgt = F.source, F.target
     uni2 = uni_class(T2)
     uni1 = uni_class(T1)
@@ -533,6 +549,7 @@ def _multisets(items, max_size):
 
 
 def has_dense_image(F: FunctorData, T2) -> CheckReport:
+    _same_cat(T2, F.target, f"the target of functor {F.name!r}")
     src, tgt = F.source, F.target
     if not _full(F):
         return CheckReport(False, "has_dense_image", counterexample={"clause": "full"})

@@ -1,7 +1,7 @@
 """Independent brute-force oracles: the diamond poset of opens of the
 two-point discrete space, the fibre product of finite sets, the
 traditional sheaf condition on a finite space, and natural transformations
-between finite presheaves.
+between finite presheaves and between anafunctors of finite groupoids.
 
 Deliberately separate from the main code path: the poset is rebuilt from
 raw subset data, morphisms are (src, tgt) pairs, and every universal
@@ -223,6 +223,39 @@ def natural_transformations(objects, morphisms, F, G):
             eta[a][Fr[m][v]] == Gr[m][eta[b][v]]
             for m, (a, b) in morphisms.items()
             for v in Fv[b]
+        ):
+            out.append(eta)
+    return out
+
+
+def anafunctor_transformations(G, H, A1, A2):
+    """Every natural transformation A1 => A2 between anafunctors G -> H, as
+    dicts {z: eta_z}.
+
+    A groupoid is a dict with "X1" (a list of arrows) and the dicts "s", "t"
+    and "comp" (comp[(g, h)] is g after h); an anafunctor is a dict with the
+    dicts "pi" (Y -> G0), "F0" (Y -> H0) and "F1" (arrows ((y, g), y') of the
+    refined groupoid -> H1).  Z is every pair (y, y') with pi1(y) == pi2(y'),
+    in repr order.  Every choice of one arrow eta_z: F0_2(y') -> F0_1(y) per
+    z is built, in product order, and those for which
+    F1_1((y1, g), y2) . eta_z2 == eta_z1 . F1_2((y1', g), y2') for every
+    arrow g: pi(y2) -> pi(y1) of G are kept."""
+    pi1, pi2 = A1["pi"], A2["pi"]
+    Z = sorted(((y, y2) for y in pi1 for y2 in pi2 if pi1[y] == pi2[y2]), key=repr)
+    candidates = [
+        [h for h in H["X1"] if H["t"][h] == A1["F0"][y] and H["s"][h] == A2["F0"][y2]]
+        for y, y2 in Z
+    ]
+    out = []
+    for values in iproduct(*candidates):
+        eta = dict(zip(Z, values))
+        if all(
+            H["comp"][(A1["F1"][((y1, g), y2)], eta[(y2, y2_)])]
+            == H["comp"][(eta[(y1, y1_)], A2["F1"][((y1_, g), y2_)])]
+            for y1, y1_ in Z
+            for y2, y2_ in Z
+            for g in G["X1"]
+            if G["t"][g] == pi1[y1] and G["s"][g] == pi1[y2]
         ):
             out.append(eta)
     return out

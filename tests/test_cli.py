@@ -197,11 +197,34 @@ def test_dangling_family_member_exit_two(bundle_path, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "op, args",
-    [("is_traditional_sheaf", ["K2_FS", "T_op"]), ("is_sheaf", ["K2_FS", "T_dis_V"])],
+    [
+        ("is_traditional_sheaf", ["K2_FS", "T_op"]),
+        ("is_sheaf", ["K2_FS", "T_dis_V"]),
+        ("is_continuous", ["skel01-into-fs012", "T_op", "T_ext"]),
+        ("is_continuous", ["skel01-into-fs012", "T_ext", "T_op"]),
+        ("has_dense_image", ["skel01-into-fs012", "T_op"]),
+        ("is_locally_split", ["FIX-FS012:n0>n1:", "T_op"]),
+        ("is_cocontinuous", ["skel01-into-fs012", "T_op", "T_ext"]),
+    ],
 )
 def test_sheaf_check_across_categories_exit_two(bundle_path, capsys, op, args):
     assert cli.main(["check", bundle_path, "--op", op, "--args", *args]) == 2
     assert "different categories" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("groupoid", lambda doc: doc["groupoids"]["FIX-Z2GPD"].pop("inv")),
+        ("bundle", lambda doc: doc["bundles"]["FIX-Z2BUNDLE"].__setitem__("groupoid", "NOPE")),
+        ("topology", lambda doc: doc["topologies"]["T_op"].__setitem__("category", "NOPE")),
+    ],
+)
+def test_malformed_entry_names_its_kind(bundle_path, tmp_path, capsys, kind, edit):
+    path = _write_variant(bundle_path, tmp_path, edit)
+    assert cli.main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed {kind}" in err and "Traceback" not in err
 
 
 def _restriction_row(doc, m):

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import oracles
 from finsite import catalog, internal
 from finsite.fincat import FinSetCat, PullbackSquare, SetMap
 from finsite.site import FinSetTopology
@@ -208,6 +209,39 @@ def test_bibundles_from_functors(gpds):
                 assert internal.are_isomorphic_anafunctors(A, A2)
                 count += 1
     assert count >= 8
+
+
+def _plain_groupoid(G):
+    return {"X1": list(G.X1), "s": G.s.mapping, "t": G.t.mapping, "comp": G.comp.mapping}
+
+
+def _plain_anafunctor(A):
+    return {"pi": A.pi.mapping, "F0": A.functor.F0.mapping, "F1": A.functor.F1.mapping}
+
+
+def test_anafunctor_transformations_match_oracle(gpds):
+    """Both anafunctors of every internal functor between the standard
+    groupoids, in every ordered pair with the same ends: the same
+    transformations, in the same order, as the product-then-filter oracle."""
+    names = ("FIX-PAIR2", "FIX-Z2GPD", "FIX-TRIV1")
+    pairs = empty = 0
+    for a in names:
+        for b in names:
+            G, H = gpds[a], gpds[b]
+            anas = []
+            for F in all_internal_functors(G, H):
+                P = internal.bibundle_from_functor(F)
+                anas += [internal.anafunctor_from_functor(F), internal.anafunctor_from_bibundle(P, T_SURJ)]
+            for A1 in anas:
+                for A2 in anas:
+                    got = [eta.mapping for eta in internal.anafunctor_transformations(A1, A2)]
+                    want = oracles.anafunctor_transformations(
+                        _plain_groupoid(G), _plain_groupoid(H), _plain_anafunctor(A1), _plain_anafunctor(A2)
+                    )
+                    assert got == want
+                    pairs += 1
+                    empty += not want
+    assert (pairs, empty) == (144, 8)
 
 
 def test_weakly_invertible_anafunctor(gpds):

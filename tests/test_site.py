@@ -1,7 +1,11 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import finsite
 from finsite import catalog
 from finsite.fincat import FinSetCat, SetMap, identity_functor, is_universal
 from finsite.site import (
@@ -149,6 +153,32 @@ def test_coarser_matches_identity_functor_continuity(v):
         c = is_coarser(T1, T2)
         assert c == is_continuous(idf, T1, T2).ok, (T1.name, T2.name)
         assert c == is_cocontinuous(idf, T2, T1).ok, (T1.name, T2.name)
+
+
+_CONTINUITY_ON_V = """
+from finsite import catalog, site
+from finsite.fincat import identity_functor
+cat, T_op = catalog.fix_v()
+idf, T_dis = identity_functor(cat), site.discrete_topology(cat)
+print(site.is_continuous(idf, T_dis, T_op).counterexample)
+print(site.continuity_sufficient(idf, T_dis, T_op).counterexample)
+"""
+
+
+def test_continuity_counterexamples_do_not_depend_on_the_hash_seed(v):
+    cat, T_op = v
+    uni = uni_class(discrete_topology(cat))
+    first = next(f for f in cat.morphisms() if f in uni and not uni_contains(T_op, f))
+    src = os.path.dirname(os.path.dirname(finsite.__file__))
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _CONTINUITY_ON_V], env=env, capture_output=True, text=True, check=True
+        )
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[0] == repr({"clause": "image", "morphism": first})
 
 
 def test_find_refinement(v):
