@@ -122,8 +122,6 @@ def finset_skeleton(sizes):
             if a > 0 and b == 0:
                 continue
             for values in iproduct(range(b), repeat=a) if b > 0 else [()]:
-                if a > 0 and b == 0:
-                    continue
                 mid = _fn_id(None, a, b, values)
                 morphisms[mid] = (f"n{a}", f"n{b}")
                 graphs[mid] = values
@@ -203,54 +201,41 @@ def table_copy(sets, names=None):
 # ---------------------------------------------------------------------------
 
 
+def pair_groupoid(points, name=""):
+    """The pair groupoid: one arrow (a, b) from b to a for all points a, b."""
+    from . import internal
+
+    X0 = frozenset(points)
+    X1 = frozenset((a, b) for a in X0 for b in X0)
+    return internal.make_groupoid(
+        _FINSET, X0, X1, lambda m: m[1], lambda m: m[0], lambda x: (x, x),
+        lambda g, h: (g[0], h[1]), lambda m: (m[1], m[0]), name=name,
+    )
+
+
+def cyclic_groupoid(n, name=""):
+    """Z/n as a groupoid on the one object "*"."""
+    from . import internal
+
+    return internal.make_groupoid(
+        _FINSET, {"*"}, range(n), lambda g: "*", lambda g: "*", lambda x: 0,
+        lambda g, h: (g + h) % n, lambda g: -g % n, name=name,
+    )
+
+
 def standard_groupoids():
     """FIX-PAIR2, FIX-Z2GPD, FIX-TRIV1 and FIX-Z2BUNDLE."""
     from . import internal
 
-    two = frozenset({0, 1})
-    point = frozenset({"*"})
-
-    pair2 = internal.make_groupoid(
-        _FINSET,
-        X0=two,
-        X1=frozenset((a, b) for a in two for b in two),
-        s=lambda m: m[1],
-        t=lambda m: m[0],
-        i=lambda x: (x, x),
-        comp=lambda g, h: (g[0], h[1]),
-        inv=lambda m: (m[1], m[0]),
-        name="FIX-PAIR2",
-    )
-    z2 = internal.make_groupoid(
-        _FINSET,
-        X0=point,
-        X1=two,
-        s=lambda m: "*",
-        t=lambda m: "*",
-        i=lambda x: 0,
-        comp=lambda g, h: g ^ h,
-        inv=lambda m: m,
-        name="FIX-Z2GPD",
-    )
-    triv1 = internal.make_groupoid(
-        _FINSET,
-        X0=point,
-        X1=frozenset({0}),
-        s=lambda m: "*",
-        t=lambda m: "*",
-        i=lambda x: 0,
-        comp=lambda g, h: 0,
-        inv=lambda m: 0,
-        name="FIX-TRIV1",
-    )
+    two, point = frozenset({0, 1}), frozenset({"*"})
+    pair2 = pair_groupoid(two, "FIX-PAIR2")
+    z2 = cyclic_groupoid(2, "FIX-Z2GPD")
+    triv1 = cyclic_groupoid(1, "FIX-TRIV1")
     # the regular Z/2 action on a 2-element set over the point
-    carrier = two
-    anchor = SetMap(carrier, point, {x: "*" for x in carrier})
+    anchor = SetMap(two, point, {x: "*" for x in two})
     dom = _FINSET.pullback(anchor, z2.t)
-    act = SetMap(dom.apex, carrier, {(x, g): x ^ g for (x, g) in dom.apex})
-    action = internal.RightAction(z2, carrier, anchor, act, dom)
-    proj = SetMap(carrier, point, {x: "*" for x in carrier})
-    z2bundle = internal.Bundle(z2, action, point, proj)
+    act = SetMap(dom.apex, two, {(x, g): x ^ g for (x, g) in dom.apex})
+    z2bundle = internal.Bundle(z2, internal.RightAction(z2, two, anchor, act, dom), point, anchor)
     return {
         "FIX-PAIR2": pair2,
         "FIX-Z2GPD": z2,

@@ -28,6 +28,7 @@ from .fincat import (
     FunctorData,
     SetMap,
     TableCategory,
+    ill_typed,
     is_effective_epi,
     is_epi,
     is_extensive,
@@ -196,13 +197,17 @@ def serialize_bundle_doc(doc: BundleDoc) -> dict:
 
 
 def parse_category(sec, doc, name) -> TableCategory:
-    return TableCategory(
+    cat = TableCategory(
         [_decode(x) for x in sec["objects"]],
         {_decode(m): (_decode(a), _decode(b)) for m, a, b in sec["morphisms"]},
         _unpairs(sec["identity"]),
         {(_decode(g), _decode(f)): _decode(gf) for g, f, gf in sec["composition"]},
         name=name,
     )
+    bad = ill_typed(cat)
+    if bad is not None:
+        raise ValueError(f"ill-typed table entry {bad}")
+    return cat
 
 
 def parse_topology(sec, doc, name) -> site.Pretopology:

@@ -18,6 +18,14 @@ about an intensional topology (its axioms, its universal completion, the
 coarser order) that no enumeration over the ambient could decide, so
 they stay there rather than in methods.
 
+Laws are checked at points: two maps out of x are equal iff they agree
+at every point (generalized element) of x, and the generic point id_x is
+enough.  points(x), at(f), pairs(f, g) (the fibre product's points as
+pairs, None if there is none) and pairing(square) (a pair to the apex's
+point over it, as into_pullback) serve this.  FinSetCat's points are the
+elements, so a law is dict lookups and builds no map; TableCategory's one
+point is the generic point, where a law compares composites.
+
 TableCategory alone also answers the two sieve questions that
 universality, locality and continuity ask: into(x), the morphisms with
 target x, and through(f), the sieve f generates with a witness factor for
@@ -282,14 +290,14 @@ class TableCategory:
         return self._pullbacks[key]
 
     def into_pullback(self, square, a, b):
-        """The unique u with to_left.u = a and to_right.u = b, or None."""
+        """The unique u with to_left.u = a and to_right.u = b; ValueError if none."""
         z = self.src(a)
         if self.src(b) != z:
             raise ValueError("legs must share a source")
         for u in self.hom(z, square.apex):
             if self.compose(square.to_left, u) == a and self.compose(square.to_right, u) == b:
                 return u
-        return None
+        raise ValueError("mediating morphism into fibre product not found")
 
     def product(self, a, b):
         """Binary product as a PullbackSquare-shaped pair of projections."""
@@ -356,6 +364,21 @@ class TableCategory:
 
     def has_all_pullbacks(self):
         return False
+
+    # -- points: the generic point id_x alone --------------------------------
+
+    def points(self, x):
+        return (self.identity(x),)
+
+    def at(self, f):
+        return lambda e: self.compose(f, e)
+
+    def pairs(self, f, g):
+        P = self.pullback(f, g)
+        return None if P is None else ((P.to_left, P.to_right),)
+
+    def pairing(self, square):
+        return lambda a, b: self.into_pullback(square, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -477,33 +500,50 @@ class FinSetCat:
     def inverse(self, f):
         return f.inverse()
 
-    def pullback(self, f, g):
-        """The pair-set fibre product, joined through g's fibres: O(|A| +
-        |B| + |apex|) for f: A -> X, g: B -> X."""
+    def points(self, x):
+        return x
+
+    def at(self, f):
+        return f.mapping.__getitem__
+
+    def pairs(self, f, g):
+        """The elements (a, b) of the pair-set fibre product, joined through
+        g's fibres: O(|A| + |B| + |apex|) for f: A -> X, g: B -> X."""
         if f.tgt != g.tgt:
             raise ValueError("pullback needs a cospan")
         fibres = {}
         for b, x in g.mapping.items():
             fibres.setdefault(x, []).append(b)
-        apex = frozenset((a, b) for a, x in f.mapping.items() for b in fibres.get(x, ()))
+        return [(a, b) for a, x in f.mapping.items() for b in fibres.get(x, ())]
+
+    def pullback(self, f, g):
+        apex = frozenset(self.pairs(f, g))
         p = SetMap(apex, f.src, {x: x[0] for x in apex})
         q = SetMap(apex, g.src, {x: x[1] for x in apex})
         return PullbackSquare(apex, p, q, f, g)
 
-    def into_pullback(self, square, a, b):
-        """The unique u with to_left.u = a and to_right.u = b, for any
-        pullback square: the apex is indexed by (to_left(z), to_right(z))."""
+    def pairing(self, square):
+        """The function (a, b) -> the z in the apex of any pullback square with
+        (to_left(z), to_right(z)) = (a, b), through an index built once."""
         if square.to_left.src != square.apex or square.to_right.src != square.apex:
             raise ValueError("the legs of the square do not start at its apex")
+        rm = square.to_right.mapping
+        index = {(x, rm[z]): z for z, x in square.to_left.mapping.items()}
+
+        def pair(a, b):
+            try:
+                return index[(a, b)]
+            except KeyError:
+                raise ValueError("legs do not factor through the given apex") from None
+
+        return pair
+
+    def into_pullback(self, square, a, b):
+        """The unique u with to_left.u = a and to_right.u = b."""
+        pair, bm = self.pairing(square), b.mapping
         if a.src != b.src:
             raise ValueError("legs must share a source")
-        rm, bm = square.to_right.mapping, b.mapping
-        index = {(x, rm[z]): z for z, x in square.to_left.mapping.items()}
-        try:
-            u = {z: index[(x, bm[z])] for z, x in a.mapping.items()}
-        except KeyError:
-            raise ValueError("legs do not factor through the given apex") from None
-        return SetMap(a.src, square.apex, u)
+        return SetMap(a.src, square.apex, {z: pair(x, bm[z]) for z, x in a.mapping.items()})
 
     def product(self, a, b):
         apex = frozenset((x, y) for x in a for y in b)
@@ -566,8 +606,8 @@ class FinSetCat:
         if f.after(p) != g.after(q) or p.src != apex:
             return False
         qm = q.mapping
-        pairs = {z: (x, qm[z]) for z, x in p.mapping.items()}
-        return SetMap(apex, self.pullback(f, g).apex, pairs).is_bijective()
+        images = {(x, qm[z]) for z, x in p.mapping.items()}
+        return len(images) == len(apex) and images == set(self.pairs(f, g))
 
     def has_all_pullbacks(self):
         return True
@@ -578,17 +618,26 @@ class FinSetCat:
 # ---------------------------------------------------------------------------
 
 
+def ill_typed(cat) -> Optional[dict]:
+    """A counterexample naming the first missing or ill-typed identity row, or else the
+    first composition row with the wrong endpoints; None if the tables are well typed."""
+    mor = cat._mor
+    for x in cat.objects:
+        i = cat._identity.get(x)
+        if i is None or mor[i] != (x, x):
+            return {"identity": x}
+    for (g, f), gf in cat._comp.items():
+        if mor[gf] != (mor[f][0], mor[g][1]):
+            return {"endpoints": (g, f)}
+    return None
+
+
 def validate_category(cat) -> CheckReport:
     if isinstance(cat, FinSetCat):
         return CheckReport(True, "validate_category", witness={"note": "function composition"})
-    for x in cat.objects:
-        i = cat._identity.get(x)
-        if i is None or cat._mor[i] != (x, x):
-            return CheckReport(False, "validate_category", counterexample={"identity": x})
-    # endpoints of composites
-    for (g, f), gf in cat._comp.items():
-        if cat._mor[gf] != (cat.src(f), cat.tgt(g)):
-            return CheckReport(False, "validate_category", counterexample={"endpoints": (g, f)})
+    bad = ill_typed(cat)
+    if bad is not None:
+        return CheckReport(False, "validate_category", counterexample=bad)
     # identity laws
     for f in cat.morphisms():
         a, b = cat._mor[f]

@@ -2,9 +2,11 @@
 internal to an ambient category.
 
 Structures are constructed elementwise in the finite-sets ambient, while
-all validation goes through the ambient interface (composition, pullbacks,
-mediating morphisms) so that images under ambient functors revalidate in
-explicit-table ambients as well.
+all validation goes through the ambient interface so that images under
+ambient functors revalidate in explicit-table ambients as well.  The laws
+are checked at the ambient's points (fincat): at every element for finite
+sets, with no composite map built, and at the generic point, comparing
+composites, for tables.
 """
 
 from __future__ import annotations
@@ -31,18 +33,9 @@ class InternalGroupoid:
     """
 
     def __init__(self, ambient, X0, X1, s, t, i, comp, inv, X2=None, name=""):
-        self.ambient = ambient
-        self.X0 = X0
-        self.X1 = X1
-        self.s = s
-        self.t = t
-        self.i = i
-        self.comp = comp
-        self.inv = inv
-        self.name = name
-        if X2 is None:
-            X2 = ambient.pullback(s, t)
-        self.X2 = X2
+        self.ambient, self.X0, self.X1, self.name = ambient, X0, X1, name
+        self.s, self.t, self.i, self.comp, self.inv = s, t, i, comp, inv
+        self.X2 = ambient.pullback(s, t) if X2 is None else X2
 
     def __repr__(self):
         return f"InternalGroupoid({self.name!r})"
@@ -60,11 +53,16 @@ def make_groupoid(ambient, X0, X1, s, t, i, comp, inv, name=""):
     return InternalGroupoid(ambient, X0, X1, s_m, t_m, i_m, comp_m, inv_m, X2, name=name)
 
 
-def _pair(amb, square, a, b):
-    u = amb.into_pullback(square, a, b)
-    if u is None:
-        raise ValueError("mediating morphism into fibre product not found")
-    return u
+def _composable(amb, g, f):
+    """Raise as amb.compose(g, f) would: laws checked at points compose no maps."""
+    if amb.src(g) != amb.tgt(f):
+        raise ValueError("not composable")
+
+
+def _agree(points, lhs, rhs) -> bool:
+    """Whether lhs and rhs agree at every point.  Both are evaluated everywhere first, so
+    a pairing that does not factor raises wherever it is, as composite maps do."""
+    return [lhs(e) for e in points] == [rhs(e) for e in points]
 
 
 def validate_groupoid(G, check_universality=True) -> CheckReport:
@@ -73,42 +71,45 @@ def validate_groupoid(G, check_universality=True) -> CheckReport:
     def fail(axiom, **data):
         return CheckReport(False, "validate_groupoid", counterexample={"axiom": axiom, **data})
 
-    c = amb.compose
     if amb.src(G.s) != G.X1 or amb.tgt(G.s) != G.X0:
         return fail("source-endpoints")
     if amb.src(G.t) != G.X1 or amb.tgt(G.t) != G.X0:
         return fail("target-endpoints")
-    if check_universality:
-        if not (is_universal(amb, G.s) and is_universal(amb, G.t)):
-            return fail("source-target-universal")
+    if check_universality and not (is_universal(amb, G.s) and is_universal(amb, G.t)):
+        return fail("source-target-universal")
     if not _is_fibre_product(amb, G.X2):
         return fail("X2")
-    pr1, pr2 = G.X2.to_left, G.X2.to_right
     if amb.src(G.comp) != G.X2.apex or amb.tgt(G.comp) != G.X1:
         return fail("comp-endpoints")
-    X3 = amb.pullback(c(G.s, pr2), G.t)
+    X3 = amb.pairs(amb.compose(G.s, G.X2.to_right), G.t)
     if X3 is None:
         return fail("X3")
-    id0, id1 = amb.identity(G.X0), amb.identity(G.X1)
-    if c(G.s, G.i) != id0 or c(G.t, G.i) != id0:
+    s, t, i, comp, inv, pr1, pr2 = map(amb.at, (G.s, G.t, G.i, G.comp, G.inv, G.X2.to_left, G.X2.to_right))
+    pair = amb.pairing(G.X2)
+    X0, X1 = amb.points(G.X0), amb.points(G.X1)
+    _composable(amb, G.s, G.i)
+    if amb.src(G.i) != G.X0 or not all(s(i(x)) == x == t(i(x)) for x in X0):
         return fail("unit-section")
-    if c(G.s, G.comp) != c(G.s, pr2) or c(G.t, G.comp) != c(G.t, pr1):
+    _composable(amb, G.t, G.X2.to_left)
+    if not all(s(comp(w)) == s(pr2(w)) and t(comp(w)) == t(pr1(w)) for w in amb.points(G.X2.apex)):
         return fail("comp-endpoints-compat")
-    if c(G.comp, _pair(amb, G.X2, c(G.i, G.t), id1)) != id1:
+    if not _agree(X1, lambda g: comp(pair(i(t(g)), g)), lambda g: g):
         return fail("left-unit")
-    if c(G.comp, _pair(amb, G.X2, id1, c(G.i, G.s))) != id1:
+    if not _agree(X1, lambda g: comp(pair(g, i(s(g)))), lambda g: g):
         return fail("right-unit")
-    q12, q3 = X3.to_left, X3.to_right
-    left = c(G.comp, _pair(amb, G.X2, c(G.comp, q12), q3))
-    inner = _pair(amb, G.X2, c(pr2, q12), q3)
-    right = c(G.comp, _pair(amb, G.X2, c(pr1, q12), c(G.comp, inner)))
-    if left != right:
+    # at the points (w, k) of X3 = X2 x_{G0} X1, (g h) k against g (h k) for w = (g, h)
+    if not _agree(
+        X3,
+        lambda e: comp(pair(comp(e[0]), e[1])),
+        lambda e: comp(pair(pr1(e[0]), comp(pair(pr2(e[0]), e[1])))),
+    ):
         return fail("associativity")
-    if c(G.s, G.inv) != G.t or c(G.t, G.inv) != G.s:
+    _composable(amb, G.s, G.inv)
+    if amb.src(G.inv) != G.X1 or not all(s(inv(g)) == t(g) and t(inv(g)) == s(g) for g in X1):
         return fail("inverse-endpoints")
-    if c(G.comp, _pair(amb, G.X2, G.inv, id1)) != c(G.i, G.s):
+    if not _agree(X1, lambda g: comp(pair(inv(g), g)), lambda g: i(s(g))):
         return fail("left-inverse")
-    if c(G.comp, _pair(amb, G.X2, id1, G.inv)) != c(G.i, G.t):
+    if not _agree(X1, lambda g: comp(pair(g, inv(g))), lambda g: i(t(g))):
         return fail("right-inverse")
     return CheckReport(True, "validate_groupoid")
 
@@ -116,7 +117,7 @@ def validate_groupoid(G, check_universality=True) -> CheckReport:
 def opposite_groupoid(G) -> InternalGroupoid:
     amb = G.ambient
     X2op = amb.pullback(G.t, G.s)
-    comp_op = amb.compose(G.comp, _pair(amb, G.X2, X2op.to_right, X2op.to_left))
+    comp_op = amb.compose(G.comp, amb.into_pullback(G.X2, X2op.to_right, X2op.to_left))
     return InternalGroupoid(
         amb, G.X0, G.X1, G.t, G.s, G.i, comp_op, G.inv, X2op, name=f"{G.name}^op"
     )
@@ -152,7 +153,7 @@ def validate_internal_functor(F: InternalFunctor) -> CheckReport:
         return fail("source-target")
     if c(F.F1, G.i) != c(H.i, F.F0):
         return fail("unit")
-    both = _pair(amb, H.X2, c(F.F1, G.X2.to_left), c(F.F1, G.X2.to_right))
+    both = amb.into_pullback(H.X2, c(F.F1, G.X2.to_left), c(F.F1, G.X2.to_right))
     if c(F.F1, G.comp) != c(H.comp, both):
         return fail("composition")
     return CheckReport(True, "validate_internal_functor")
@@ -172,9 +173,7 @@ def is_fully_faithful(F: InternalFunctor) -> bool:
     q = amb.pullback(f0f0, ts_h)
     if q is None:
         return False
-    ts_g = amb.into_pullback(gg, G.t, G.s)
-    u = amb.into_pullback(q, ts_g, F.F1)
-    return u is not None and amb.is_iso(u)
+    return amb.is_iso(amb.into_pullback(q, amb.into_pullback(gg, G.t, G.s), F.F1))
 
 
 def essential_surjectivity_map(F: InternalFunctor):
@@ -274,7 +273,6 @@ class LeftAction:
 def validate_action(a: RightAction) -> CheckReport:
     G = a.gpd
     amb = G.ambient
-    c = amb.compose
 
     def fail(what):
         return CheckReport(False, "validate_action", counterexample={"axiom": what})
@@ -283,17 +281,22 @@ def validate_action(a: RightAction) -> CheckReport:
         return fail("domain-cospan")
     if not _is_fibre_product(amb, a.dom):
         return fail("domain")
-    pr1, pr2 = a.dom.to_left, a.dom.to_right
     if amb.src(a.act) != a.dom.apex or amb.tgt(a.act) != a.carrier:
         return fail("act-endpoints")
-    if c(a.anchor, a.act) != c(G.s, pr2):
+    act, anchor, s, comp, pr1, pr2 = map(amb.at, (a.act, a.anchor, G.s, G.comp, a.dom.to_left, a.dom.to_right))
+    _composable(amb, a.anchor, a.act)
+    if not all(anchor(act(e)) == s(pr2(e)) for e in amb.points(a.dom.apex)):
         return fail("anchor-square")
-    d = amb.pullback(c(G.s, pr2), G.t)
-    d12, d3 = d.to_left, d.to_right
-    rho_then = _pair(amb, a.dom, c(a.act, d12), d3)
-    inner = _pair(amb, G.X2, c(pr2, d12), d3)
-    comp_then = _pair(amb, a.dom, c(pr1, d12), c(G.comp, inner))
-    if c(a.act, rho_then) != c(a.act, comp_then):
+    # at the points (e, h) of dom x_{G0} X1, (x g) h against x (g h) for e = (x, g)
+    D = amb.pairs(amb.compose(G.s, a.dom.to_right), G.t)
+    if D is None:
+        return fail("associativity-square")
+    on_dom, on_X2 = amb.pairing(a.dom), amb.pairing(G.X2)
+    if not _agree(
+        D,
+        lambda e: act(on_dom(act(e[0]), e[1])),
+        lambda e: act(on_dom(pr1(e[0]), comp(on_X2(pr2(e[0]), e[1])))),
+    ):
         return fail("associativity-square")
     return CheckReport(True, "validate_action")
 
@@ -335,17 +338,16 @@ def shear_map(B: Bundle):
         if rep.apex == B.action.dom.apex and rep.to_left == pr1 and rep.to_right == act:
             # the designated representative is the shear cone itself
             return amb.identity(rep.apex)
-        return _pair(amb, rep, pr1, act)
+        return amb.into_pullback(rep, pr1, act)
     rep = amb.pullback(B.p, B.p)
     if rep is None:
         raise ValueError("the fibre product P x_X P does not exist")
-    return _pair(amb, rep, pr1, act)
+    return amb.into_pullback(rep, pr1, act)
 
 
 def validate_principal_bundle(B: Bundle) -> CheckReport:
     G = B.gpd
     amb = G.ambient
-    c = amb.compose
 
     def fail(what):
         return CheckReport(False, "validate_principal_bundle", counterexample={"axiom": what})
@@ -355,7 +357,8 @@ def validate_principal_bundle(B: Bundle) -> CheckReport:
         return rep
     if amb.src(B.p) != B.action.carrier or amb.tgt(B.p) != B.base:
         return fail("projection-endpoints")
-    if c(B.p, B.action.act) != c(B.p, B.action.dom.to_left):
+    p, act, pr1 = map(amb.at, (B.p, B.action.act, B.action.dom.to_left))
+    if not all(p(act(e)) == p(pr1(e)) for e in amb.points(B.action.dom.apex)):
         return fail("invariance")
     if not is_universal(amb, B.p):
         return fail("projection-universal")
@@ -367,7 +370,7 @@ def validate_principal_bundle(B: Bundle) -> CheckReport:
         sh = shear_map(B)
     except ValueError:
         return fail("shear-domain")
-    if sh is None or not amb.is_iso(sh):
+    if not amb.is_iso(sh):
         return fail("shear-not-iso")
     return CheckReport(True, "validate_principal_bundle")
 
@@ -381,8 +384,8 @@ def trivial_bundle(G, psi) -> Bundle:
     p = Q.to_left
     anchor = amb.compose(G.s, Q.to_right)
     dom = amb.pullback(anchor, G.t)
-    inner = _pair(amb, G.X2, amb.compose(Q.to_right, dom.to_left), dom.to_right)
-    act = _pair(amb, Q, amb.compose(p, dom.to_left), amb.compose(G.comp, inner))
+    inner = amb.into_pullback(G.X2, amb.compose(Q.to_right, dom.to_left), dom.to_right)
+    act = amb.into_pullback(Q, amb.compose(p, dom.to_left), amb.compose(G.comp, inner))
     action = RightAction(G, P, anchor, act, dom)
     designated = PullbackSquare(dom.apex, dom.to_left, act, p, p)
     return Bundle(G, action, U, p, designated)
@@ -577,14 +580,6 @@ def anafunctor_from_functor(F: InternalFunctor) -> Anafunctor:
     return Anafunctor(G, F.tgt_gpd, pi, refine_functor(F, Gid, pi), name=f"ana({F.name})")
 
 
-def _shear_inverse(B: Bundle):
-    """The inverse of the shear map onto the canonical pair-set fibre product."""
-    amb = B.gpd.ambient
-    can = amb.pullback(B.p, B.p)
-    sh = _pair(amb, can, B.action.dom.to_left, B.action.act)
-    return sh.inverse()
-
-
 def anafunctor_from_bibundle(P: Bibundle, T) -> Anafunctor:
     """Ana(P): the anafunctor of a locally trivial bibundle."""
     G, H = P.left_gpd, P.right_gpd
@@ -593,7 +588,8 @@ def anafunctor_from_bibundle(P: Bibundle, T) -> Anafunctor:
     if not _site.uni_contains(T, pi):
         raise ValueError("the bibundle is not locally trivial for this topology")
     Gpi = refine_groupoid(G, pi)
-    inv = _shear_inverse(right_bundle(P))
+    # the inverse of the shear map onto the canonical pair-set fibre product P x_{G0} P
+    inv = amb.into_pullback(amb.pullback(pi, pi), P.right.dom.to_left, P.right.act).inverse()
     mapping = {}
     for m in Gpi.X1:
         ((x1, g), x2) = m

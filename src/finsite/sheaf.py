@@ -131,13 +131,13 @@ def is_extensive_presheaf(F: Presheaf, mode: str = "literal") -> CheckReport:
     if mode not in ("literal", "disjoint"):
         raise ValueError(f"unknown extensivity mode {mode!r}")
     cat = F.cat
+
+    def fail(**cx):
+        return CheckReport(False, "is_extensive_presheaf", counterexample=cx)
+
     init = cat.coproduct(())
     if init is not None and len(F.values[init.apex]) != 1:
-        return CheckReport(
-            False,
-            "is_extensive_presheaf",
-            counterexample={"initial": init.apex, "size": len(F.values[init.apex])},
-        )
+        return fail(initial=init.apex, size=len(F.values[init.apex]))
     for a, b, co in _existing_binary_coproducts(cat):
         if mode == "disjoint" and not coproduct_is_disjoint_stable(cat, co):
             continue
@@ -145,11 +145,7 @@ def is_extensive_presheaf(F: Presheaf, mode: str = "literal") -> CheckReport:
         image = {(F.res(i1, x), F.res(i2, x)) for x in F.values[co.apex]}
         total = len(F.values[a]) * len(F.values[b])
         if len(image) != len(F.values[co.apex]) or len(image) != total:
-            return CheckReport(
-                False,
-                "is_extensive_presheaf",
-                counterexample={"coproduct": (a, b, co.apex)},
-            )
+            return fail(coproduct=(a, b, co.apex))
     return CheckReport(True, "is_extensive_presheaf")
 
 
@@ -471,20 +467,20 @@ def _is_identity_morphism(phi: PresheafMorphism) -> bool:
 
 def verify_adjunction(F: FunctorData, source_samples, target_samples) -> CheckReport:
     """Both triangle identities, checked on the given sample presheaves."""
+
+    def fail(**cx):
+        return CheckReport(False, "verify_adjunction", counterexample=cx)
+
     for Q in target_samples:
         eta = unit(F, Q)
         tri = compose_presheaf_morphisms(counit(F, pullback_presheaf(F, Q)), pullback_morphism(F, eta))
         if not _is_identity_morphism(tri):
-            return CheckReport(
-                False, "verify_adjunction", counterexample={"triangle": "counit.F*unit", "sample": Q.name}
-            )
+            return fail(triangle="counit.F*unit", sample=Q.name)
     for P in source_samples:
         ext = right_kan_extension(F, P)
         tri = compose_presheaf_morphisms(pushforward_morphism(F, counit(F, P)), unit(F, ext))
         if not _is_identity_morphism(tri):
-            return CheckReport(
-                False, "verify_adjunction", counterexample={"triangle": "F_*counit.unit", "sample": P.name}
-            )
+            return fail(triangle="F_*counit.unit", sample=P.name)
     return CheckReport(True, "verify_adjunction")
 
 
@@ -619,13 +615,15 @@ def yoneda_continuity_report(cat, T, extras=()) -> CheckReport:
     yo, fragment, named, decode = yoneda_embedding(cat, extras)
     reps = {x: named[f"Yo_{x}"] for x in cat.objects}
     report = {}
+
+    def fail(**cx):
+        return CheckReport(False, "yoneda_continuity_report", counterexample=cx)
+
     uni = _site.uni_class(T)
     for f in sorted(uni, key=repr):
         phi = decode[yo.on_mor(f)]
         if not is_pre_covering(phi, T).ok:
-            return CheckReport(
-                False, "yoneda_continuity_report", counterexample={"clause": "continuity", "morphism": f}
-            )
+            return fail(clause="continuity", morphism=f)
     report["continuity_checked"] = len(uni)
     if T.is_singleton():
         for x in cat.objects:
@@ -635,11 +633,7 @@ def yoneda_continuity_report(cat, T, extras=()) -> CheckReport:
                     continue
                 sieve = fragment.through(mid)
                 if not any(im in sieve for im in images):
-                    return CheckReport(
-                        False,
-                        "yoneda_continuity_report",
-                        counterexample={"clause": "cocontinuity", "object": x},
-                    )
+                    return fail(clause="cocontinuity", object=x)
         report["cocontinuity"] = True
     # Yoneda extension: (Yo_* F)(G) is Hom(G, F) for sampled F among extras
     for F in extras:
@@ -663,28 +657,11 @@ def yoneda_continuity_report(cat, T, extras=()) -> CheckReport:
                     comps[y] = comp
                 frozen = _freeze_components(comps)
                 if frozen in seen:
-                    return CheckReport(
-                        False,
-                        "yoneda_continuity_report",
-                        counterexample={"clause": "extension-injective", "at": gname},
-                    )
+                    return fail(clause="extension-injective", at=gname)
                 seen.add(frozen)
                 if comps not in homs:
-                    return CheckReport(
-                        False,
-                        "yoneda_continuity_report",
-                        counterexample={"clause": "extension-natural", "at": gname},
-                    )
+                    return fail(clause="extension-natural", at=gname)
             if len(seen) != len(homs):
-                return CheckReport(
-                    False,
-                    "yoneda_continuity_report",
-                    counterexample={
-                        "clause": "extension-bijective",
-                        "at": gname,
-                        "families": len(seen),
-                        "homs": len(homs),
-                    },
-                )
+                return fail(clause="extension-bijective", at=gname, families=len(seen), homs=len(homs))
         report[f"extension({F.name})"] = True
     return CheckReport(True, "yoneda_continuity_report", witness=report)

@@ -138,12 +138,14 @@ def validate_pretopology(T) -> CheckReport:
             witness={"note": f"intensional descriptor {T.kind!r} on finite sets"},
         )
     cat = T.cat
+
+    def fail(**cx):
+        return CheckReport(False, "validate_pretopology", counterexample=cx)
+
     # axiom 1: every isomorphism is a singleton covering
     for f in cat.isos():
         if not T.has_family(cat.tgt(f), (f,)):
-            return CheckReport(
-                False, "validate_pretopology", counterexample={"axiom": 1, "iso": f}
-            )
+            return fail(axiom=1, iso=f)
     # axiom 2: coverings of coverings compose.  The composite families are
     # built one member at a time; distinct choices often give the same set.
     for x in cat.objects:
@@ -156,11 +158,7 @@ def validate_pretopology(T) -> CheckReport:
                 }
                 composites = {acc | piece for acc in composites for piece in pieces}
             if not all(T.has_family(x, c) for c in composites):
-                return CheckReport(
-                    False,
-                    "validate_pretopology",
-                    counterexample={"axiom": 2, "family": tuple(members)},
-                )
+                return fail(axiom=2, family=tuple(members))
     # axiom 3: coverings pull back member-wise to coverings
     for x in cat.objects:
         for fam in T.families[x]:
@@ -174,17 +172,9 @@ def validate_pretopology(T) -> CheckReport:
                         break
                     pulled.add(sq.to_right)
                 if failed is not None:
-                    return CheckReport(
-                        False,
-                        "validate_pretopology",
-                        counterexample={"axiom": 3, "member": failed, "along": g},
-                    )
+                    return fail(axiom=3, member=failed, along=g)
                 if not T.has_family(cat.src(g), pulled):
-                    return CheckReport(
-                        False,
-                        "validate_pretopology",
-                        counterexample={"axiom": 3, "family": tuple(sorted(fam, key=repr)), "along": g},
-                    )
+                    return fail(axiom=3, family=tuple(sorted(fam, key=repr)), along=g)
     return CheckReport(True, "validate_pretopology")
 
 
@@ -487,24 +477,22 @@ def continuity_sufficient(F: FunctorData, T1, T2) -> CheckReport:
     morphisms stay universal, and their fibre products are preserved."""
     _functor_sites(F, T1, T2)
     src, tgt = F.source, F.target
+
+    def fail(cx):
+        return CheckReport(False, "continuity_sufficient", counterexample=cx)
+
     for x in src.objects:
         for cov in T1.covering_families(x):
             if not T2.has_family(F.on_obj(x), (F.on_mor(m) for m in cov.members)):
-                return CheckReport(
-                    False,
-                    "continuity_sufficient",
-                    counterexample={"clause": "covering", "family": cov.members},
-                )
+                return fail({"clause": "covering", "family": cov.members})
     for f in src.morphisms():
         if not is_universal(src, f):
             continue
         if not is_universal(tgt, F.on_mor(f)):
-            return CheckReport(
-                False, "continuity_sufficient", counterexample={"clause": "universal", "morphism": f}
-            )
+            return fail({"clause": "universal", "morphism": f})
         failure = _fibre_product_failure(F, f)
         if failure is not None:
-            return CheckReport(False, "continuity_sufficient", counterexample=failure)
+            return fail(failure)
     return CheckReport(True, "continuity_sufficient")
 
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles: the diamond poset of opens of the
 two-point discrete space, the fibre product of finite sets, the
-traditional sheaf condition on a finite space, and natural transformations
-between finite presheaves and between anafunctors of finite groupoids.
+traditional sheaf condition on a finite space, natural transformations
+between finite presheaves and between anafunctors of finite groupoids, and
+the groupoid laws.
 
 Deliberately separate from the main code path: the poset is rebuilt from
 raw subset data, morphisms are (src, tgt) pairs, and every universal
@@ -259,3 +260,33 @@ def anafunctor_transformations(G, H, A1, A2):
         ):
             out.append(eta)
     return out
+
+
+def groupoid_laws(X0, X1, s, t, i, comp, inv):
+    """Whether the dicts s, t: X1 -> X0, i: X0 -> X1, comp on the pairs
+    (g, h) with s[g] == t[h] (g after h) and inv: X1 -> X1 make a groupoid,
+    by the definition: every composite the laws name is defined, and units,
+    endpoints of composites, associativity and inverses hold."""
+    composable = [(g, h) for g in X1 for h in X1 if s[g] == t[h]]
+    if set(comp) != set(composable):
+        return False
+    try:
+        if any(s[i[x]] != x or t[i[x]] != x for x in X0):
+            return False
+        if any(s[comp[g, h]] != s[h] or t[comp[g, h]] != t[g] for g, h in composable):
+            return False
+        for g in X1:
+            if comp[i[t[g]], g] != g or comp[g, i[s[g]]] != g:
+                return False
+            if s[inv[g]] != t[g] or t[inv[g]] != s[g]:
+                return False
+            if comp[inv[g], g] != i[s[g]] or comp[g, inv[g]] != i[t[g]]:
+                return False
+        return all(
+            comp[comp[f, g], h] == comp[f, comp[g, h]]
+            for f, g in composable
+            for h in X1
+            if s[g] == t[h]
+        )
+    except KeyError:  # a composite the laws name is not defined
+        return False

@@ -330,3 +330,23 @@ def test_law_breaking_bundle_exit_two(bundle_path, tmp_path, capsys, edit, comma
     path = _write_variant(bundle_path, tmp_path, edit)
     assert cli.main([command[0], path, *command[1:]]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _ill_typed_fix_v(doc):
+    for row in doc["categories"]["FIX-V"]["composition"]:
+        if row[:2] == ["oU_to_oX", "oE_to_oU"]:
+            row[2] = "oX_to_oX"  # should be oE -> oX
+
+
+@pytest.mark.parametrize(
+    "command",
+    [SHEAF, ["check", "--op", "is_local", "--args", "T_op"], KAN, ["validate"]],
+    ids=["is_sheaf", "is_local", "kan", "validate"],
+)
+def test_ill_typed_category_exit_two(bundle_path, tmp_path, capsys, command):
+    """A composition row with the wrong endpoints makes the whole bundle
+    malformed, whatever the command asks about."""
+    path = _write_variant(bundle_path, tmp_path, _ill_typed_fix_v)
+    assert cli.main([command[0], path, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "malformed category 'FIX-V'" in err and "Traceback" not in err

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import pytest
@@ -35,6 +36,76 @@ def test_broken_groupoid_fails():
         inv=lambda m: m,
     )
     assert not internal.validate_groupoid(bad).ok
+
+
+def _with(G, **parts):
+    """G with some of s, t, i, comp and inv replaced, on the same X2."""
+    parts = {"s": G.s, "t": G.t, "i": G.i, "comp": G.comp, "inv": G.inv, **parts}
+    return internal.InternalGroupoid(G.ambient, G.X0, G.X1, X2=G.X2, name=G.name, **parts)
+
+
+def _single_entry_mutations(G, fields=("comp", "inv", "i")):
+    """Every groupoid differing from G in one entry of one of the fields."""
+    for field in fields:
+        f = getattr(G, field)
+        for k in sorted(f.mapping, key=repr):
+            for v in sorted(f.tgt - {f.mapping[k]}, key=repr):
+                yield _with(G, **{field: SetMap(f.src, f.tgt, {**f.mapping, k: v})})
+
+
+def test_groupoid_verdicts_match_oracle_on_single_entry_mutations(gpds):
+    """validate_groupoid against the definitional oracle on every groupoid one
+    entry of comp, inv or i away from a valid one; a ValueError is invalid.
+    The first failing axiom is pinned too: the laws are checked in order."""
+    bases = [catalog.pair_groupoid(range(2)), catalog.pair_groupoid(range(3))]
+    bases += [catalog.cyclic_groupoid(3), catalog.cyclic_groupoid(4)]
+    bases += [gpds[n] for n in ("FIX-PAIR2", "FIX-Z2GPD", "FIX-TRIV1")]
+    first_failures = collections.Counter()
+    for H in (H for G in bases for H in (G, *_single_entry_mutations(G))):
+        try:
+            report = internal.validate_groupoid(H)
+        except ValueError:
+            report = None
+        maps = (H.s, H.t, H.i, H.comp, H.inv)
+        want = oracles.groupoid_laws(H.X0, H.X1, *(m.mapping for m in maps))
+        assert bool(report) == want, H.name
+        axiom = "raised" if report is None else (report.counterexample or {"axiom": "none"})["axiom"]
+        first_failures[axiom] += 1
+    assert first_failures == {
+        "none": 7,
+        "unit-section": 36,
+        "comp-endpoints-compat": 264,
+        "left-unit": 26,
+        "right-unit": 14,
+        "associativity": 35,
+        "inverse-endpoints": 96,
+        "left-inverse": 21,
+    }
+
+
+def test_mistyped_unit_and_inverse_keep_the_composite_outcomes(gpds):
+    """Laws checked at points still reject maps that do not compose: a unit or
+    inverse landing outside X1 cannot be composed with s, and a unit defined
+    off X0 or an inverse defined off X1 has the wrong endpoints."""
+    G = gpds["FIX-PAIR2"]
+    wide = G.X1 | {"extra"}
+    with pytest.raises(ValueError, match="^not composable$"):
+        internal.validate_groupoid(_with(G, i=SetMap(G.X0, wide, G.i.mapping)))
+    with pytest.raises(ValueError, match="^not composable$"):
+        internal.validate_groupoid(_with(G, inv=SetMap(G.X1, wide, G.inv.mapping)))
+    off = _with(G, inv=SetMap(wide, G.X1, {**G.inv.mapping, "extra": (0, 0)}))
+    assert internal.validate_groupoid(off).counterexample == {"axiom": "inverse-endpoints"}
+    off = _with(G, i=SetMap(G.X0 | {"extra"}, G.X1, {**G.i.mapping, "extra": (0, 0)}))
+    assert internal.validate_groupoid(off).counterexample == {"axiom": "unit-section"}
+
+
+def test_action_pairing_that_does_not_factor_raises():
+    """A pairing that does not factor raises even where the two sides of the
+    associativity square already differ at another point."""
+    G = catalog.pair_groupoid(range(2))
+    bad = _with(G, comp=SetMap(G.comp.src, G.X1, {**G.comp.mapping, ((0, 0), (0, 0)): (1, 0)}))
+    with pytest.raises(ValueError, match="legs do not factor through the given apex"):
+        internal.validate_principal_bundle(internal.groupoid_as_bundle(bad))
 
 
 def test_pair_groupoid_with_identity_inverse_fails_inverse_endpoints():
@@ -279,9 +350,17 @@ def test_map_groupoid_into_table(gpds):
     img = internal.map_groupoid(amb, triv1)
     assert internal.validate_groupoid(img, check_universality=False).ok
 
-    # a two-object discrete groupoid
+    disc = _disc2()
+    assert internal.validate_groupoid(disc).ok
+    amb2 = TableAmbient([disc.X0, disc.X2.apex])
+    img2 = internal.map_groupoid(amb2, disc)
+    assert internal.validate_groupoid(img2, check_universality=False).ok
+
+
+def _disc2():
+    """A two-object discrete groupoid."""
     two = frozenset({"a", "b"})
-    disc = internal.make_groupoid(
+    return internal.make_groupoid(
         FS,
         X0=two,
         X1=two,
@@ -292,7 +371,26 @@ def test_map_groupoid_into_table(gpds):
         inv=lambda m: m,
         name="disc2",
     )
-    assert internal.validate_groupoid(disc).ok
-    amb2 = TableAmbient([two, disc.X2.apex])
-    img2 = internal.map_groupoid(amb2, disc)
-    assert internal.validate_groupoid(img2, check_universality=False).ok
+
+
+@pytest.mark.parametrize(
+    "field, key, value, axiom",
+    [("comp", ("a", "a"), "b", "comp-endpoints-compat"), ("inv", "b", "a", "inverse-endpoints")],
+)
+def test_broken_groupoid_fails_the_same_axiom_in_a_table(field, key, value, axiom):
+    """A broken disc2 fails at the same axiom in finite sets and, checked at
+    the generic point, in a table copy of finite sets."""
+    disc = _disc2()
+    f = getattr(disc, field)
+    broken = _with(disc, **{field: SetMap(f.src, f.tgt, {**f.mapping, key: value})})
+    assert internal.validate_groupoid(broken).counterexample == {"axiom": axiom}
+    img = internal.map_groupoid(TableAmbient([disc.X0, disc.X2.apex]), broken)
+    assert internal.validate_groupoid(img, check_universality=False).counterexample == {"axiom": axiom}
+
+
+def test_table_groupoid_without_triple_fibre_product_fails_x3(gpds):
+    """In a table copy of {*}, Z/2 and Z/2 x Z/2, the eight-element X3 of Z/2
+    does not exist."""
+    z2 = gpds["FIX-Z2GPD"]
+    img = internal.map_groupoid(TableAmbient([z2.X0, z2.X1, z2.X2.apex]), z2)
+    assert internal.validate_groupoid(img, check_universality=False).counterexample == {"axiom": "X3"}
