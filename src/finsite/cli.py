@@ -133,10 +133,8 @@ def serialize_presheaf(P: sheaf.Presheaf, cat_name) -> dict:
 
 
 def serialize_groupoid(G) -> dict:
-    comp = sorted(
-        ([_encode(g), _encode(h), _encode(G.comp((g, h)))] for (g, h) in G.X2.apex),
-        key=repr,
-    )
+    g, h, gh = map(G.ambient.at, (G.X2.to_left, G.X2.to_right, G.comp))
+    comp = sorted(([_encode(g(w)), _encode(h(w)), _encode(gh(w))] for w in G.X2.apex), key=repr)
     return {
         "X0": _encode(G.X0),
         "X1": _encode(G.X1),
@@ -149,10 +147,9 @@ def serialize_groupoid(G) -> dict:
 
 
 def serialize_bundle(B: internal.Bundle, gpd_name) -> dict:
-    action = sorted(
-        ([_encode(x), _encode(g), _encode(B.action.act((x, g)))] for (x, g) in B.action.dom.apex),
-        key=repr,
-    )
+    dom = B.action.dom
+    x, g, xg = map(B.gpd.ambient.at, (dom.to_left, dom.to_right, B.action.act))
+    action = sorted(([_encode(x(e)), _encode(g(e)), _encode(xg(e))] for e in dom.apex), key=repr)
     return {
         "groupoid": gpd_name,
         "carrier": _encode(B.action.carrier),

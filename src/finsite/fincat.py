@@ -24,7 +24,10 @@ enough.  points(x), at(f), pairs(f, g) (the fibre product's points as
 pairs, None if there is none) and pairing(square) (a pair to the apex's
 point over it, as into_pullback) serve this.  FinSetCat's points are the
 elements, so a law is dict lookups and builds no map; TableCategory's one
-point is the generic point, where a law compares composites.
+point is the generic point, where a law compares composites.  The apex of
+FinSetCat.pullback is the set of pairs (a, b); any other square may name
+its apex elements otherwise, so callers read the elements of a square they
+did not build through its legs and pairing.
 
 TableCategory alone also answers the two sieve questions that
 universality, locality and continuity ask: into(x), the morphisms with

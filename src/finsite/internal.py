@@ -7,6 +7,13 @@ ambient functors revalidate in explicit-table ambients as well.  The laws
 are checked at the ambient's points (fincat): at every element for finite
 sets, with no composite map built, and at the generic point, comparing
 composites, for tables.
+
+A fibre product is known only up to its universal property, so a square
+handed in by the caller is read through its legs (amb.at(sq.to_left),
+amb.at(sq.to_right)) and amb.pairing(sq), never by unpacking its apex
+elements as pairs.  Constructors do unpack the squares they build
+themselves with amb.pullback, whose apex FinSetCat documents as the pair
+set.
 """
 
 from __future__ import annotations
@@ -202,6 +209,7 @@ def refine_groupoid(G, pi) -> InternalGroupoid:
     if not isinstance(amb, FinSetCat):
         raise ValueError("refinement groupoids are constructed in the finite-sets ambient")
     Y = pi.src
+    comp, pair = amb.at(G.comp), amb.pairing(G.X2)
     A = amb.pullback(pi, G.t)
     B = amb.pullback(amb.compose(G.s, A.to_right), pi)
     arrows = B.apex  # elements ((y1, g), y2) with pi(y1) = t(g), s(g) = pi(y2)
@@ -214,7 +222,7 @@ def refine_groupoid(G, pi) -> InternalGroupoid:
         X2.apex,
         arrows,
         {
-            (m1, m2): ((m1[0][0], G.comp((m1[0][1], m2[0][1]))), m2[1])
+            (m1, m2): ((m1[0][0], comp(pair(m1[0][1], m2[0][1]))), m2[1])
             for (m1, m2) in X2.apex
         },
     )
@@ -302,22 +310,12 @@ def validate_action(a: RightAction) -> CheckReport:
 
 
 def left_action_as_right(a: LeftAction):
-    """A left action is a right action of the opposite groupoid."""
-    amb = a.gpd.ambient
-    gop = opposite_groupoid(a.gpd)
-    dom = amb.pullback(a.anchor, gop.t)  # pairs (x, g) with anchor(x) = s(g)
-    act = SetMap(dom.apex, a.carrier, {(x, g): a.act((g, x)) for (x, g) in dom.apex})
-    return RightAction(gop, a.carrier, a.anchor, act, dom)
-
-
-def validate_left_action(a: LeftAction) -> CheckReport:
-    G = a.gpd
-    amb = G.ambient
-    if a.dom.f != G.s or a.dom.g != a.anchor:
-        return CheckReport(False, "validate_action", counterexample={"axiom": "domain-cospan"})
-    if not _is_fibre_product(amb, a.dom):
-        return CheckReport(False, "validate_action", counterexample={"axiom": "domain"})
-    return validate_action(left_action_as_right(a))
+    """A left action is a right action of the opposite groupoid: the same act on
+    the same apex, whose square with its legs swapped is a fibre product of
+    (anchor, s), that is of (anchor, t) of the opposite groupoid."""
+    d = a.dom
+    swapped = PullbackSquare(d.apex, d.to_right, d.to_left, d.g, d.f)
+    return RightAction(opposite_groupoid(a.gpd), a.carrier, a.anchor, a.act, swapped)
 
 
 @dataclass(frozen=True)
@@ -401,6 +399,7 @@ def pullback_bundle(f, B: Bundle) -> Bundle:
     amb = B.gpd.ambient
     if not isinstance(amb, FinSetCat):
         raise ValueError("bundle pullbacks are constructed in the finite-sets ambient")
+    act_B, on_dom = amb.at(B.action.act), amb.pairing(B.action.dom)
     Q = amb.pullback(f, B.p)
     carrier = Q.apex
     anchor = amb.compose(B.action.anchor, Q.to_right)
@@ -408,7 +407,7 @@ def pullback_bundle(f, B: Bundle) -> Bundle:
     act = SetMap(
         dom.apex,
         carrier,
-        {((z, y), g): (z, B.action.act((y, g))) for ((z, y), g) in dom.apex},
+        {((z, y), g): (z, act_B(on_dom(y, g))) for ((z, y), g) in dom.apex},
     )
     action = RightAction(B.gpd, carrier, anchor, act, dom)
     return Bundle(B.gpd, action, f.src, Q.to_left)
@@ -447,10 +446,11 @@ def section_to_trivialization(B: Bundle, sigma, pi) -> Trivialization:
     psi = amb.compose(B.action.anchor, sigma)
     I = trivial_bundle(G, psi)
     pulled = amb.pullback(pi, B.p)
+    act, on_dom = amb.at(B.action.act), amb.pairing(B.action.dom)
     phi = SetMap(
         I.action.carrier,
         pulled.apex,
-        {(u, g): (u, B.action.act((sigma(u), g))) for (u, g) in I.action.carrier},
+        {(u, g): (u, act(on_dom(sigma(u), g))) for (u, g) in I.action.carrier},
     )
     return Trivialization(psi, phi)
 
@@ -499,36 +499,35 @@ def right_bundle(P: Bibundle) -> Bundle:
 
 
 def validate_bibundle(P: Bibundle) -> CheckReport:
+    """The left action, the right principal bundle over G0 (whose invariance
+    is the left anchor ignoring the right action), the right anchor ignoring
+    the left action, and the two actions commuting."""
+    L, R, H = P.left, P.right, P.right_gpd
     amb = P.left_gpd.ambient
 
     def fail(what):
         return CheckReport(False, "validate_bibundle", counterexample={"axiom": what})
 
-    rep = validate_left_action(P.left)
+    rep = validate_action(left_action_as_right(L))
+    if rep.ok:
+        rep = validate_principal_bundle(right_bundle(P))
     if not rep.ok:
         return rep
-    rep = validate_action(P.right)
-    if not rep.ok:
-        return rep
-    # the anchors ignore the opposite actions
-    c = amb.compose
-    if c(P.left.anchor, P.right.act) != c(P.left.anchor, P.right.dom.to_left):
-        return fail("left-anchor-right-invariant")
-    la_act = P.left.act
-    if not all(
-        P.right.anchor(la_act((g, x))) == P.right.anchor(x) for (g, x) in P.left.dom.apex
-    ):
+    lact, ract, ranchor, pr1, pr2 = map(amb.at, (L.act, R.act, R.anchor, L.dom.to_left, L.dom.to_right))
+    if not all(ranchor(lact(e)) == ranchor(pr2(e)) for e in amb.points(L.dom.apex)):
         return fail("right-anchor-left-invariant")
-    # the two actions commute
-    for (g, x) in P.left.dom.apex:
-        for h in P.right_gpd.X1:
-            if P.right_gpd.t(h) != P.right.anchor(x):
-                continue
-            lhs = P.right.act((la_act((g, x)), h))
-            rhs = la_act((g, P.right.act((x, h))))
-            if lhs != rhs:
-                return fail("actions-commute")
-    return validate_principal_bundle(right_bundle(P))
+    # at the points (e, h) of L.dom x_{H0} H1, (g x) h against g (x h) for e = (g, x)
+    D = amb.pairs(amb.compose(R.anchor, L.dom.to_right), H.t)
+    if D is None:
+        return fail("actions-commute")
+    on_L, on_R = amb.pairing(L.dom), amb.pairing(R.dom)
+    if not _agree(
+        D,
+        lambda e: ract(on_R(lact(e[0]), e[1])),
+        lambda e: lact(on_L(pr1(e[0]), ract(on_R(pr2(e[0]), e[1])))),
+    ):
+        return fail("actions-commute")
+    return CheckReport(True, "validate_bibundle")
 
 
 def bibundle_from_functor(F: InternalFunctor) -> Bibundle:
@@ -541,10 +540,11 @@ def bibundle_from_functor(F: InternalFunctor) -> Bibundle:
     carrier = tb.action.carrier
     left_anchor = tb.p  # pr1: P -> G0
     ldom = amb.pullback(G.s, left_anchor)  # pairs (g, (a, h)) with s(g) = a
+    comp, pair = amb.at(H.comp), amb.pairing(H.X2)
     lact = SetMap(
         ldom.apex,
         carrier,
-        {(g, (a, h)): (G.t(g), H.comp((F.F1(g), h))) for (g, (a, h)) in ldom.apex},
+        {(g, (a, h)): (G.t(g), comp(pair(F.F1(g), h))) for (g, (a, h)) in ldom.apex},
     )
     left = LeftAction(G, carrier, left_anchor, lact, ldom)
     return Bibundle(G, H, carrier, left, tb.action, tb.designated_pb)
@@ -588,14 +588,12 @@ def anafunctor_from_bibundle(P: Bibundle, T) -> Anafunctor:
     if not _site.uni_contains(T, pi):
         raise ValueError("the bibundle is not locally trivial for this topology")
     Gpi = refine_groupoid(G, pi)
-    # the inverse of the shear map onto the canonical pair-set fibre product P x_{G0} P
-    inv = amb.into_pullback(amb.pullback(pi, pi), P.right.dom.to_left, P.right.act).inverse()
-    mapping = {}
-    for m in Gpi.X1:
-        ((x1, g), x2) = m
-        moved = P.left.act((g, x2))
-        mapping[m] = inv((x1, moved))[1]
-    F1 = SetMap(Gpi.X1, H.X1, mapping)
+    # the inverse of the shear map onto the pair-set fibre product P x_{G0} P
+    shear = amb.into_pullback(amb.pullback(pi, pi), P.right.dom.to_left, P.right.act)
+    unshear, arrow = amb.at(shear.inverse()), amb.at(P.right.dom.to_right)
+    lact, on_L = amb.at(P.left.act), amb.pairing(P.left.dom)
+    # the arrow m = ((x1, g), x2) goes to the h with x1 h = g x2
+    F1 = SetMap(Gpi.X1, H.X1, {m: arrow(unshear((m[0][0], lact(on_L(m[0][1], m[1]))))) for m in Gpi.X1})
     F = InternalFunctor(Gpi, H, P.right.anchor, F1, name="Ana")
     return Anafunctor(G, H, pi, F, name="Ana")
 
@@ -612,6 +610,7 @@ def anafunctor_transformations(A1: Anafunctor, A2: Anafunctor):
     F1_1(m1) . eta_z2 == eta_z1 . F1_2(m2) as soon as both components are set."""
     G = A1.gpd_src
     H = A1.gpd_tgt
+    comp, pair = H.ambient.at(H.comp), H.ambient.pairing(H.X2)
     Z = G.ambient.pullback(A1.pi, A2.pi).apex  # pairs (y, y')
     F0_1, F1_1 = A1.functor.F0, A1.functor.F1
     F0_2, F1_2 = A2.functor.F0, A2.functor.F1
@@ -625,8 +624,8 @@ def anafunctor_transformations(A1: Anafunctor, A2: Anafunctor):
                     continue
                 f1 = F1_1(((y1, g), y2))
                 f2 = F1_2(((y1_, g), y2_))
-                lhs = {h: H.comp((f1, h)) for h in domains[j]}
-                rhs = {h: H.comp((h, f2)) for h in domains[i]}
+                lhs = {h: comp(pair(f1, h)) for h in domains[j]}
+                rhs = {h: comp(pair(h, f2)) for h in domains[i]}
                 by_last.setdefault(max(i, j), []).append((j, lhs, i, rhs))
     return [SetMap(frozenset(Z), H.X1, dict(zip(zs, t))) for t in _join(domains, by_last)]
 

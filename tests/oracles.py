@@ -1,8 +1,8 @@
 """Independent brute-force oracles: the diamond poset of opens of the
 two-point discrete space, the fibre product of finite sets, the
 traditional sheaf condition on a finite space, natural transformations
-between finite presheaves and between anafunctors of finite groupoids, and
-the groupoid laws.
+between finite presheaves and between anafunctors of finite groupoids, the
+groupoid laws and the bibundle laws.
 
 Deliberately separate from the main code path: the poset is rebuilt from
 raw subset data, morphisms are (src, tgt) pairs, and every universal
@@ -290,3 +290,53 @@ def groupoid_laws(X0, X1, s, t, i, comp, inv):
         )
     except KeyError:  # a composite the laws name is not defined
         return False
+
+
+def bibundle_laws(G, H, left, right):
+    """Whether a left action of G and a right action of H on one carrier make
+    a bibundle, by the definition.  G and H are dicts as in
+    anafunctor_transformations, with "X1", "s", "t" and "comp"; an action is a
+    dict with the dicts "anchor" (carrier -> objects) and "act", keyed by the
+    pairs (g, x) with s[g] == anchor[x] for the left action (g x) and (x, h)
+    with anchor[x] == t[h] for the right one (x h).  Each action moves its
+    anchor along the arrow and is associative, each anchor ignores the other
+    action, (g x) h == g (x h), and the right shear map (x, h) -> (x, x h) is
+    a bijection onto the pairs (x, y) with the same left anchor.  The unit
+    laws 1 x == x and x 1 == x are not checked."""
+    l, lact, r, ract = left["anchor"], left["act"], right["anchor"], right["act"]
+    ldom = [(g, x) for g in G["X1"] for x in l if G["s"][g] == l[x]]
+    rdom = [(x, h) for x in r for h in H["X1"] if r[x] == H["t"][h]]
+    if set(lact) != set(ldom) or set(ract) != set(rdom):
+        return False
+    try:
+        if any(l[lact[g, x]] != G["t"][g] for g, x in ldom):
+            return False
+        if any(r[ract[x, h]] != H["s"][h] for x, h in rdom):
+            return False
+        if any(
+            lact[k, lact[g, x]] != lact[G["comp"][k, g], x]
+            for g, x in ldom
+            for k in G["X1"]
+            if G["s"][k] == G["t"][g]
+        ):
+            return False
+        if any(
+            ract[ract[x, h], k] != ract[x, H["comp"][h, k]]
+            for x, h in rdom
+            for k in H["X1"]
+            if H["t"][k] == H["s"][h]
+        ):
+            return False
+        if any(l[ract[x, h]] != l[x] for x, h in rdom) or any(r[lact[g, x]] != r[x] for g, x in ldom):
+            return False
+        if any(
+            ract[lact[g, x], h] != lact[g, ract[x, h]]
+            for g, x in ldom
+            for h in H["X1"]
+            if H["t"][h] == r[x]
+        ):
+            return False
+    except KeyError:  # a composite the laws name is not defined
+        return False
+    sheared = {(x, ract[x, h]) for x, h in rdom}
+    return len(sheared) == len(rdom) and sheared == {(x, y) for x in l for y in l if l[x] == l[y]}

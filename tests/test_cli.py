@@ -3,6 +3,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsite import cli
 
@@ -350,3 +352,48 @@ def test_ill_typed_category_exit_two(bundle_path, tmp_path, capsys, command):
     assert cli.main([command[0], path, *command[1:]]) == 2
     err = capsys.readouterr().err
     assert "malformed category 'FIX-V'" in err and "Traceback" not in err
+
+
+def _ids(value, path=()):
+    """The path to and the value of each id (a string or number) in a JSON value."""
+    if isinstance(value, list):
+        for k, v in enumerate(value):
+            yield from _ids(v, (*path, k))
+    else:
+        yield path, value
+
+
+def _mutate(doc, data):
+    """Mutate one entry of doc: drop one of its keys, set it to null, 7 or [],
+    or retarget one id of one row to an undeclared id or to another id declared
+    in the document (an entry's name or an id in the same section)."""
+    edit = data.draw(st.sampled_from(["drop", None, 7, [], "retarget"]))
+    keys = [(sec, n, k) for sec in sorted(doc) for n in sorted(doc[sec]) for k in sorted(doc[sec][n])]
+    if edit == "retarget":
+        keys = [key for key in keys if any(_ids(doc[key[0]][key[1]][key[2]]))]
+    sec, n, k = data.draw(st.sampled_from(keys))
+    entry = doc[sec][n]
+    if edit == "drop":
+        del entry[k]
+    elif edit != "retarget":
+        entry[k] = edit
+    else:
+        path, old = data.draw(st.sampled_from(list(_ids(entry[k], (k,)))))
+        declared = {v for e in doc[sec].values() for value in e.values() for _, v in _ids(value)}
+        declared |= {name for section in doc.values() for name in section}
+        row = entry
+        for step in path[:-1]:
+            row = row[step]
+        row[path[-1]] = data.draw(st.sampled_from(["ghost", *sorted(declared - {old}, key=repr)]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_catalog_bundle_exits_cleanly(bundle_path, data):
+    """validate on the catalog bundle with one entry mutated exits 0, 1 or 2
+    and raises nothing."""
+    doc = json.loads(Path(bundle_path).read_text())
+    _mutate(doc, data)
+    path = Path(bundle_path).with_name("mutated.json")
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) in (0, 1, 2)

@@ -4,7 +4,7 @@ import dataclasses
 import pytest
 
 import oracles
-from finsite import catalog, internal
+from finsite import catalog, cli, internal
 from finsite.fincat import FinSetCat, PullbackSquare, SetMap
 from finsite.site import FinSetTopology
 
@@ -215,17 +215,26 @@ def test_z2_bundle_principal_with_4_by_4_shear(gpds):
     assert sh.is_bijective()
 
 
+def _relabel(square, *maps):
+    """The square with its apex renamed to 0, 1, ... (same legs and cospan),
+    and each map out of its apex re-keyed to match."""
+    label = {z: k for k, z in enumerate(sorted(square.apex, key=repr))}
+    apex = frozenset(label.values())
+
+    def rekey(f):
+        return SetMap(apex, f.tgt, {label[z]: v for z, v in f.mapping.items()})
+
+    relabelled = PullbackSquare(apex, rekey(square.to_left), rekey(square.to_right), square.f, square.g)
+    return (relabelled, *map(rekey, maps))
+
+
 def test_z2_bundle_with_relabelled_designated_fibre_product(gpds):
     B = gpds["FIX-Z2BUNDLE"]
-    pb = FS.pullback(B.p, B.p)
-    label = {z: k for k, z in enumerate(sorted(pb.apex, key=repr))}
-    apex = frozenset(label.values())
-    left = SetMap(apex, B.p.src, {label[z]: pb.to_left(z) for z in pb.apex})
-    right = SetMap(apex, B.p.src, {label[z]: pb.to_right(z) for z in pb.apex})
-    relabelled = dataclasses.replace(B, designated_pb=PullbackSquare(apex, left, right, B.p, B.p))
+    (pb,) = _relabel(FS.pullback(B.p, B.p))
+    relabelled = dataclasses.replace(B, designated_pb=pb)
     assert internal.validate_principal_bundle(relabelled).ok
     sh = internal.shear_map(relabelled)
-    assert sh.tgt == apex and sh.is_bijective()
+    assert sh.tgt == pb.apex and sh.is_bijective()
 
 
 def test_groupoid_as_bundle(gpds):
@@ -270,7 +279,8 @@ def test_bibundles_from_functors(gpds):
         for b in names:
             for F in all_internal_functors(gpds[a], gpds[b]):
                 P = internal.bibundle_from_functor(F)
-                assert internal.validate_bibundle(P).ok
+                report = internal.validate_bibundle(P)
+                assert report.ok and report.check == "validate_bibundle"
                 for kind in ("surjections", "isos", "all"):
                     rb = internal.right_bundle(P)
                     assert internal.is_locally_trivial(rb, FinSetTopology(kind)).ok
@@ -280,6 +290,88 @@ def test_bibundles_from_functors(gpds):
                 assert internal.are_isomorphic_anafunctors(A, A2)
                 count += 1
     assert count >= 8
+
+
+def _identity_functor(G):
+    return internal.InternalFunctor(G, G, FS.identity(G.X0), FS.identity(G.X1))
+
+
+def _relabelled_groupoid(G):
+    X2, comp = _relabel(G.X2, G.comp)
+    return internal.InternalGroupoid(G.ambient, G.X0, G.X1, G.s, G.t, G.i, comp, G.inv, X2, name=G.name)
+
+
+def _relabelled_action(a):
+    dom, act = _relabel(a.dom, a.act)
+    return dataclasses.replace(a, dom=dom, act=act)
+
+
+def _groupoid_readers():
+    def ana(G):
+        return internal.anafunctor_from_functor(_identity_functor(G))
+
+    return {
+        "validate_groupoid": internal.validate_groupoid,
+        "groupoid_as_bundle": lambda G: internal.validate_principal_bundle(internal.groupoid_as_bundle(G)),
+        "validate_internal_functor": lambda G: internal.validate_internal_functor(_identity_functor(G)),
+        "refine_groupoid": lambda G: internal.refine_groupoid(G, SetMap(G.X1, G.X0, G.t.mapping)).comp,
+        "anafunctor_from_functor": lambda G: ana(G).functor.F1,
+        "bibundle_from_functor": lambda G: internal.bibundle_from_functor(_identity_functor(G)).left.act,
+        "anafunctor_transformations": lambda G: [
+            eta.mapping for eta in internal.anafunctor_transformations(ana(G), ana(G))
+        ],
+        "serialize_groupoid": cli.serialize_groupoid,
+    }
+
+
+def _bundle_readers(B):
+    U = frozenset({"x", "y"})
+    pi = SetMap(U, B.base, {u: min(B.base) for u in U})
+
+    def trivializations(B):
+        out = []
+        for sigma in internal.sections_over(B, pi):
+            triv = internal.section_to_trivialization(B, sigma, pi)
+            out.append((triv.phi, internal.validate_trivialization(B, triv, pi)))
+        return out
+
+    return {
+        "validate_principal_bundle": internal.validate_principal_bundle,
+        "pullback_bundle": lambda B: internal.pullback_bundle(pi, B).action.act,
+        "section_to_trivialization": trivializations,
+        "serialize_bundle": lambda B: cli.serialize_bundle(B, "G"),
+    }
+
+
+def _bibundle_readers():
+    return {
+        "validate_bibundle": internal.validate_bibundle,
+        "anafunctor_from_bibundle": lambda P: internal.anafunctor_from_bibundle(P, T_SURJ).functor.F1,
+    }
+
+
+@pytest.mark.parametrize("case", ["groupoid", "bundle", "bibundle-left", "bibundle-right"])
+def test_readers_agree_on_relabelled_fibre_products(gpds, case):
+    """A fibre product is known up to its universal property: with one square's
+    apex renamed to integers (same legs, the map on it re-keyed), every
+    validator and constructor reading that square gives the same verdict or
+    output as on the pair-set square, and the serializers the same rows."""
+    if case == "groupoid":
+        groupoids = (gpds["FIX-PAIR2"], gpds["FIX-Z2GPD"])
+        inputs = [(G, _relabelled_groupoid(G), _groupoid_readers()) for G in groupoids]
+    elif case == "bundle":
+        B = gpds["FIX-Z2BUNDLE"]
+        inputs = [(B, dataclasses.replace(B, action=_relabelled_action(B.action)), _bundle_readers(B))]
+    else:
+        side = case.split("-")[1]
+        P = internal.bibundle_from_functor(_identity_functor(gpds["FIX-PAIR2"]))
+        relabelled = dataclasses.replace(P, **{side: _relabelled_action(getattr(P, side))})
+        inputs = [(P, relabelled, _bibundle_readers())]
+    for original, relabelled, readers in inputs:
+        for name, read in readers.items():
+            want = read(original)
+            assert read(relabelled) == want, name
+            assert getattr(want, "ok", True), name
 
 
 def _plain_groupoid(G):
@@ -313,6 +405,50 @@ def test_anafunctor_transformations_match_oracle(gpds):
                     pairs += 1
                     empty += not want
     assert (pairs, empty) == (144, 8)
+
+
+def _plain_action(a):
+    return {"anchor": a.anchor.mapping, "act": a.act.mapping}
+
+
+def _act_mutations(P):
+    """Every bibundle differing from P in one entry of its left or right act."""
+    for side in ("left", "right"):
+        action = getattr(P, side)
+        f = action.act
+        for k in sorted(f.mapping, key=repr):
+            for v in sorted(f.tgt - {f.mapping[k]}, key=repr):
+                mutated = dataclasses.replace(action, act=SetMap(f.src, f.tgt, {**f.mapping, k: v}))
+                yield dataclasses.replace(P, **{side: mutated})
+
+
+def test_bibundle_verdicts_match_oracle_on_single_entry_mutations(gpds):
+    """validate_bibundle against the definitional oracle on the bibundle of
+    every internal functor between the standard groupoids and on every
+    bibundle one entry of its left or right act away from it.  The first
+    failing axiom is pinned too."""
+    names = ("FIX-PAIR2", "FIX-Z2GPD", "FIX-TRIV1")
+    first_failures = collections.Counter()
+    for a in names:
+        for b in names:
+            G, H = gpds[a], gpds[b]
+            for F in all_internal_functors(G, H):
+                P = internal.bibundle_from_functor(F)
+                for Q in (P, *_act_mutations(P)):
+                    report = internal.validate_bibundle(Q)
+                    want = oracles.bibundle_laws(
+                        _plain_groupoid(G), _plain_groupoid(H), _plain_action(Q.left), _plain_action(Q.right)
+                    )
+                    assert report.ok == want
+                    first_failures[(report.counterexample or {"axiom": "none"})["axiom"]] += 1
+    assert first_failures == {
+        "none": 16,
+        "anchor-square": 180,
+        "associativity-square": 156,
+        "right-anchor-left-invariant": 4,
+        "invariance": 2,
+        "actions-commute": 2,
+    }
 
 
 def test_weakly_invertible_anafunctor(gpds):
