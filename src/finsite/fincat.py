@@ -218,11 +218,14 @@ class TableCategory:
         hom = self._hom
         return all(len(hom.get((apex, q0), ())) == counts[q0] for q0 in self.objects)
 
+    # A map out of a hom set with at most one element is injective, so those
+    # objects are skipped.
+
     def _cone_injective(self, apex, legs):
         comp = self._comp
         for q0 in self.objects:
             homs = self._hom.get((q0, apex), ())
-            if len({tuple(comp[(leg, u)] for leg in legs) for u in homs}) != len(homs):
+            if len(homs) > 1 and len({tuple(comp[(leg, u)] for leg in legs) for u in homs}) != len(homs):
                 return False
         return True
 
@@ -230,7 +233,7 @@ class TableCategory:
         comp = self._comp
         for q0 in self.objects:
             homs = self._hom.get((apex, q0), ())
-            if len({tuple(comp[(u, leg)] for leg in legs) for u in homs}) != len(homs):
+            if len(homs) > 1 and len({tuple(comp[(u, leg)] for leg in legs) for u in homs}) != len(homs):
                 return False
         return True
 
@@ -692,11 +695,14 @@ def is_effective_epi(cat, f) -> bool:
 
 
 def universally_effective_epis(cat) -> frozenset:
-    """Greatest fixed point: universal effective epis all of whose pullbacks stay in the class."""
+    """Greatest fixed point: universal effective epis all of whose pullbacks
+    stay in the class.  Effectiveness is tested before universality: it
+    pulls back one kernel pair where universality pulls back along every
+    morphism into the target, and the conjunction is the same either way."""
     if isinstance(cat, FinSetCat):
         raise ValueError("enumerate only on explicit tables; surjectivity classifies here")
     current = {
-        f for f in cat.morphisms() if is_universal(cat, f) and is_effective_epi(cat, f)
+        f for f in cat.morphisms() if is_effective_epi(cat, f) and is_universal(cat, f)
     }
     changed = True
     while changed:

@@ -291,7 +291,7 @@ def validate_action(a: RightAction) -> CheckReport:
         return fail("domain")
     if amb.src(a.act) != a.dom.apex or amb.tgt(a.act) != a.carrier:
         return fail("act-endpoints")
-    act, anchor, s, comp, pr1, pr2 = map(amb.at, (a.act, a.anchor, G.s, G.comp, a.dom.to_left, a.dom.to_right))
+    act, anchor, s, i, comp, pr1, pr2 = map(amb.at, (a.act, a.anchor, G.s, G.i, G.comp, a.dom.to_left, a.dom.to_right))
     _composable(amb, a.anchor, a.act)
     if not all(anchor(act(e)) == s(pr2(e)) for e in amb.points(a.dom.apex)):
         return fail("anchor-square")
@@ -306,6 +306,10 @@ def validate_action(a: RightAction) -> CheckReport:
         lambda e: act(on_dom(pr1(e[0]), comp(on_X2(pr2(e[0]), e[1])))),
     ):
         return fail("associativity-square")
+    # at the points x of the carrier, x 1_{anchor(x)} against x
+    _composable(amb, G.i, a.anchor)
+    if not _agree(amb.points(a.carrier), lambda x: act(on_dom(x, i(anchor(x)))), lambda x: x):
+        return fail("unit")
     return CheckReport(True, "validate_action")
 
 

@@ -10,7 +10,8 @@ membership in the universal completion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
+from operator import mul
 from typing import Optional
 
 from .fincat import (
@@ -210,14 +211,35 @@ def canonical_topology(cat):
 
 
 def _extensive_families(cat):
-    """Per object, all incoming-morphism sets forming a coproduct cocone."""
-    out = {x: set() for x in cat.objects}
-    for x in cat.objects:
+    """Per object x, all incoming-morphism sets forming a coproduct cocone.
+
+    Legs are chosen one at a time in repr order, carrying the products
+    prod_i |hom(src_i, q)| for every object q: the cocone count at q, which
+    must end equal to |hom(x, q)|.  Adding a leg multiplies each count by a
+    whole number, so where |hom(x, q)| > 0 a branch whose count there is 0
+    or exceeds |hom(x, q)| can never match again and is cut.  A set whose
+    counts all match is a coproduct cocone iff composing with its legs is
+    injective on every hom(x, q): the rest of is_coproduct_cocone, whose
+    counts it already holds.  So the families are exactly the subsets of
+    into(x) that is_coproduct_cocone accepts."""
+    objs = cat.objects
+    out = {}
+    for x in objs:
+        want = tuple(len(cat.hom(x, q)) for q in objs)
+        live = [k for k, n in enumerate(want) if n]
         ms = sorted(cat.into(x), key=repr)
-        for r in range(0, len(ms) + 1):
-            for legs in combinations(ms, r):
-                if cat.is_coproduct_cocone(x, legs):
-                    out[x].add(frozenset(legs))
+        rows = [tuple(len(cat.hom(cat.src(m), q)) for q in objs) for m in ms]
+        fams = out[x] = set()
+
+        def grow(start, legs, counts):
+            if counts == want and cat._cocone_injective(x, legs):
+                fams.add(frozenset(legs))
+            for j in range(start, len(ms)):
+                nxt = tuple(map(mul, counts, rows[j]))
+                if all(0 < nxt[k] <= want[k] for k in live):
+                    grow(j + 1, legs + (ms[j],), nxt)
+
+        grow(0, (), (1,) * len(objs))
     return out
 
 
@@ -254,19 +276,19 @@ def is_locally_split(T, f) -> Optional[SplitWitness]:
 
 
 def uni_class(T) -> frozenset:
-    """The universal T-locally split morphisms of an explicit-table site."""
+    """The universal T-locally split morphisms of an explicit-table site:
+    the morphisms uni_contains accepts."""
     if isinstance(T, FinSetTopology):
         raise ValueError("intensional topologies classify membership, use uni_contains")
-    cat = T.cat
-    return frozenset(
-        f
-        for f in cat.morphisms()
-        if is_universal(cat, f) and is_locally_split(T, f) is not None
-    )
+    return frozenset(f for f in T.cat.morphisms() if uni_contains(T, f))
 
 
 def uni_contains(T, f) -> bool:
-    return is_universal(T.cat, f) and is_locally_split(T, f) is not None
+    """Whether f is universal and T-locally split.  Local splitness is asked
+    first: it is one through(f) lookup per covering of tgt(f), while
+    universality computes the pullback of f along every morphism into
+    tgt(f), and a conjunction does not depend on the order it is tested in."""
+    return is_locally_split(T, f) is not None and is_universal(T.cat, f)
 
 
 def universal_completion(T):
@@ -383,7 +405,9 @@ def is_subcanonical(T) -> bool:
 
 def is_local(T) -> bool:
     """In every pullback square whose pulled-back leg and base leg are in
-    Uni(T), the original morphism is in Uni(T) as well."""
+    Uni(T), the original morphism is in Uni(T) as well.  A cospan (pi, g)
+    with pi in Uni(T) or g not in it satisfies this whatever its pullback
+    is, so only the others are pulled back."""
     if isinstance(T, FinSetTopology):
         # pullbacks of maps of finite sets along surjections of finite sets
         # are surjective, and everything is universal
@@ -391,11 +415,13 @@ def is_local(T) -> bool:
     cat = T.cat
     uni = uni_class(T)
     for pi in cat.morphisms():
+        if pi in uni:
+            continue
         for g in cat.into(cat.tgt(pi)):
-            sq = cat.pullback(pi, g)
-            if sq is None:
+            if g not in uni:
                 continue
-            if sq.to_right in uni and g in uni and pi not in uni:
+            sq = cat.pullback(pi, g)
+            if sq is not None and sq.to_right in uni:
                 return False
     return True
 

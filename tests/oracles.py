@@ -2,17 +2,19 @@
 two-point discrete space, the fibre product of finite sets, the
 traditional sheaf condition on a finite space, natural transformations
 between finite presheaves and between anafunctors of finite groupoids, the
-groupoid laws and the bibundle laws.
+groupoid laws, the right-action laws, the bibundle laws, and the coproduct
+families of a poset of opens and of a skeleton of finite sets.
 
 Deliberately separate from the main code path: the poset is rebuilt from
 raw subset data, morphisms are (src, tgt) pairs, and every universal
 property is decided by the textbook definition (existence and uniqueness
 of mediating morphisms), not by the bijection method the package uses.
-Finite-set functions are plain dicts.  The sheaf and naturality oracles
-build the full product of candidates and filter it by the definition.
+Finite-set functions are plain dicts or tuples of values.  The sheaf and
+naturality oracles build the full product of candidates and filter it by
+the definition.
 """
 
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 E, U, V, X = frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})
 OPENS = [E, U, V, X]
@@ -164,6 +166,33 @@ def classification():
     }
 
 
+def open_coproduct_families(opens, target):
+    """The coproduct families into the open target of a poset of opens, each
+    given by the set of its sources: a set of opens inside target is a
+    coproduct cocone iff its union is target, the join of the poset."""
+    below = [o for o in opens if o <= target]
+    return {
+        frozenset(c)
+        for r in range(len(below) + 1)
+        for c in combinations(below, r)
+        if frozenset().union(*c) == target
+    }
+
+
+def finset_coproduct_families(sizes, n):
+    """The coproduct families into {0..n-1} among the maps {0..m-1} ->
+    {0..n-1}, m in sizes, each leg written as its tuple of values: the legs
+    are injective, their images pairwise disjoint, and they cover the
+    target (a disjoint union of the sources)."""
+    injective = [v for m in sizes for v in iproduct(range(n), repeat=m) if len(set(v)) == m]
+    return {
+        frozenset(legs)
+        for r in range(len(injective) + 1)
+        for legs in combinations(injective, r)
+        if sum(map(len, legs)) == n and set().union(*legs) == set(range(n))
+    }
+
+
 def finset_pullback(f, A, g, B):
     """The fibre product of f: A -> X and g: B -> X (dicts) by definition:
     every pair of A x B on which f and g agree."""
@@ -292,26 +321,58 @@ def groupoid_laws(X0, X1, s, t, i, comp, inv):
         return False
 
 
+def _unit(G, o):
+    """The identity arrow of the object o of the groupoid dict G: its one
+    idempotent loop e e == e."""
+    (e,) = (g for g in G["X1"] if G["s"][g] == o == G["t"][g] and G["comp"][g, g] == g)
+    return e
+
+
+def right_action_failure(H, right):
+    """The first law that a right action of the groupoid dict H breaks, or
+    None.  right is a dict with the dicts "anchor" (carrier -> objects) and
+    "act", keyed by the pairs (x, h) with anchor[x] == t[h].  The laws, in
+    order: "domain", act is defined on exactly those pairs; "anchor", x h is
+    in the carrier and anchored at s[h]; "associativity", (x h) k == x (h k);
+    "unit", x 1 == x."""
+    r, ract = right["anchor"], right["act"]
+    rdom = [(x, h) for x in r for h in H["X1"] if r[x] == H["t"][h]]
+    if set(ract) != set(rdom):
+        return "domain"
+    if any(ract[x, h] not in r or r[ract[x, h]] != H["s"][h] for x, h in rdom):
+        return "anchor"
+    if any(
+        ract[ract[x, h], k] != ract[x, H["comp"][h, k]]
+        for x, h in rdom
+        for k in H["X1"]
+        if H["t"][k] == H["s"][h]
+    ):
+        return "associativity"
+    if any(ract[x, _unit(H, r[x])] != x for x in r):
+        return "unit"
+    return None
+
+
 def bibundle_laws(G, H, left, right):
     """Whether a left action of G and a right action of H on one carrier make
     a bibundle, by the definition.  G and H are dicts as in
     anafunctor_transformations, with "X1", "s", "t" and "comp"; an action is a
     dict with the dicts "anchor" (carrier -> objects) and "act", keyed by the
     pairs (g, x) with s[g] == anchor[x] for the left action (g x) and (x, h)
-    with anchor[x] == t[h] for the right one (x h).  Each action moves its
-    anchor along the arrow and is associative, each anchor ignores the other
+    with anchor[x] == t[h] for the right one (x h).  The right action obeys
+    right_action_failure's laws; the left one moves its anchor along the
+    arrow, is associative and has 1 x == x; each anchor ignores the other
     action, (g x) h == g (x h), and the right shear map (x, h) -> (x, x h) is
-    a bijection onto the pairs (x, y) with the same left anchor.  The unit
-    laws 1 x == x and x 1 == x are not checked."""
+    a bijection onto the pairs (x, y) with the same left anchor."""
+    if right_action_failure(H, right) is not None:
+        return False
     l, lact, r, ract = left["anchor"], left["act"], right["anchor"], right["act"]
     ldom = [(g, x) for g in G["X1"] for x in l if G["s"][g] == l[x]]
     rdom = [(x, h) for x in r for h in H["X1"] if r[x] == H["t"][h]]
-    if set(lact) != set(ldom) or set(ract) != set(rdom):
+    if set(lact) != set(ldom):
         return False
     try:
         if any(l[lact[g, x]] != G["t"][g] for g, x in ldom):
-            return False
-        if any(r[ract[x, h]] != H["s"][h] for x, h in rdom):
             return False
         if any(
             lact[k, lact[g, x]] != lact[G["comp"][k, g], x]
@@ -320,12 +381,7 @@ def bibundle_laws(G, H, left, right):
             if G["s"][k] == G["t"][g]
         ):
             return False
-        if any(
-            ract[ract[x, h], k] != ract[x, H["comp"][h, k]]
-            for x, h in rdom
-            for k in H["X1"]
-            if H["t"][k] == H["s"][h]
-        ):
+        if any(lact[_unit(G, l[x]), x] != x for x in l):
             return False
         if any(l[ract[x, h]] != l[x] for x, h in rdom) or any(r[lact[g, x]] != r[x] for g, x in ldom):
             return False

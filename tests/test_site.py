@@ -2,12 +2,21 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import finsite
-from finsite import catalog
-from finsite.fincat import FinSetCat, SetMap, identity_functor, is_universal
+import oracles
+from finsite import catalog, cli, site
+from finsite.fincat import (
+    FinSetCat,
+    SetMap,
+    identity_functor,
+    is_effective_epi,
+    is_universal,
+    universally_effective_epis,
+)
 from finsite.site import (
     CoveringFamily,
     FinSetTopology,
@@ -318,3 +327,102 @@ def test_finset_topology_order_and_uni():
 def test_uni_class_refuses_intensional_backend():
     with pytest.raises(ValueError):
         uni_class(FinSetTopology("surjections"))
+
+
+def _subsets(points):
+    return [frozenset(s) for k in range(len(points) + 1) for s in itertools.combinations(points, k)]
+
+
+def _open_sites():
+    """FIX-V, the six-open space, the discrete 3-point space and DOWN12, each
+    with the open every object names."""
+    cat, _ = catalog.fix_v()
+    yield "FIX-V", cat, dict(zip(("oE", "oU", "oV", "oX"), oracles.OPENS))
+    six = [frozenset(s) for s in [(), (0,), (1,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]]
+    down12 = [a | b for a in map(frozenset, [(), (0,), (0, 1)]) for b in _subsets([2, 3])]
+    for label, opens in (("six-open", six), ("discrete-3", _subsets([0, 1, 2])), ("DOWN12", down12)):
+        cat, _ = catalog.open_poset(opens)
+        yield label, cat, {x: frozenset(int(c) for c in x[1:]) for x in cat.objects}
+
+
+def test_extensive_families_of_open_posets_match_the_union_oracle():
+    for label, cat, open_of in _open_sites():
+        families = site._extensive_families(cat)
+        for x in cat.objects:
+            # in a poset a family into x is given by its sources
+            got = {frozenset(open_of[cat.src(m)] for m in fam) for fam in families[x]}
+            assert got == oracles.open_coproduct_families(list(open_of.values()), open_of[x]), (label, x)
+
+
+def test_extensive_families_of_the_finset_skeleton_match_the_disjoint_union_oracle():
+    cat = catalog.finset_skeleton([0, 1, 2, 3])
+    start = time.perf_counter()
+    families = site._extensive_families(cat)
+    assert time.perf_counter() - start < 1
+
+    def values(m):  # the id of a map {0..a-1} -> {0..b-1} ends in its values
+        return tuple(int(v) for v in m.split(":")[1].split(",") if v)
+
+    for x in cat.objects:
+        got = {frozenset(map(values, fam)) for fam in families[x]}
+        assert got == oracles.finset_coproduct_families([0, 1, 2, 3], int(x[1:])), x
+    assert {x: len(fams) for x, fams in families.items()} == {"n0": 2, "n1": 2, "n2": 6, "n3": 26}
+    assert validate_pretopology(extensive_topology(cat)).ok
+
+
+def _uni_class_universal_first(T):
+    return frozenset(
+        f for f in T.cat.morphisms() if is_universal(T.cat, f) and is_locally_split(T, f) is not None
+    )
+
+
+def _is_local_pulling_back_every_cospan(T):
+    cat, uni = T.cat, _uni_class_universal_first(T)
+    for pi in cat.morphisms():
+        for g in cat.into(cat.tgt(pi)):
+            sq = cat.pullback(pi, g)
+            if sq is not None and sq.to_right in uni and g in uni and pi not in uni:
+                return False
+    return True
+
+
+def _universally_effective_epis_universal_first(cat):
+    current = {f for f in cat.morphisms() if is_universal(cat, f) and is_effective_epi(cat, f)}
+    changed = True
+    while changed:
+        changed = False
+        for f in list(current):
+            for g in cat.into(cat.tgt(f)):
+                sq = cat.pullback(f, g)
+                if sq is None or sq.to_right not in current:
+                    current.discard(f)
+                    changed = True
+                    break
+    return frozenset(current)
+
+
+def test_reordered_classifications_match_the_old_order():
+    """uni_class, is_local and universally_effective_epis against their
+    universality-first, pull-back-everything formulations, on every topology
+    of the catalog bundle and on T_can, T_indis and T_dis of the skeleton
+    of {0..3}."""
+    fs0123 = catalog.finset_skeleton([0, 1, 2, 3])
+    tops = list(cli.catalog_bundle().topologies.values())
+    tops += [canonical_topology(fs0123), indiscrete_topology(fs0123), discrete_topology(fs0123)]
+    for T in tops:
+        assert uni_class(T) == _uni_class_universal_first(T), T.name
+        assert is_local(T) == _is_local_pulling_back_every_cospan(T), T.name
+    for cat in {id(T.cat): T.cat for T in tops}.values():
+        assert universally_effective_epis(cat) == _universally_effective_epis_universal_first(cat), cat.name
+
+
+def test_canonical_topology_and_locality_pull_back_only_what_decides():
+    """On a fresh skeleton of {0..3}, of its 1,842 cospans canonical_topology
+    pulls back at most 325, and is_local of that T_can alone at most 539."""
+    cat = catalog.finset_skeleton([0, 1, 2, 3])
+    T = canonical_topology(cat)
+    assert len(cat._pullbacks) <= 325
+    cat._pullbacks.clear()
+    cat._universal.clear()
+    assert is_local(T)
+    assert len(cat._pullbacks) <= 539
