@@ -9,7 +9,7 @@ and `parse_bundle_doc` is the one place that turns a malformed entry into
 a `BundleError`.  Mappings are
 arrays of [key, value] pairs, compositions arrays of [g, f, gf] meaning
 compose(g, f) = gf, and elements are JSON scalars or arrays (arrays
-decode to tuples).  Reports go to stdout as JSON; a human summary goes
+decode to tuples; equal ids in one document decode to one shared object).  Reports go to stdout as JSON; a human summary goes
 to stderr.  Exit codes: 0 verdict-true, 1 verdict-false, 2 usage or
 parse error.
 """
@@ -51,18 +51,33 @@ def _encode(v):
     return v
 
 
-def _decode(v):
-    if isinstance(v, list):
-        return tuple(_decode(x) for x in v)
-    return v
+def _decoder():
+    """A decode function with a memo of its own, for one bundle document:
+    JSON arrays become tuples and other values stay as they are.  Equal
+    strings decode to one shared object, and so do arrays whose items
+    decoded to the same objects, so dict lookups on ids stop at identity.
+    Nothing is shared by == alone: 1, 1.0 and true stay distinct."""
+    memo = {}
+    share = memo.setdefault
+
+    def decode(v):
+        if type(v) is str:
+            return share(v, v)
+        if type(v) is list:
+            items = tuple([share(x, x) if type(x) is str else decode(x) for x in v])
+            # keyed by its items' identities, which the memo keeps alive
+            return share(tuple(map(id, items)), items)
+        return v
+
+    return decode
 
 
 def _pairs(mapping):
     return sorted(([_encode(k), _encode(v)] for k, v in mapping.items()), key=repr)
 
 
-def _unpairs(pairs):
-    return {_decode(k): _decode(v) for k, v in pairs}
+def _unpairs(pairs, decode):
+    return {decode(k): decode(v) for k, v in pairs}
 
 
 @dataclass
@@ -126,8 +141,10 @@ def serialize_presheaf(P: sheaf.Presheaf, cat_name) -> dict:
     return {
         "category": cat_name,
         "values": sorted(([_encode(x), [_encode(v) for v in vs]] for x, vs in P.values.items()), key=repr),
+        # the rows have distinct ids, so their order is that of the ids' reprs
         "restriction": sorted(
-            ([_encode(m), _pairs(r)] for m, r in P.restriction.items()), key=repr
+            ([_encode(m), _pairs(r)] for m, r in P.restriction.items()),
+            key=lambda row: repr(row[0]),
         ),
     }
 
@@ -193,12 +210,12 @@ def serialize_bundle_doc(doc: BundleDoc) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def parse_category(sec, doc, name) -> TableCategory:
+def parse_category(sec, doc, name, decode) -> TableCategory:
     cat = TableCategory(
-        [_decode(x) for x in sec["objects"]],
-        {_decode(m): (_decode(a), _decode(b)) for m, a, b in sec["morphisms"]},
-        _unpairs(sec["identity"]),
-        {(_decode(g), _decode(f)): _decode(gf) for g, f, gf in sec["composition"]},
+        [decode(x) for x in sec["objects"]],
+        {decode(m): (decode(a), decode(b)) for m, a, b in sec["morphisms"]},
+        _unpairs(sec["identity"], decode),
+        {(decode(g), decode(f)): decode(gf) for g, f, gf in sec["composition"]},
         name=name,
     )
     bad = ill_typed(cat)
@@ -207,68 +224,73 @@ def parse_category(sec, doc, name) -> TableCategory:
     return cat
 
 
-def parse_topology(sec, doc, name) -> site.Pretopology:
-    fams = {
-        _decode(x): {frozenset(_decode(m) for m in fam) for fam in fs}
-        for x, fs in sec["families"]
-    }
+def parse_topology(sec, doc, name, decode) -> site.Pretopology:
+    fams = {decode(x): {frozenset(map(decode, fam)) for fam in fs} for x, fs in sec["families"]}
     return site.Pretopology(doc.categories[sec["category"]], fams, name=name)
 
 
-def parse_functor(sec, doc, name) -> FunctorData:
+def parse_functor(sec, doc, name, decode) -> FunctorData:
     return FunctorData(
         doc.categories[sec["source"]],
         doc.categories[sec["target"]],
-        _unpairs(sec["on_objects"]),
-        _unpairs(sec["on_morphisms"]),
+        _unpairs(sec["on_objects"], decode),
+        _unpairs(sec["on_morphisms"], decode),
         name=name,
     )
 
 
-def parse_presheaf(sec, doc, name) -> sheaf.Presheaf:
-    values = {_decode(x): tuple(_decode(v) for v in vs) for x, vs in sec["values"]}
-    restriction = {_decode(m): _unpairs(r) for m, r in sec["restriction"]}
+def parse_presheaf(sec, doc, name, decode) -> sheaf.Presheaf:
+    values = {decode(x): tuple(map(decode, vs)) for x, vs in sec["values"]}
+    restriction = {decode(m): _unpairs(r, decode) for m, r in sec["restriction"]}
     return sheaf.Presheaf(doc.categories[sec["category"]], values, restriction, name=name)
 
 
-def parse_groupoid(sec, doc, name) -> internal.InternalGroupoid:
-    s = _unpairs(sec["s"])
-    t = _unpairs(sec["t"])
-    i = _unpairs(sec["i"])
-    inv = _unpairs(sec["inv"])
-    comp = {(_decode(g), _decode(h)): _decode(gh) for g, h, gh in sec["comp"]}
-    return internal.make_groupoid(
-        catalog.finite_sets_ambient(),
-        X0=frozenset(_decode(x) for x in sec["X0"]),
-        X1=frozenset(_decode(x) for x in sec["X1"]),
-        s=s.__getitem__,
-        t=t.__getitem__,
-        i=i.__getitem__,
-        comp=lambda g, h: comp[(g, h)],
-        inv=inv.__getitem__,
-        name=name,
-    )
+def _on_apex(apex, rows, tgt, what, decode):
+    """The SetMap apex -> tgt that the [x, y, z] rows give as (x, y) -> z,
+    keyed by the apex's own elements; a stray or missing row raises."""
+    table = {(decode(x), decode(y)): decode(z) for x, y, z in rows}
+    try:
+        if len(table) == len(apex):
+            return SetMap(apex, tgt, {w: table[w] for w in apex})
+    except KeyError:
+        pass
+    stray = min(table.keys() ^ apex, key=repr)
+    raise ValueError(f"{what} rows and the fibre product differ at {stray!r}")
 
 
-def parse_bundle(sec, doc, name) -> internal.Bundle:
+def parse_groupoid(sec, doc, name, decode) -> internal.InternalGroupoid:
+    amb = catalog.finite_sets_ambient()
+    X0 = frozenset(map(decode, sec["X0"]))
+    X1 = frozenset(map(decode, sec["X1"]))
+    s = SetMap(X1, X0, _unpairs(sec["s"], decode))
+    t = SetMap(X1, X0, _unpairs(sec["t"], decode))
+    i = SetMap(X0, X1, _unpairs(sec["i"], decode))
+    inv = SetMap(X1, X1, _unpairs(sec["inv"], decode))
+    X2 = amb.pullback(s, t)
+    comp = _on_apex(X2.apex, sec["comp"], X1, "comp", decode)
+    return internal.InternalGroupoid(amb, X0, X1, s, t, i, comp, inv, X2, name=name)
+
+
+def parse_bundle(sec, doc, name, decode) -> internal.Bundle:
     G = doc.groupoids[sec["groupoid"]]
     amb = G.ambient
-    carrier = frozenset(_decode(x) for x in sec["carrier"])
-    base = frozenset(_decode(x) for x in sec["base"])
-    anchor = SetMap(carrier, G.X0, _unpairs(sec["anchor"]))
+    carrier = frozenset(map(decode, sec["carrier"]))
+    base = frozenset(map(decode, sec["base"]))
+    anchor = SetMap(carrier, G.X0, _unpairs(sec["anchor"], decode))
     dom = amb.pullback(anchor, G.t)
-    act_table = {(_decode(x), _decode(g)): _decode(xg) for x, g, xg in sec["action"]}
-    act = SetMap(dom.apex, carrier, {e: act_table[e] for e in dom.apex})
+    act = _on_apex(dom.apex, sec["action"], carrier, "action", decode)
     action = internal.RightAction(G, carrier, anchor, act, dom)
-    p = SetMap(carrier, base, _unpairs(sec["projection"]))
+    p = SetMap(carrier, base, _unpairs(sec["projection"], decode))
     return internal.Bundle(G, action, base, p)
 
 
 def _kinds():
     """The six kinds a bundle file holds, in parse order: kind ->
     (BundleDoc section, parser, validator).  A parser reads one entry of its
-    section given the structures parsed before it.  Built on each call, so
-    that wrappers installed on the module names after import are used."""
+    section, parse(entry, doc, name, decode), given the structures parsed
+    before it in doc and the document's one decode function (`_decoder`),
+    through which it reads every id.  Built on each call, so that wrappers
+    installed on the module names after import are used."""
     return {
         "category": ("categories", parse_category, validate_category),
         "topology": ("topologies", parse_topology, site.validate_pretopology),
@@ -283,13 +305,14 @@ def parse_bundle_doc(doc: dict) -> BundleDoc:
     if not isinstance(doc, dict):
         raise BundleError("top-level document must be a JSON object")
     out = BundleDoc()
+    decode = _decoder()
     for kind, (key, parse, _) in _kinds().items():
         sec = doc.get(key, {})
         if not isinstance(sec, dict):
             raise BundleError(f"section {key!r} must be a JSON object")
         for n, entry in sec.items():
             try:
-                getattr(out, key)[n] = parse(entry, out, n)
+                getattr(out, key)[n] = parse(entry, out, n, decode)
             except (KeyError, TypeError, ValueError) as exc:
                 raise BundleError(f"malformed {kind} {n!r}: {exc}") from exc
     return out
@@ -620,7 +643,7 @@ def cmd_kan(path, functor, presheaf) -> int:
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+def _parser():
     parser = argparse.ArgumentParser(
         prog="finsite", description="checks for sites on finite categories"
     )
@@ -632,7 +655,7 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="run one named check on bundle structures")
     p_check.add_argument("file")
     p_check.add_argument("--op", required=True)
-    p_check.add_argument("--args", nargs="*", default=[])
+    p_check.add_argument("--args", nargs="*", default=())
     p_check.add_argument(
         "--extensivity-mode", choices=("literal", "disjoint"), default="literal"
     )
@@ -644,8 +667,15 @@ def main(argv=None) -> int:
     p_kan.add_argument("file")
     p_kan.add_argument("--functor", required=True)
     p_kan.add_argument("--presheaf", required=True)
+    return parser
 
-    ns = parser.parse_args(argv)
+
+# built once: a process that calls main() many times pays for the tree once
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    ns = _PARSER.parse_args(argv)
     try:
         if ns.command == "validate":
             return cmd_validate(ns.file)

@@ -406,9 +406,11 @@ class SetMap:
         tgt = frozenset(tgt)
         mapping = dict(mapping)
         if frozenset(mapping) != src:
-            raise ValueError("mapping domain mismatch")
+            bad = min(src.symmetric_difference(mapping), key=repr)
+            raise ValueError(f"mapping domain mismatch at {bad!r}")
         if not tgt.issuperset(mapping.values()):
-            raise ValueError("mapping codomain mismatch")
+            bad = min(set(mapping.values()) - tgt, key=repr)
+            raise ValueError(f"mapping codomain mismatch at {bad!r}")
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "tgt", tgt)
         object.__setattr__(self, "mapping", mapping)

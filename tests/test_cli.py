@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsite import cli
+from finsite import catalog, cli, sheaf
+from finsite.fincat import TableCategory
 
 
 @pytest.fixture(scope="module")
@@ -397,3 +398,120 @@ def test_mutated_catalog_bundle_exits_cleanly(bundle_path, data):
     path = Path(bundle_path).with_name("mutated.json")
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", str(path)]) in (0, 1, 2)
+
+
+def _non_composable_comp_row(doc):
+    """A comp row on declared arrows (g, h) of FIX-PAIR2 with s(g) != t(h)."""
+    gpd = doc["groupoids"]["FIX-PAIR2"]
+    s = {json.dumps(g): x for g, x in gpd["s"]}
+    t = {json.dumps(h): x for h, x in gpd["t"]}
+    g, h = next(
+        (g, h) for g in gpd["X1"] for h in gpd["X1"] if s[json.dumps(g)] != t[json.dumps(h)]
+    )
+    gpd["comp"].append([g, h, g])
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        pytest.param(
+            "groupoid",
+            lambda doc: doc["groupoids"]["FIX-PAIR2"]["s"].append(["ghost", 0]),
+            id="s-row",
+        ),
+        pytest.param("groupoid", _non_composable_comp_row, id="comp-row"),
+        pytest.param(
+            "bundle",
+            lambda doc: doc["bundles"]["FIX-Z2BUNDLE"]["action"].append(["ghost", "ghost", "ghost"]),
+            id="action-row",
+        ),
+    ],
+)
+def test_stray_table_row_exit_two(bundle_path, tmp_path, capsys, kind, edit):
+    """A row outside the domain of s, comp or the action is an error, not dropped."""
+    path = _write_variant(bundle_path, tmp_path, edit)
+    assert cli.main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed {kind}" in err and "Traceback" not in err
+
+
+def _old_restriction_order(P):
+    return sorted(([cli._encode(m), cli._pairs(r)] for m, r in P.restriction.items()), key=repr)
+
+
+def test_serialized_restriction_rows_keep_the_whole_row_order():
+    """Rows sorted by the repr of their id come out as sorting whole rows did."""
+    presheaves = list(cli.catalog_bundle().presheaves.values())
+    fs = catalog.finset_skeleton([0, 1, 2, 3])
+    presheaves += [sheaf.representable(fs, x) for x in fs.objects]
+    for P in presheaves:
+        assert cli.serialize_presheaf(P, "C")["restriction"] == _old_restriction_order(P)
+
+
+def _recursive_decode(v):
+    """The decoder before ids were shared: arrays to tuples, recursively."""
+    if isinstance(v, list):
+        return tuple(_recursive_decode(x) for x in v)
+    return v
+
+
+def _same_values_and_types(a, b):
+    if type(a) is not type(b):
+        return False
+    if type(a) is tuple:
+        return len(a) == len(b) and all(map(_same_values_and_types, a, b))
+    return a == b
+
+
+_json_ids = st.recursive(
+    st.sampled_from([1, 1.0, True, False, None, 0, 0.0, "a", "1", "true"]),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.lists(_json_ids, max_size=6))
+def test_decoder_matches_the_recursive_decoder(values):
+    decode = cli._decoder()
+    wire = json.loads(json.dumps(values))
+    assert _same_values_and_types(decode(wire), _recursive_decode(wire))
+
+
+def test_decoder_shares_ids_by_value_and_arrays_by_items():
+    decode = cli._decoder()
+    got = decode(json.loads('[1, true, 1.0, [1, 2], [true, 2], ["a", 2], ["a", 2], "a"]'))
+    assert _same_values_and_types(got, (1, True, 1.0, (1, 2), (True, 2), ("a", 2), ("a", 2), "a"))
+    assert got[5] is got[6] and got[5][0] is got[7]
+    assert got[3] is not got[4]
+
+
+def test_presheaves_on_ints_and_bools_round_trip():
+    """Values [0, 1] and [false, true] in one bundle stay ints and bools."""
+    cat = TableCategory(["x"], {"1x": ("x", "x")}, {"x": "1x"}, {("1x", "1x"): "1x"}, name="ONE")
+    doc = cli.BundleDoc(categories={"ONE": cat})
+    for name, (a, b) in (("INTS", (0, 1)), ("BOOLS", (False, True))):
+        doc.presheaves[name] = sheaf.Presheaf(cat, {"x": (a, b)}, {"1x": {a: a, b: b}}, name=name)
+    wire = json.loads(json.dumps(cli.serialize_bundle_doc(doc)))
+    parsed = cli.parse_bundle_doc(wire)
+    assert json.dumps(cli.serialize_bundle_doc(parsed)) == json.dumps(wire)
+    assert [type(v) for v in parsed.presheaves["BOOLS"].values["x"]] == [bool, bool]
+    assert [type(v) for v in parsed.presheaves["INTS"].values["x"]] == [int, int]
+
+
+def test_parsed_groupoid_maps_are_keyed_by_its_arrows(bundle_path):
+    G = cli.load_bundle(bundle_path).groupoids["FIX-PAIR2"]
+    arrows = {id(g) for g in G.X1}
+    assert all(id(g) in arrows for g in G.s.mapping)
+
+
+def test_one_parser_serves_every_call(bundle_path, capsys):
+    """main() reuses one parser; no option value carries over to the next call."""
+    check = ["check", bundle_path, "--op", "is_subcanonical"]
+    assert cli.main([*check, "--args", "T_op"]) == 0
+    capsys.readouterr()
+    assert cli.main(check) == 2
+    assert "takes 1 argument(s), got 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", bundle_path])
+    assert exc.value.code == 2

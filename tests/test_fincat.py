@@ -411,3 +411,10 @@ def test_finset_pullback_matches_oracle(data):
     else:
         with pytest.raises(ValueError):
             FS.into_pullback(sq, a, b)
+
+
+def test_setmap_errors_name_the_first_offending_element():
+    with pytest.raises(ValueError, match="domain mismatch at 2"):
+        SetMap(frozenset({1, 2}), frozenset({0}), {1: 0, 3: 0})
+    with pytest.raises(ValueError, match="codomain mismatch at 'b'"):
+        SetMap(frozenset({1, 2}), frozenset({0}), {1: "c", 2: "b"})
