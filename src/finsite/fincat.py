@@ -1,8 +1,12 @@
 """Finite categories: explicit composition tables and the finite-sets ambient.
 
 Two backends share one interface.  TableCategory stores everything as
-explicit tables, so limits and colimits are found by exhaustive cone
-enumeration and every classification is decidable.  FinSetCat is the
+explicit tables, so limits and colimits are decided by counting cones and
+every classification is decidable.  The counts, and the composites that
+test a candidate cone, are read from an index built lazily and cached on
+the category: per morphism the table of its composites with each hom set
+and their fibres, per object its hom-count signature.  Caching is sound
+because the tables are immutable after construction.  FinSetCat is the
 ambient category of extensional finite sets; its limits are constructed
 directly and classifications like "every morphism is universal" hold as
 meta-facts about finite sets rather than by enumeration.
@@ -32,16 +36,19 @@ did not build through its legs and pairing.
 TableCategory alone also answers the two sieve questions that
 universality, locality and continuity ask: into(x), the morphisms with
 target x, and through(f), the sieve f generates with a witness factor for
-each member.  FinSetCat has neither: its hom sets are enumerated lazily,
-and no caller asks these questions of the ambient.
+each member; and coproduct_families(x), the coproduct cocones into x that
+the extensive topology covers by.  FinSetCat has none of these: its hom
+sets are enumerated lazily, and no caller asks these questions of the
+ambient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
-from math import prod
-from typing import Any, Optional
+from operator import eq, mul
+from typing import Any, NamedTuple, Optional
 
 ObjId = Any
 MorId = Any
@@ -84,6 +91,14 @@ class CoequalizerCocone:
     quotient: MorId
 
 
+class _ConeSide(NamedTuple):
+    """The per-object part of the cone index, for cones or for cocones."""
+
+    sig: dict  # object -> its hom counts (|hom(Q, x)|)_Q, or (|hom(x, Q)|)_Q
+    apexes: dict  # hom counts -> the objects with them, in object order
+    multi: dict  # object -> the (Q, count) with count > 1
+
+
 class TableCategory:
     """A finite category given by explicit tables.
 
@@ -96,7 +111,8 @@ class TableCategory:
     composable pair, so compose is total; validate_category checks the laws.
 
     The tables are immutable after construction: hom sets are built once,
-    and pullbacks and universality are memoized per category.
+    the cone index on first use, and pullbacks and universality are
+    memoized per category.
     """
 
     backend = "explicit-table"
@@ -132,6 +148,8 @@ class TableCategory:
         self._isos = None
         self._pullbacks = {}
         self._universal = {}
+        self._composite_tables = ({}, {})
+        self._fibre_tables = {}
 
     # -- structure access ------------------------------------------------
 
@@ -204,92 +222,147 @@ class TableCategory:
     # A cone (apex, legs) is terminal iff, for every object Q, composing
     # with the legs is a bijection hom(Q, apex) -> cones(Q).  That map
     # always lands in cones(Q), so it is a bijection iff it is injective
-    # and |hom(Q, apex)| = |cones(Q)|.  The counts depend on the apex
-    # alone, so they are compared before anything is composed.  Initial
-    # cocones are dual.  The loops below read the composition table
-    # directly: the legs end (or start) at the apex by construction, or
-    # the public entry point has checked that they do.
+    # and |hom(Q, apex)| = |cones(Q)|.  Initial cocones are dual: side 0
+    # below is cones, side 1 cocones.
+    #
+    # Every quantity the test reads comes from an index that is built
+    # lazily, on first use, and cached on the category; the tables are
+    # immutable after construction, so no entry can go stale.
+    # - Per object x (_cone_index): its hom-count signature,
+    #   (|hom(Q, x)|)_Q for cones and (|hom(x, Q)|)_Q for cocones; the
+    #   objects with each signature, in object order; and the objects Q
+    #   where that count exceeds 1.
+    # - Per morphism h (_composites): for each Q, the composites h.u for u
+    #   in hom(Q, src h), or u.h for u in hom(tgt h, Q), in hom order; and
+    #   (_fibres) the fibres composite -> [u] of the first, with their
+    #   sizes over hom(Q, tgt h).
+    # - The repr of each morphism (_reprs).
+    # The counts are computed without building a cone: over a cospan
+    # (f, g) there are sum_x |f-fibre_Q(x)| * |g-fibre_Q(x)| cones at Q.
+    # The apexes whose signature equals the counts are one dict lookup.
+    # Candidate legs are built only there, sorted by repr, and the first
+    # whose composite tables are injective is returned; so the answer is
+    # the first terminal cone in object order, then in repr order.  A map
+    # out of a hom set with at most one element is injective, so only the
+    # objects with more than one arrow are read; a poset has none.  The
+    # tables of the legs line up with hom(Q, apex) (or hom(apex, Q)): the
+    # legs start (or end) at the apex by construction, or the public entry
+    # point has checked that they do.
 
-    def _fits_cone_counts(self, counts, apex):
-        hom = self._hom
-        return all(len(hom.get((q0, apex), ())) == counts[q0] for q0 in self.objects)
+    @cached_property
+    def _cone_index(self):
+        hom, objs, index = self._hom, self.objects, []
+        for side in (0, 1):
+            sig = {
+                x: tuple(len(hom.get((q0, x) if side == 0 else (x, q0), ())) for q0 in objs)
+                for x in objs
+            }
+            apexes = {}
+            for x in objs:
+                apexes.setdefault(sig[x], []).append(x)
+            multi = {x: [(q0, n) for q0, n in zip(objs, s) if n > 1] for x, s in sig.items()}
+            index.append(_ConeSide(sig, apexes, multi))
+        return index
 
-    def _fits_cocone_counts(self, counts, apex):
-        hom = self._hom
-        return all(len(hom.get((apex, q0), ())) == counts[q0] for q0 in self.objects)
+    @cached_property
+    def _reprs(self):
+        return {m: repr(m) for m in self._mor}
 
-    # A map out of a hom set with at most one element is injective, so those
-    # objects are skipped.
+    def _in_repr_order(self, candidates):
+        """The leg tuples, all of one length, sorted by repr from the cached
+        repr of each leg: "(" + r(p) + ", " + r(q) + ")" is repr((p, q)).
+        The sort is stable, so ties keep their order."""
+        r, cands = self._reprs, list(candidates)
+        if len(cands) > 1:
+            if len(cands[0]) == 2:
+                cands.sort(key=lambda pq: "(" + r[pq[0]] + ", " + r[pq[1]] + ")")
+            elif len(cands[0]) == 1:
+                cands.sort(key=lambda q: "(" + r[q[0]] + ",)")
+            else:
+                cands.sort(key=lambda legs: "(" + ", ".join([r[m] for m in legs]) + ")")
+        return cands
 
-    def _cone_injective(self, apex, legs):
-        comp = self._comp
-        for q0 in self.objects:
-            homs = self._hom.get((q0, apex), ())
-            if len(homs) > 1 and len({tuple(comp[(leg, u)] for leg in legs) for u in homs}) != len(homs):
+    def _composites(self, side, h):
+        """Per object Q: (h.u for u in hom(Q, src h)) on side 0, (u.h for u
+        in hom(tgt h, Q)) on side 1, in hom order."""
+        tables = self._composite_tables[side]
+        t = tables.get(h)
+        if t is None:
+            comp, hom = self._comp, self._hom
+            if side == 0:
+                a = self._mor[h][0]
+                t = {q0: tuple([comp[h, u] for u in hom.get((q0, a), ())]) for q0 in self.objects}
+            else:
+                b = self._mor[h][1]
+                t = {q0: tuple([comp[u, h] for u in hom.get((b, q0), ())]) for q0 in self.objects}
+            tables[h] = t
+        return t
+
+    def _fibres(self, h):
+        """Per object Q: the fibres x -> [u] of u -> h.u over hom(Q, src h),
+        in hom order, and their sizes for x in hom(Q, tgt h)."""
+        t = self._fibre_tables.get(h)
+        if t is None:
+            (a, b), hom = self._mor[h], self._hom
+            t = self._fibre_tables[h] = {}
+            for q0, row in self._composites(0, h).items():
+                fib = {}
+                for u, x in zip(hom.get((q0, a), ()), row):
+                    fib.setdefault(x, []).append(u)
+                t[q0] = fib, tuple([len(fib.get(x, ())) for x in hom.get((q0, b), ())])
+        return t
+
+    def _injective(self, side, apex, legs):
+        """Whether composing with the legs is injective on every hom(Q, apex)
+        (side 0) or hom(apex, Q) (side 1)."""
+        multi = self._cone_index[side].multi[apex]
+        tables = [self._composites(side, leg) for leg in legs] if multi else ()
+        for q0, n in multi:
+            if len(set(zip(*[t[q0] for t in tables]))) != n:
                 return False
         return True
 
-    def _cocone_injective(self, apex, legs):
-        comp = self._comp
-        for q0 in self.objects:
-            homs = self._hom.get((apex, q0), ())
-            if len(homs) > 1 and len({tuple(comp[(u, leg)] for leg in legs) for u in homs}) != len(homs):
-                return False
-        return True
+    def _fits(self, side, apex, counts):
+        return self._cone_index[side].sig.get(apex) == counts
 
-    def _first_terminal(self, counts, candidates):
-        """The first terminal (apex, legs): apexes in object order, the legs
-        candidates(apex) in repr order.  None if there is none."""
-        for apex in self.objects:
-            if self._fits_cone_counts(counts, apex):
-                for legs in sorted(candidates(apex), key=repr):
-                    if self._cone_injective(apex, legs):
-                        return apex, legs
+    def _first(self, side, counts, candidates):
+        """The first terminal (side 0) or initial (side 1) (apex, legs) with
+        these counts: apexes in object order, the legs candidates(apex) in
+        repr order.  None if there is none."""
+        for apex in self._cone_index[side].apexes.get(counts, ()):
+            for legs in self._in_repr_order(candidates(apex)):
+                if self._injective(side, apex, legs):
+                    return apex, legs
         return None
 
-    def _first_initial(self, counts, candidates):
-        for apex in self.objects:
-            if self._fits_cocone_counts(counts, apex):
-                for legs in sorted(candidates(apex), key=repr):
-                    if self._cocone_injective(apex, legs):
-                        return apex, legs
-        return None
+    def _cospan_counts(self, f, g):
+        F, G = self._fibres(f), self._fibres(g)
+        return tuple([sum(map(mul, F[q0][1], G[q0][1])) for q0 in self.objects])
 
-    def _cospan_cones(self, f, g):
-        """All cones (p, q) with f.p = g.q, grouped by apex: hom(Q, B)
-        bucketed by g.q, joined with hom(Q, A) on f.p."""
-        comp, hom = self._comp, self._hom
-        a, b = self._mor[f][0], self._mor[g][0]
-        by_apex = {}
-        for q0 in self.objects:
-            by_gq = {}
-            for q in hom.get((q0, b), ()):
-                by_gq.setdefault(comp[(g, q)], []).append(q)
-            by_apex[q0] = [
-                (p, q) for p in hom.get((q0, a), ()) for q in by_gq.get(comp[(f, p)], ())
-            ]
-        return by_apex
+    def _cospan_legs(self, f, g, apex):
+        """The cones (p, q) at apex with f.p = g.q: p in hom order, then q."""
+        fib = self._fibres(g)[apex][0]
+        ps = self._hom.get((apex, self._mor[f][0]), ())
+        return [(p, q) for p, x in zip(ps, self._composites(0, f)[apex]) for q in fib.get(x, ())]
 
-    def _coequalizing(self, f, g):
-        """All (q,) with q.f = q.g, grouped by the target of q."""
-        comp, b = self._comp, self.tgt(f)
-        return {
-            q0: [(q,) for q in self._hom.get((b, q0), ()) if comp[(q, f)] == comp[(q, g)]]
-            for q0 in self.objects
-        }
+    def _coequalizing_counts(self, f, g):
+        F, G = self._composites(1, f), self._composites(1, g)
+        return tuple([sum(map(eq, F[q0], G[q0])) for q0 in self.objects])
 
     def _coproduct_counts(self, objs):
-        hom = self._hom
-        return {q0: prod(len(hom.get((o, q0), ())) for o in objs) for q0 in self.objects}
+        sig, counts = self._cone_index[1].sig, (1,) * len(self.objects)
+        for o in objs:
+            counts = tuple(map(mul, counts, sig[o]))
+        return counts
 
     def pullback(self, f, g):
         key = (f, g)
         if key not in self._pullbacks:
             if self.tgt(f) != self.tgt(g):
                 raise ValueError("pullback needs a cospan")
-            by_apex = self._cospan_cones(f, g)
-            counts = {q0: len(cones) for q0, cones in by_apex.items()}
-            found = self._first_terminal(counts, by_apex.__getitem__)
+            found = self._first(
+                0, self._cospan_counts(f, g), lambda apex: self._cospan_legs(f, g, apex)
+            )
             self._pullbacks[key] = (
                 None if found is None else PullbackSquare(found[0], *found[1], f, g)
             )
@@ -307,18 +380,18 @@ class TableCategory:
 
     def product(self, a, b):
         """Binary product as a PullbackSquare-shaped pair of projections."""
-        hom = self._hom
-        counts = {
-            q0: len(hom.get((q0, a), ())) * len(hom.get((q0, b), ())) for q0 in self.objects
-        }
-        found = self._first_terminal(
-            counts, lambda apex: iproduct(self.hom(apex, a), self.hom(apex, b))
+        sig = self._cone_index[0].sig
+        found = self._first(
+            0,
+            tuple(map(mul, sig[a], sig[b])),
+            lambda apex: iproduct(self.hom(apex, a), self.hom(apex, b)),
         )
         return None if found is None else PullbackSquare(found[0], *found[1], None, None)
 
     def coproduct(self, objs):
         objs = tuple(objs)
-        found = self._first_initial(
+        found = self._first(
+            1,
             self._coproduct_counts(objs),
             lambda apex: iproduct(*(self.hom(o, apex) for o in objs)),
         )
@@ -331,7 +404,36 @@ class TableCategory:
         if any(self.tgt(leg) != apex for leg in legs):
             return False
         counts = self._coproduct_counts(tuple(self.src(leg) for leg in legs))
-        return self._fits_cocone_counts(counts, apex) and self._cocone_injective(apex, legs)
+        return self._fits(1, apex, counts) and self._injective(1, apex, legs)
+
+    def coproduct_families(self, x):
+        """Every set of morphisms into x that are the legs of a coproduct
+        cocone, that is, every subset of into(x) that is_coproduct_cocone
+        accepts.
+
+        Legs are chosen one at a time in repr order, carrying the cocone
+        counts prod_i |hom(src_i, Q)| for every object Q, which must end
+        equal to |hom(x, Q)|.  Adding a leg multiplies each count by a whole
+        number, so where |hom(x, Q)| > 0 a branch whose count there is 0 or
+        exceeds |hom(x, Q)| can never match again and is cut.  A set whose
+        counts all match needs only the injectivity half of the test."""
+        sig = self._cone_index[1].sig
+        want = sig[x]
+        live = [k for k, n in enumerate(want) if n]
+        ms = sorted(self._into[x], key=self._reprs.__getitem__)
+        rows = [sig[self._mor[m][0]] for m in ms]
+        out = set()
+
+        def grow(start, legs, counts):
+            if counts == want and self._injective(1, x, legs):
+                out.add(frozenset(legs))
+            for j in range(start, len(ms)):
+                nxt = tuple(map(mul, counts, rows[j]))
+                if all(0 < nxt[k] <= want[k] for k in live):
+                    grow(j + 1, legs + (ms[j],), nxt)
+
+        grow(0, (), (1,) * len(want))
+        return out
 
     def from_coproduct(self, cocone, legs):
         """The unique u with u . inj_i = legs[i], or None."""
@@ -347,9 +449,12 @@ class TableCategory:
     def coequalizer(self, f, g):
         if self._mor[f][0] != self._mor[g][0] or self._mor[f][1] != self._mor[g][1]:
             raise ValueError("coequalizer needs a parallel pair")
-        by_apex = self._coequalizing(f, g)
-        counts = {q0: len(cones) for q0, cones in by_apex.items()}
-        found = self._first_initial(counts, by_apex.__getitem__)
+        F, G, b = self._composites(1, f), self._composites(1, g), self._mor[f][1]
+        found = self._first(
+            1,
+            self._coequalizing_counts(f, g),
+            lambda apex: [(q,) for q, x, y in zip(self.hom(b, apex), F[apex], G[apex]) if x == y],
+        )
         return None if found is None else CoequalizerCocone(found[0], found[1][0])
 
     def is_cocone_coequalizer(self, f, g, apex, q):
@@ -357,16 +462,14 @@ class TableCategory:
         # q.f = q.g makes f, g parallel and ending at the source of q
         if self.compose(q, f) != self.compose(q, g) or self.tgt(q) != apex:
             return False
-        counts = {q0: len(cones) for q0, cones in self._coequalizing(f, g).items()}
-        return self._fits_cocone_counts(counts, apex) and self._cocone_injective(apex, (q,))
+        return self._fits(1, apex, self._coequalizing_counts(f, g)) and self._injective(1, apex, (q,))
 
     def is_cone_pullback(self, f, g, apex, p, q):
         """Whether (apex, p, q) is a terminal cone over the cospan (f, g)."""
         # f.p = g.q makes (f, g) a cospan and p, q share a source
         if self.compose(f, p) != self.compose(g, q) or self.src(p) != apex:
             return False
-        counts = {q0: len(cones) for q0, cones in self._cospan_cones(f, g).items()}
-        return self._fits_cone_counts(counts, apex) and self._cone_injective(apex, (p, q))
+        return self._fits(0, apex, self._cospan_counts(f, g)) and self._injective(0, apex, (p, q))
 
     def has_all_pullbacks(self):
         return False
@@ -678,14 +781,9 @@ def is_universal(cat, f) -> bool:
 def is_epi(cat, f) -> bool:
     if isinstance(cat, FinSetCat):
         return f.is_surjective()
-    b = cat.tgt(f)
-    for z in cat.objects:
-        homs = cat.hom(b, z)
-        for h1 in homs:
-            for h2 in homs:
-                if h1 != h2 and cat.compose(h1, f) == cat.compose(h2, f):
-                    return False
-    return True
+    # f is epi iff u -> u.f is injective on every hom(tgt f, Q): the
+    # injectivity half of the cocone test for the single leg f
+    return cat._injective(1, cat.tgt(f), (f,))
 
 
 def is_effective_epi(cat, f) -> bool:

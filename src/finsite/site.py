@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from operator import mul
 from typing import Optional
 
 from .fincat import (
@@ -50,7 +49,8 @@ class Refinement:
 class Pretopology:
     """Extensional pretopology on a TableCategory.  The constructor checks
     that each family is keyed by an object and made of morphisms into it;
-    validate_pretopology checks the axioms."""
+    validate_pretopology checks the axioms.  The families are fixed after
+    construction, so covering_families sorts those of an object once."""
 
     backend = "explicit-table"
 
@@ -67,13 +67,16 @@ class Pretopology:
             if stray:
                 raise ValueError(f"family member {min(stray, key=repr)!r} is not a morphism into {x!r}")
             self.families[x] = fams
+        self._covering = {}
 
     def covering_families(self, x):
-        out = []
-        for s in self.families[x]:
-            out.append(CoveringFamily(x, tuple(sorted(s, key=repr))))
-        out.sort(key=repr)
-        return out
+        """The families of x as CoveringFamily values, members and families
+        sorted by repr."""
+        if x not in self._covering:
+            self._covering[x] = tuple(
+                sorted((CoveringFamily(x, tuple(sorted(s, key=repr))) for s in self.families[x]), key=repr)
+            )
+        return self._covering[x]
 
     def has_family(self, x, members):
         return frozenset(members) in self.families[x]
@@ -211,36 +214,8 @@ def canonical_topology(cat):
 
 
 def _extensive_families(cat):
-    """Per object x, all incoming-morphism sets forming a coproduct cocone.
-
-    Legs are chosen one at a time in repr order, carrying the products
-    prod_i |hom(src_i, q)| for every object q: the cocone count at q, which
-    must end equal to |hom(x, q)|.  Adding a leg multiplies each count by a
-    whole number, so where |hom(x, q)| > 0 a branch whose count there is 0
-    or exceeds |hom(x, q)| can never match again and is cut.  A set whose
-    counts all match is a coproduct cocone iff composing with its legs is
-    injective on every hom(x, q): the rest of is_coproduct_cocone, whose
-    counts it already holds.  So the families are exactly the subsets of
-    into(x) that is_coproduct_cocone accepts."""
-    objs = cat.objects
-    out = {}
-    for x in objs:
-        want = tuple(len(cat.hom(x, q)) for q in objs)
-        live = [k for k, n in enumerate(want) if n]
-        ms = sorted(cat.into(x), key=repr)
-        rows = [tuple(len(cat.hom(cat.src(m), q)) for q in objs) for m in ms]
-        fams = out[x] = set()
-
-        def grow(start, legs, counts):
-            if counts == want and cat._cocone_injective(x, legs):
-                fams.add(frozenset(legs))
-            for j in range(start, len(ms)):
-                nxt = tuple(map(mul, counts, rows[j]))
-                if all(0 < nxt[k] <= want[k] for k in live):
-                    grow(j + 1, legs + (ms[j],), nxt)
-
-        grow(0, (), (1,) * len(objs))
-    return out
+    """Per object x, all incoming-morphism sets forming a coproduct cocone."""
+    return {x: cat.coproduct_families(x) for x in cat.objects}
 
 
 def extensive_topology(cat):

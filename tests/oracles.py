@@ -2,8 +2,9 @@
 two-point discrete space, the fibre product of finite sets, the
 traditional sheaf condition on a finite space, natural transformations
 between finite presheaves and between anafunctors of finite groupoids, the
-groupoid laws, the right-action laws, the bibundle laws, and the coproduct
-families of a poset of opens and of a skeleton of finite sets.
+groupoid laws, the right-action laws, the bibundle laws, the coproduct
+families of a poset of opens and of a skeleton of finite sets, and the
+limits and colimits of an explicit-table category by its cones.
 
 Deliberately separate from the main code path: the poset is rebuilt from
 raw subset data, morphisms are (src, tgt) pairs, and every universal
@@ -11,7 +12,9 @@ property is decided by the textbook definition (existence and uniqueness
 of mediating morphisms), not by the bijection method the package uses.
 Finite-set functions are plain dicts or tuples of values.  The sheaf and
 naturality oracles build the full product of candidates and filter it by
-the definition.
+the definition.  The cone oracle is the exception: it is finsite's cone
+kernel as it was before the kernel indexed its tables, counting every cone
+at every object, and pins which apex and which legs finsite returns.
 """
 
 from itertools import combinations, product as iproduct
@@ -396,3 +399,82 @@ def bibundle_laws(G, H, left, right):
         return False
     sheared = {(x, ract[x, h]) for x, h in rdom}
     return len(sheared) == len(rdom) and sheared == {(x, y) for x in l for y in l if l[x] == l[y]}
+
+
+# ---------------------------------------------------------------------------
+# Limits and colimits in an explicit-table category, by the cones at every
+# object: finsite's kernel before it indexed the tables.  A category here is
+# (objects, mor, hom, comp): mor maps a morphism to (src, tgt), hom maps
+# (a, b) to the morphisms a -> b sorted by repr, comp maps (g, f) to g.f.
+# A family of cones is a dict object -> the leg tuples at that apex.
+# ---------------------------------------------------------------------------
+
+
+def table_category(objects, mor, comp):
+    """(objects, mor, hom, comp) from the plain tables, hom sorted by repr
+    with ties in the order of mor."""
+    hom = {(a, b): [] for a in objects for b in objects}
+    for m, ends in mor.items():
+        hom[ends].append(m)
+    return list(objects), dict(mor), {k: sorted(v, key=repr) for k, v in hom.items()}, dict(comp)
+
+
+def is_universal_cone(cat, cones, apex, legs, initial=False):
+    """Whether (apex, legs) is a terminal cone of the family (an initial
+    cocone if initial): at every object Q, |hom(Q, apex)| = |cones[Q]| and
+    u -> (leg.u) is injective on hom(Q, apex) (u -> (u.leg) on hom(apex, Q))."""
+    objects, _, hom, comp = cat
+    for q0 in objects:
+        homs = hom[apex, q0] if initial else hom[q0, apex]
+        if len(homs) != len(cones[q0]):
+            return False
+        images = {tuple(comp[(u, leg) if initial else (leg, u)] for leg in legs) for u in homs}
+        if len(images) != len(homs):
+            return False
+    return True
+
+
+def first_universal(cat, cones, initial=False):
+    """The first universal (apex, legs): apexes in object order, the legs at
+    each in repr order.  None if there is none."""
+    for apex in cat[0]:
+        for legs in sorted(cones[apex], key=repr):
+            if is_universal_cone(cat, cones, apex, legs, initial):
+                return apex, legs
+    return None
+
+
+def cospan_cones(cat, f, g):
+    """The cones (p, q) with f.p = g.q, p in hom order, then q."""
+    objects, mor, hom, comp = cat
+    a, b = mor[f][0], mor[g][0]
+    return {
+        q0: [(p, q) for p in hom[q0, a] for q in hom[q0, b] if comp[f, p] == comp[g, q]]
+        for q0 in objects
+    }
+
+
+def product_cones(cat, a, b):
+    objects, _, hom, _ = cat
+    return {q0: list(iproduct(hom[q0, a], hom[q0, b])) for q0 in objects}
+
+
+def coproduct_cocones(cat, objs):
+    objects, _, hom, _ = cat
+    return {q0: list(iproduct(*(hom[o, q0] for o in objs))) for q0 in objects}
+
+
+def coequalizing_cocones(cat, f, g):
+    """The (q,) with q.f = q.g, q in hom order."""
+    objects, mor, hom, comp = cat
+    b = mor[f][1]
+    return {q0: [(q,) for q in hom[b, q0] if comp[q, f] == comp[q, g]] for q0 in objects}
+
+
+def is_epi(cat, f):
+    """No two distinct u, v out of the target of f with u.f = v.f."""
+    objects, mor, hom, comp = cat
+    b = mor[f][1]
+    return not any(
+        u != v and comp[u, f] == comp[v, f] for q0 in objects for u in hom[b, q0] for v in hom[b, q0]
+    )

@@ -5,6 +5,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from spaces import finite_spaces, restrict
 
 from finsite import catalog, sheaf
 from finsite.fincat import identity_functor, is_full, is_faithful
@@ -315,34 +316,6 @@ def test_yoneda_homs_on_finset_skeleton():
             assert sorted(hs) == sorted(cat.hom(a, b)), (a, b)
 
 
-def _restrict(s, V):
-    return tuple(p for p in s if p[0] in V)
-
-
-@st.composite
-def finite_spaces(draw):
-    """A topology on at most 3 points, as the down-sets of a random
-    preorder, with the sections presheaf of 1-3 values per point and the
-    subpresheaf U -> {s|U : s in S} generated by a random set S of global
-    sections; each presheaf is given as {open: sorted sections}."""
-    pts = range(draw(st.integers(1, 3)))
-    le = {(a, b) for a in pts for b in pts if a == b or draw(st.booleans())}
-    for k in pts:
-        le |= {(a, b) for a in pts for b in pts if (a, k) in le and (k, b) in le}
-    subsets = [frozenset(p for p in pts if r >> p & 1) for r in range(1 << len(pts))]
-    opens = [D for D in subsets if all(a in D for (a, b) in le if b in D)]
-    sizes = [draw(st.integers(1, 3)) for _ in pts]
-
-    def sections(U):
-        U = sorted(U)
-        return [tuple(zip(U, vs)) for vs in itertools.product(*(range(sizes[p]) for p in U))]
-
-    full = {U: sections(U) for U in opens}
-    S = draw(st.sets(st.sampled_from(full[subsets[-1]])))
-    sub = {U: sorted({_restrict(s, U) for s in S}) for U in opens}
-    return opens, full, sub
-
-
 def _finsite_site(opens, presheaves):
     cat, T = catalog.open_poset(opens)
     by_name = {"o" + "".join(map(str, sorted(U))): U for U in opens}
@@ -351,7 +324,7 @@ def _finsite_site(opens, presheaves):
         restriction = {}
         for m in cat.morphisms():
             V, U = by_name[cat.src(m)], by_name[cat.tgt(m)]
-            restriction[m] = {s: _restrict(s, V) for s in values[U]}
+            restriction[m] = {s: restrict(s, V) for s in values[U]}
         vals = {x: tuple(values[U]) for x, U in by_name.items()}
         out.append(sheaf.Presheaf(cat, vals, restriction))
     return T, by_name, out
@@ -359,7 +332,7 @@ def _finsite_site(opens, presheaves):
 
 def _raw_presheaf(opens, values):
     restriction = {
-        (V, U): {s: _restrict(s, V) for s in values[U]} for U in opens for V in opens if V <= U
+        (V, U): {s: restrict(s, V) for s in values[U]} for U in opens for V in opens if V <= U
     }
     return values, restriction
 

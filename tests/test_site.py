@@ -8,6 +8,7 @@ import pytest
 
 import finsite
 import oracles
+from spaces import open_sites
 from finsite import catalog, cli, site
 from finsite.fincat import (
     FinSetCat,
@@ -329,24 +330,8 @@ def test_uni_class_refuses_intensional_backend():
         uni_class(FinSetTopology("surjections"))
 
 
-def _subsets(points):
-    return [frozenset(s) for k in range(len(points) + 1) for s in itertools.combinations(points, k)]
-
-
-def _open_sites():
-    """FIX-V, the six-open space, the discrete 3-point space and DOWN12, each
-    with the open every object names."""
-    cat, _ = catalog.fix_v()
-    yield "FIX-V", cat, dict(zip(("oE", "oU", "oV", "oX"), oracles.OPENS))
-    six = [frozenset(s) for s in [(), (0,), (1,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]]
-    down12 = [a | b for a in map(frozenset, [(), (0,), (0, 1)]) for b in _subsets([2, 3])]
-    for label, opens in (("six-open", six), ("discrete-3", _subsets([0, 1, 2])), ("DOWN12", down12)):
-        cat, _ = catalog.open_poset(opens)
-        yield label, cat, {x: frozenset(int(c) for c in x[1:]) for x in cat.objects}
-
-
 def test_extensive_families_of_open_posets_match_the_union_oracle():
-    for label, cat, open_of in _open_sites():
+    for label, cat, open_of in open_sites():
         families = site._extensive_families(cat)
         for x in cat.objects:
             # in a poset a family into x is given by its sources
