@@ -9,9 +9,10 @@ and `parse_bundle_doc` is the one place that turns a malformed entry into
 a `BundleError`.  Mappings are
 arrays of [key, value] pairs, compositions arrays of [g, f, gf] meaning
 compose(g, f) = gf, and elements are JSON scalars or arrays (arrays
-decode to tuples; equal ids in one document decode to one shared object).  Reports go to stdout as JSON; a human summary goes
-to stderr.  Exit codes: 0 verdict-true, 1 verdict-false, 2 usage or
-parse error.
+decode to tuples; equal strings, and arrays with equal JSON text, decode
+to one shared object per document).  Reports go to stdout as JSON with
+indent 2 and sorted keys; a human summary goes to stderr.  Exit codes:
+0 verdict-true, 1 verdict-false, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from . import catalog, internal, sheaf, site
 from .fincat import (
@@ -43,37 +45,62 @@ from .fincat import (
 # ---------------------------------------------------------------------------
 
 
+def _encoder():
+    """An encode function with a memo of its own, for one serialization:
+    tuples and lists become lists, sets lists sorted by repr, other values
+    stay as they are.  Each container is encoded once, keyed by its id, so
+    a value met many times becomes one shared list."""
+    memo = {}
+    alive = []  # every container encoded, so that no id is reused while the memo is
+    containers = (tuple, list, set, frozenset)
+
+    def encode(v):
+        if not isinstance(v, containers):
+            return v
+        out = memo.get(id(v))
+        if out is None:
+            out = [encode(x) if isinstance(x, containers) else x for x in v]
+            if isinstance(v, (set, frozenset)):
+                out.sort(key=repr)
+            memo[id(v)] = out
+            alive.append(v)
+        return out
+
+    return encode
+
+
 def _encode(v):
-    if isinstance(v, (tuple, list)):
-        return [_encode(x) for x in v]
-    if isinstance(v, (set, frozenset)):
-        return sorted((_encode(x) for x in v), key=repr)
-    return v
+    return _encoder()(v)
 
 
 def _decoder():
-    """A decode function with a memo of its own, for one bundle document:
+    """A decode function with memos of its own, for one bundle document:
     JSON arrays become tuples and other values stay as they are.  Equal
-    strings decode to one shared object, and so do arrays whose items
-    decoded to the same objects, so dict lookups on ids stop at identity.
-    Nothing is shared by == alone: 1, 1.0 and true stay distinct."""
-    memo = {}
-    share = memo.setdefault
+    strings decode to one shared object, and so do arrays with equal JSON
+    text, so dict lookups on ids stop at identity and a repeated array
+    costs one repr and one lookup.  Arrays are keyed by their repr, which
+    tells types apart: [1], [1.0] and [true] stay distinct, and so do -0.0
+    and 0.0."""
+    strings = {}
+    share = strings.setdefault
+    arrays = {}
 
     def decode(v):
         if type(v) is str:
             return share(v, v)
         if type(v) is list:
-            items = tuple([share(x, x) if type(x) is str else decode(x) for x in v])
-            # keyed by its items' identities, which the memo keeps alive
-            return share(tuple(map(id, items)), items)
+            key = repr(v)
+            items = arrays.get(key)
+            if items is None:
+                items = arrays[key] = tuple([share(x, x) if type(x) is str else decode(x) for x in v])
+            return items
         return v
 
     return decode
 
 
-def _pairs(mapping):
-    return sorted(([_encode(k), _encode(v)] for k, v in mapping.items()), key=repr)
+def _pairs(mapping, encode=_encode):
+    return sorted(([encode(k), encode(v)] for k, v in mapping.items()), key=repr)
 
 
 def _unpairs(pairs, decode):
@@ -102,25 +129,27 @@ class BundleError(Exception):
 
 
 def serialize_category(cat) -> dict:
+    encode = _encoder()
     morphisms = sorted(
-        ([_encode(m), _encode(cat.src(m)), _encode(cat.tgt(m))] for m in cat.morphisms()),
+        ([encode(m), encode(cat.src(m)), encode(cat.tgt(m))] for m in cat.morphisms()),
         key=repr,
     )
     composition = sorted(
-        ([_encode(g), _encode(f), _encode(gf)] for (g, f), gf in cat._comp.items()), key=repr
+        ([encode(g), encode(f), encode(gf)] for (g, f), gf in cat._comp.items()), key=repr
     )
     return {
-        "objects": [_encode(x) for x in cat.objects],
+        "objects": [encode(x) for x in cat.objects],
         "morphisms": morphisms,
-        "identity": _pairs({x: cat.identity(x) for x in cat.objects}),
+        "identity": _pairs({x: cat.identity(x) for x in cat.objects}, encode),
         "composition": composition,
     }
 
 
 def serialize_topology(T, cat_name) -> dict:
+    encode = _encoder()
     fams = sorted(
         (
-            [_encode(x), sorted((sorted((_encode(m) for m in fam), key=repr) for fam in fs), key=repr)]
+            [encode(x), sorted((sorted((encode(m) for m in fam), key=repr) for fam in fs), key=repr)]
             for x, fs in T.families.items()
         ),
         key=repr,
@@ -129,51 +158,55 @@ def serialize_topology(T, cat_name) -> dict:
 
 
 def serialize_functor(F: FunctorData, src_name, tgt_name) -> dict:
+    encode = _encoder()
     return {
         "source": src_name,
         "target": tgt_name,
-        "on_objects": _pairs(F.obj_map),
-        "on_morphisms": _pairs(F.mor_map),
+        "on_objects": _pairs(F.obj_map, encode),
+        "on_morphisms": _pairs(F.mor_map, encode),
     }
 
 
 def serialize_presheaf(P: sheaf.Presheaf, cat_name) -> dict:
+    encode = _encoder()
     return {
         "category": cat_name,
-        "values": sorted(([_encode(x), [_encode(v) for v in vs]] for x, vs in P.values.items()), key=repr),
+        "values": sorted(([encode(x), [encode(v) for v in vs]] for x, vs in P.values.items()), key=repr),
         # the rows have distinct ids, so their order is that of the ids' reprs
         "restriction": sorted(
-            ([_encode(m), _pairs(r)] for m, r in P.restriction.items()),
+            ([encode(m), _pairs(r, encode)] for m, r in P.restriction.items()),
             key=lambda row: repr(row[0]),
         ),
     }
 
 
 def serialize_groupoid(G) -> dict:
+    encode = _encoder()
     g, h, gh = map(G.ambient.at, (G.X2.to_left, G.X2.to_right, G.comp))
-    comp = sorted(([_encode(g(w)), _encode(h(w)), _encode(gh(w))] for w in G.X2.apex), key=repr)
+    comp = sorted(([encode(g(w)), encode(h(w)), encode(gh(w))] for w in G.X2.apex), key=repr)
     return {
-        "X0": _encode(G.X0),
-        "X1": _encode(G.X1),
-        "s": _pairs(G.s.mapping),
-        "t": _pairs(G.t.mapping),
-        "i": _pairs(G.i.mapping),
+        "X0": encode(G.X0),
+        "X1": encode(G.X1),
+        "s": _pairs(G.s.mapping, encode),
+        "t": _pairs(G.t.mapping, encode),
+        "i": _pairs(G.i.mapping, encode),
         "comp": comp,
-        "inv": _pairs(G.inv.mapping),
+        "inv": _pairs(G.inv.mapping, encode),
     }
 
 
 def serialize_bundle(B: internal.Bundle, gpd_name) -> dict:
+    encode = _encoder()
     dom = B.action.dom
     x, g, xg = map(B.gpd.ambient.at, (dom.to_left, dom.to_right, B.action.act))
-    action = sorted(([_encode(x(e)), _encode(g(e)), _encode(xg(e))] for e in dom.apex), key=repr)
+    action = sorted(([encode(x(e)), encode(g(e)), encode(xg(e))] for e in dom.apex), key=repr)
     return {
         "groupoid": gpd_name,
-        "carrier": _encode(B.action.carrier),
-        "anchor": _pairs(B.action.anchor.mapping),
+        "carrier": encode(B.action.carrier),
+        "anchor": _pairs(B.action.anchor.mapping, encode),
         "action": action,
-        "base": _encode(B.base),
-        "projection": _pairs(B.p.mapping),
+        "base": encode(B.base),
+        "projection": _pairs(B.p.mapping, encode),
     }
 
 
@@ -404,8 +437,46 @@ def _report(check, inputs, result, started):
     }
 
 
+def _json_key(k):
+    """A dict key as json.dumps turns it into a string."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _dumps(v, pad="\n"):
+    """json.dumps(v, indent=2, sort_keys=True), byte for byte, without the
+    pure-Python encoder that indent forces on the stdlib: containers are
+    joined here level by level (pad is the newline and indent before the
+    closing bracket), scalars go to the encoders json itself uses.  Each
+    level joins its children within one expression, so their list dies at
+    the join and no text is kept for reuse: the peak stays near twice the
+    output's size.  It raises TypeError where json.dumps does; v must hold
+    no cycle."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in v]) + pad + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(_json_key(k)) + ": " + _dumps(x, inner)
+            for k, x in sorted(v.items())
+        ]) + pad + "}"
+    if type(v) is int:
+        return repr(v)
+    return json.dumps(v)
+
+
 def _emit(report, human):
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_dumps(report))
     print(human, file=sys.stderr)
 
 
@@ -502,9 +573,11 @@ def cmd_validate(path) -> int:
     started = time.monotonic()
     checks = _validate_all(load_bundle(path))
     for name, fn in checks:
+        check_started = time.monotonic()
         result = fn()
         if not result.ok:
-            report = _report(f"validate: {name}", [path], result, started)
+            # the failing structure's validator alone, as laws times each law
+            report = _report(f"validate: {name}", [path], result, check_started)
             _emit(report, f"INVALID {name}")
             return 1
     report = _report("validate", [path], CheckReport(True, "validate"), started)
@@ -607,7 +680,7 @@ def cmd_laws(path=None) -> int:
         started = time.monotonic()
         reports.append(_report(name, [], fn(), started))
     ok = all(r["verdict"] for r in reports)
-    print(json.dumps(reports, indent=2, sort_keys=True))
+    print(_dumps(reports))
     failed = [r["check"] for r in reports if not r["verdict"]]
     if failed:
         print(f"{len(failed)}/{len(reports)} laws FAILED: {failed}", file=sys.stderr)
@@ -632,7 +705,7 @@ def cmd_kan(path, functor, presheaf) -> int:
     ext = sheaf.right_kan_extension(F, P)
     names = {id(c): n for n, c in doc.categories.items()}
     out = {"presheaves": {ext.name: serialize_presheaf(ext, names[id(F.target)])}}
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(_dumps(out))
     sizes = {str(x): len(ext.values[x]) for x in F.target.objects}
     print(f"right Kan extension {ext.name}: value sizes {sizes}", file=sys.stderr)
     return 0

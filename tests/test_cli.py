@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsite import catalog, cli, sheaf
-from finsite.fincat import TableCategory
+from finsite.fincat import FunctorData, TableCategory
 
 
 @pytest.fixture(scope="module")
@@ -515,3 +516,161 @@ def test_one_parser_serves_every_call(bundle_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["check", bundle_path])
     assert exc.value.code == 2
+
+
+def test_decoder_shares_arrays_by_json_text():
+    """Arrays with equal JSON text decode to one tuple across the entries of
+    one document, arrays of big ints included; [1, 2], [true, 2] and
+    [1.0, 2] stay apart, and so do [-0.0] and [0.0]."""
+    big = [[2**80, 1], [2**80, 2]]
+    cat = {"objects": ["x"], "morphisms": [["1x", "x", "x"]], "identity": [["x", "1x"]],
+           "composition": [["1x", "1x", "1x"]]}
+    presheaf = {"category": "ONE", "values": [["x", big]], "restriction": [["1x", [[e, e] for e in big]]]}
+    wire = {"categories": {"ONE": cat}, "presheaves": {"P": presheaf, "Q": presheaf}}
+    doc = cli.parse_bundle_doc(json.loads(json.dumps(wire)))
+    P, Q = doc.presheaves["P"], doc.presheaves["Q"]
+    shared = {id(e) for e in P.values["x"]}
+    assert len(shared) == 2 and {id(e) for e in Q.values["x"]} == shared
+    assert {id(e) for pair in Q.restriction["1x"].items() for e in pair} == shared
+
+    apart = [[1, 2], [True, 2], [1.0, 2], [-0.0], [0.0]]
+    got = cli._decoder()(json.loads(json.dumps(apart + apart)))
+    assert _same_values_and_types(got, _recursive_decode(apart + apart))
+    assert len({id(e) for e in got}) == len(apart)
+    assert [math.copysign(1, e[0]) for e in got[3:5]] == [-1, 1]
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e20]),
+    st.text(),
+    st.sampled_from(["", "é中\U0001f600", 'quote " slash \\ tab \t nl \n nul \x00']),
+)
+# one key type per dict: json.dumps with sort_keys raises on str next to int
+_uniform_keys = st.one_of(
+    st.text(max_size=3), st.integers() | st.floats() | st.booleans(), st.none()
+)
+
+
+def _json_values(scalars, keys):
+    return st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            keys.flatmap(lambda key: st.dictionaries(key, inner, max_size=4)),
+        ),
+        max_leaves=16,
+    )
+
+
+def _stdlib_dumps(v):
+    return json.dumps(v, indent=2, sort_keys=True)
+
+
+def _outcome(dumps, v):
+    try:
+        return dumps(v)
+    except TypeError:
+        return TypeError
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_json_values(_json_scalars, _uniform_keys.map(st.just)))
+def test_writer_matches_json_dumps(v):
+    assert cli._dumps(v) == _stdlib_dumps(v)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    _json_values(
+        _json_scalars | st.sampled_from([object(), {1, 2}, b"x"]),
+        st.just(st.one_of(st.text(max_size=2), st.integers(), st.floats(), st.booleans(),
+                          st.none(), st.tuples(st.integers()))),
+    )
+)
+def test_writer_raises_where_json_does(v):
+    """Mixed key types under sort_keys, a tuple key or a value json cannot
+    encode raise TypeError from both; every other value writes the same."""
+    assert _outcome(cli._dumps, v) == _outcome(_stdlib_dumps, v)
+
+
+def _old_encode(v):
+    if isinstance(v, (tuple, list)):
+        return [_old_encode(x) for x in v]
+    if isinstance(v, (set, frozenset)):
+        return sorted((_old_encode(x) for x in v), key=repr)
+    return v
+
+
+def _old_pairs(mapping):
+    return sorted(([_old_encode(k), _old_encode(v)] for k, v in mapping.items()), key=repr)
+
+
+def _old_serialize_presheaf(P, cat_name):
+    """serialize_presheaf before it shared encoded values: _encode on every
+    occurrence."""
+    return {
+        "category": cat_name,
+        "values": sorted(
+            ([_old_encode(x), [_old_encode(v) for v in vs]] for x, vs in P.values.items()), key=repr
+        ),
+        "restriction": sorted(
+            ([_old_encode(m), _old_pairs(r)] for m, r in P.restriction.items()),
+            key=lambda row: repr(row[0]),
+        ),
+    }
+
+
+def test_serialize_presheaf_matches_the_unshared_encoder():
+    presheaves = list(cli.catalog_bundle().presheaves.values())
+    fs012 = catalog.fix_fs012()
+    fs = catalog.finset_skeleton([0, 1, 2, 3])
+    presheaves += [sheaf.representable(fs, x) for x in fs.objects]
+    incl = FunctorData(fs012, fs, {x: x for x in fs012.objects}, {m: m for m in fs012.morphisms()})
+    presheaves.append(sheaf.right_kan_extension(incl, sheaf.pullback_presheaf(incl, presheaves[-1])))
+    one = TableCategory(["x"], {"1x": ("x", "x")}, {"x": "1x"}, {("1x", "1x"): "1x"}, name="ONE")
+    # a set's encoding is sorted by repr: 10, 100, 9, not in the order it
+    # iterates; (1, 2) and (True, 2) are one dict key but encode apart
+    values = (frozenset({9, 10, 100}), frozenset({(1, "a"), (0, "b")}), (1, 2), (True, 2))
+    presheaves.append(sheaf.Presheaf(one, {"x": values}, {"1x": {v: v for v in values}}, name="MIXED"))
+    for P in presheaves:
+        # compared as text, where true and 1 differ
+        expected = _stdlib_dumps(_old_serialize_presheaf(P, "C"))
+        got = cli.serialize_presheaf(P, "C")
+        assert _stdlib_dumps(got) == expected
+        assert cli._dumps(got) == expected
+
+
+def test_kan_stdout_is_the_stdlib_encoding(bundle_path, capsys):
+    assert cli.main([KAN[0], bundle_path, *KAN[1:]]) == 0
+    out = capsys.readouterr().out
+    assert out == _stdlib_dumps(json.loads(out)) + "\n"
+
+
+def test_validate_times_the_failing_structure_alone(bundle_path, tmp_path, capsys, monkeypatch):
+    """A failing structure's report counts its own validator, not the load;
+    the all-valid report counts the whole command."""
+    load = cli.load_bundle
+
+    def slow_load(path):
+        time.sleep(0.2)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_bundle", slow_load)
+    assert cli.main(["validate", bundle_path]) == 0
+    assert json.loads(capsys.readouterr().out)["wall_time"] >= 0.2
+
+    def break_associativity(doc):
+        for row in doc["categories"]["FIX-FS012"]["composition"]:
+            if row[:2] == ["n2>n2:1,0", "n2>n2:1,0"]:
+                row[2] = "n2>n2:1,0"
+
+    path = _write_variant(bundle_path, tmp_path, break_associativity)
+    assert cli.main(["validate", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["check"] == "validate: category FIX-FS012"
+    assert report["wall_time"] < 0.2
