@@ -25,13 +25,16 @@ they stay there rather than in methods.
 Laws are checked at points: two maps out of x are equal iff they agree
 at every point (generalized element) of x, and the generic point id_x is
 enough.  points(x), at(f), pairs(f, g) (the fibre product's points as
-pairs, None if there is none) and pairing(square) (a pair to the apex's
-point over it, as into_pullback) serve this.  FinSetCat's points are the
-elements, so a law is dict lookups and builds no map; TableCategory's one
-point is the generic point, where a law compares composites.  The apex of
-FinSetCat.pullback is the set of pairs (a, b); any other square may name
-its apex elements otherwise, so callers read the elements of a square they
-did not build through its legs and pairing.
+pairs, None if there is none) and operation(square, f) serve this.  The
+operation is a table m with m[a, b] = f at the apex's point over (a, b),
+f . into_pullback(square, a, b), and a pair that does not factor raises
+ValueError.  FinSetCat's points are the elements, so a law is dict lookups
+and builds no map: its operation is a dict built once from the legs and f.
+TableCategory's one point is the generic point, where a law compares
+composites: its operation composes f with the mediator on first use.  The
+apex of FinSetCat.pullback is the set of pairs (a, b); any other square may
+name its apex elements otherwise, so callers read the elements of a square
+they did not build through its legs and operation.
 
 TableCategory alone also answers the two sieve questions that
 universality, locality and continuity ask: into(x), the morphisms with
@@ -486,8 +489,32 @@ class TableCategory:
         P = self.pullback(f, g)
         return None if P is None else ((P.to_left, P.to_right),)
 
-    def pairing(self, square):
-        return lambda a, b: self.into_pullback(square, a, b)
+    def operation(self, square, f):
+        return _MediatedOperation(self, square, f)
+
+
+class _MediatedOperation(dict):
+    """TableCategory.operation: m[a, b] = f . into_pullback(square, a, b),
+    composed on first use and kept; the tables never change."""
+
+    __slots__ = ("_cat", "_square", "_f")
+
+    def __init__(self, cat, square, f):
+        self._cat, self._square, self._f = cat, square, f
+
+    def __missing__(self, key):
+        cat = self._cat
+        value = self[key] = cat.compose(self._f, cat.into_pullback(self._square, *key))
+        return value
+
+
+class _Operation(dict):
+    """FinSetCat.operation's table; a pair it lacks does not factor."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        raise ValueError("legs do not factor through the given apex")
 
 
 # ---------------------------------------------------------------------------
@@ -633,28 +660,29 @@ class FinSetCat:
         q = SetMap(apex, g.src, {x: x[1] for x in apex})
         return PullbackSquare(apex, p, q, f, g)
 
-    def pairing(self, square):
-        """The function (a, b) -> the z in the apex of any pullback square with
-        (to_left(z), to_right(z)) = (a, b), through an index built once."""
-        if square.to_left.src != square.apex or square.to_right.src != square.apex:
-            raise ValueError("the legs of the square do not start at its apex")
-        rm = square.to_right.mapping
-        index = {(x, rm[z]): z for z, x in square.to_left.mapping.items()}
-
-        def pair(a, b):
-            try:
-                return index[(a, b)]
-            except KeyError:
-                raise ValueError("legs do not factor through the given apex") from None
-
-        return pair
+    def operation(self, square, f):
+        """The table (a, b) -> f(z) for the z in the apex of any pullback
+        square with (to_left(z), to_right(z)) = (a, b), built once in
+        O(|apex|); a pair no z lies over raises ValueError."""
+        apex = square.apex
+        if not (square.to_left.src == square.to_right.src == f.src == apex):
+            raise ValueError("the legs of the square and the map do not start at its apex")
+        rm, fm = square.to_right.mapping, f.mapping
+        return _Operation({(x, rm[z]): fm[z] for z, x in square.to_left.mapping.items()})
 
     def into_pullback(self, square, a, b):
-        """The unique u with to_left.u = a and to_right.u = b."""
-        pair, bm = self.pairing(square), b.mapping
+        """The unique u with to_left.u = a and to_right.u = b, through an
+        index of the apex built once."""
+        if square.to_left.src != square.apex or square.to_right.src != square.apex:
+            raise ValueError("the legs of the square do not start at its apex")
         if a.src != b.src:
             raise ValueError("legs must share a source")
-        return SetMap(a.src, square.apex, {z: pair(x, bm[z]) for z, x in a.mapping.items()})
+        rm, bm = square.to_right.mapping, b.mapping
+        index = {(x, rm[z]): z for z, x in square.to_left.mapping.items()}
+        try:
+            return SetMap(a.src, square.apex, {z: index[x, bm[z]] for z, x in a.mapping.items()})
+        except KeyError:
+            raise ValueError("legs do not factor through the given apex") from None
 
     def product(self, a, b):
         apex = frozenset((x, y) for x in a for y in b)

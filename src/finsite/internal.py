@@ -10,10 +10,12 @@ composites, for tables.
 
 A fibre product is known only up to its universal property, so a square
 handed in by the caller is read through its legs (amb.at(sq.to_left),
-amb.at(sq.to_right)) and amb.pairing(sq), never by unpacking its apex
-elements as pairs.  Constructors do unpack the squares they build
-themselves with amb.pullback, whose apex FinSetCat documents as the pair
-set.
+amb.at(sq.to_right)) and through amb.operation(sq, f), the table of f at the
+apex's point over each pair, never by unpacking its apex elements as pairs.
+Each law compares two lists of table reads, both read in full first, so a
+pair that does not factor raises wherever it is, as composite maps do.
+Constructors do unpack the squares they build themselves with amb.pullback,
+whose apex FinSetCat documents as the pair set.
 """
 
 from __future__ import annotations
@@ -66,12 +68,6 @@ def _composable(amb, g, f):
         raise ValueError("not composable")
 
 
-def _agree(points, lhs, rhs) -> bool:
-    """Whether lhs and rhs agree at every point.  Both are evaluated everywhere first, so
-    a pairing that does not factor raises wherever it is, as composite maps do."""
-    return [lhs(e) for e in points] == [rhs(e) for e in points]
-
-
 def validate_groupoid(G, check_universality=True) -> CheckReport:
     amb = G.ambient
 
@@ -92,7 +88,7 @@ def validate_groupoid(G, check_universality=True) -> CheckReport:
     if X3 is None:
         return fail("X3")
     s, t, i, comp, inv, pr1, pr2 = map(amb.at, (G.s, G.t, G.i, G.comp, G.inv, G.X2.to_left, G.X2.to_right))
-    pair = amb.pairing(G.X2)
+    C = amb.operation(G.X2, G.comp)
     X0, X1 = amb.points(G.X0), amb.points(G.X1)
     _composable(amb, G.s, G.i)
     if amb.src(G.i) != G.X0 or not all(s(i(x)) == x == t(i(x)) for x in X0):
@@ -100,23 +96,19 @@ def validate_groupoid(G, check_universality=True) -> CheckReport:
     _composable(amb, G.t, G.X2.to_left)
     if not all(s(comp(w)) == s(pr2(w)) and t(comp(w)) == t(pr1(w)) for w in amb.points(G.X2.apex)):
         return fail("comp-endpoints-compat")
-    if not _agree(X1, lambda g: comp(pair(i(t(g)), g)), lambda g: g):
+    if [C[i(t(g)), g] for g in X1] != [*X1]:
         return fail("left-unit")
-    if not _agree(X1, lambda g: comp(pair(g, i(s(g)))), lambda g: g):
+    if [C[g, i(s(g))] for g in X1] != [*X1]:
         return fail("right-unit")
     # at the points (w, k) of X3 = X2 x_{G0} X1, (g h) k against g (h k) for w = (g, h)
-    if not _agree(
-        X3,
-        lambda e: comp(pair(comp(e[0]), e[1])),
-        lambda e: comp(pair(pr1(e[0]), comp(pair(pr2(e[0]), e[1])))),
-    ):
+    if [C[comp(w), k] for w, k in X3] != [C[pr1(w), C[pr2(w), k]] for w, k in X3]:
         return fail("associativity")
     _composable(amb, G.s, G.inv)
     if amb.src(G.inv) != G.X1 or not all(s(inv(g)) == t(g) and t(inv(g)) == s(g) for g in X1):
         return fail("inverse-endpoints")
-    if not _agree(X1, lambda g: comp(pair(inv(g), g)), lambda g: i(s(g))):
+    if [C[inv(g), g] for g in X1] != [i(s(g)) for g in X1]:
         return fail("left-inverse")
-    if not _agree(X1, lambda g: comp(pair(g, inv(g))), lambda g: i(t(g))):
+    if [C[g, inv(g)] for g in X1] != [i(t(g)) for g in X1]:
         return fail("right-inverse")
     return CheckReport(True, "validate_groupoid")
 
@@ -209,7 +201,7 @@ def refine_groupoid(G, pi) -> InternalGroupoid:
     if not isinstance(amb, FinSetCat):
         raise ValueError("refinement groupoids are constructed in the finite-sets ambient")
     Y = pi.src
-    comp, pair = amb.at(G.comp), amb.pairing(G.X2)
+    C = amb.operation(G.X2, G.comp)
     A = amb.pullback(pi, G.t)
     B = amb.pullback(amb.compose(G.s, A.to_right), pi)
     arrows = B.apex  # elements ((y1, g), y2) with pi(y1) = t(g), s(g) = pi(y2)
@@ -222,7 +214,7 @@ def refine_groupoid(G, pi) -> InternalGroupoid:
         X2.apex,
         arrows,
         {
-            (m1, m2): ((m1[0][0], comp(pair(m1[0][1], m2[0][1]))), m2[1])
+            (m1, m2): ((m1[0][0], C[m1[0][1], m2[0][1]]), m2[1])
             for (m1, m2) in X2.apex
         },
     )
@@ -291,7 +283,7 @@ def validate_action(a: RightAction) -> CheckReport:
         return fail("domain")
     if amb.src(a.act) != a.dom.apex or amb.tgt(a.act) != a.carrier:
         return fail("act-endpoints")
-    act, anchor, s, i, comp, pr1, pr2 = map(amb.at, (a.act, a.anchor, G.s, G.i, G.comp, a.dom.to_left, a.dom.to_right))
+    act, anchor, s, i, pr1, pr2 = map(amb.at, (a.act, a.anchor, G.s, G.i, a.dom.to_left, a.dom.to_right))
     _composable(amb, a.anchor, a.act)
     if not all(anchor(act(e)) == s(pr2(e)) for e in amb.points(a.dom.apex)):
         return fail("anchor-square")
@@ -299,16 +291,13 @@ def validate_action(a: RightAction) -> CheckReport:
     D = amb.pairs(amb.compose(G.s, a.dom.to_right), G.t)
     if D is None:
         return fail("associativity-square")
-    on_dom, on_X2 = amb.pairing(a.dom), amb.pairing(G.X2)
-    if not _agree(
-        D,
-        lambda e: act(on_dom(act(e[0]), e[1])),
-        lambda e: act(on_dom(pr1(e[0]), comp(on_X2(pr2(e[0]), e[1])))),
-    ):
+    A, C = amb.operation(a.dom, a.act), amb.operation(G.X2, G.comp)
+    if [A[act(e), h] for e, h in D] != [A[pr1(e), C[pr2(e), h]] for e, h in D]:
         return fail("associativity-square")
     # at the points x of the carrier, x 1_{anchor(x)} against x
     _composable(amb, G.i, a.anchor)
-    if not _agree(amb.points(a.carrier), lambda x: act(on_dom(x, i(anchor(x)))), lambda x: x):
+    X = amb.points(a.carrier)
+    if [A[x, i(anchor(x))] for x in X] != [*X]:
         return fail("unit")
     return CheckReport(True, "validate_action")
 
@@ -403,7 +392,7 @@ def pullback_bundle(f, B: Bundle) -> Bundle:
     amb = B.gpd.ambient
     if not isinstance(amb, FinSetCat):
         raise ValueError("bundle pullbacks are constructed in the finite-sets ambient")
-    act_B, on_dom = amb.at(B.action.act), amb.pairing(B.action.dom)
+    act_B = amb.operation(B.action.dom, B.action.act)
     Q = amb.pullback(f, B.p)
     carrier = Q.apex
     anchor = amb.compose(B.action.anchor, Q.to_right)
@@ -411,7 +400,7 @@ def pullback_bundle(f, B: Bundle) -> Bundle:
     act = SetMap(
         dom.apex,
         carrier,
-        {((z, y), g): (z, act_B(on_dom(y, g))) for ((z, y), g) in dom.apex},
+        {((z, y), g): (z, act_B[y, g]) for ((z, y), g) in dom.apex},
     )
     action = RightAction(B.gpd, carrier, anchor, act, dom)
     return Bundle(B.gpd, action, f.src, Q.to_left)
@@ -450,11 +439,11 @@ def section_to_trivialization(B: Bundle, sigma, pi) -> Trivialization:
     psi = amb.compose(B.action.anchor, sigma)
     I = trivial_bundle(G, psi)
     pulled = amb.pullback(pi, B.p)
-    act, on_dom = amb.at(B.action.act), amb.pairing(B.action.dom)
+    act = amb.operation(B.action.dom, B.action.act)
     phi = SetMap(
         I.action.carrier,
         pulled.apex,
-        {(u, g): (u, act(on_dom(sigma(u), g))) for (u, g) in I.action.carrier},
+        {(u, g): (u, act[sigma(u), g]) for (u, g) in I.action.carrier},
     )
     return Trivialization(psi, phi)
 
@@ -517,19 +506,15 @@ def validate_bibundle(P: Bibundle) -> CheckReport:
         rep = validate_principal_bundle(right_bundle(P))
     if not rep.ok:
         return rep
-    lact, ract, ranchor, pr1, pr2 = map(amb.at, (L.act, R.act, R.anchor, L.dom.to_left, L.dom.to_right))
+    lact, ranchor, pr1, pr2 = map(amb.at, (L.act, R.anchor, L.dom.to_left, L.dom.to_right))
     if not all(ranchor(lact(e)) == ranchor(pr2(e)) for e in amb.points(L.dom.apex)):
         return fail("right-anchor-left-invariant")
     # at the points (e, h) of L.dom x_{H0} H1, (g x) h against g (x h) for e = (g, x)
     D = amb.pairs(amb.compose(R.anchor, L.dom.to_right), H.t)
     if D is None:
         return fail("actions-commute")
-    on_L, on_R = amb.pairing(L.dom), amb.pairing(R.dom)
-    if not _agree(
-        D,
-        lambda e: ract(on_R(lact(e[0]), e[1])),
-        lambda e: lact(on_L(pr1(e[0]), ract(on_R(pr2(e[0]), e[1])))),
-    ):
+    LA, RA = amb.operation(L.dom, L.act), amb.operation(R.dom, R.act)
+    if [RA[lact(e), h] for e, h in D] != [LA[pr1(e), RA[pr2(e), h]] for e, h in D]:
         return fail("actions-commute")
     return CheckReport(True, "validate_bibundle")
 
@@ -544,11 +529,11 @@ def bibundle_from_functor(F: InternalFunctor) -> Bibundle:
     carrier = tb.action.carrier
     left_anchor = tb.p  # pr1: P -> G0
     ldom = amb.pullback(G.s, left_anchor)  # pairs (g, (a, h)) with s(g) = a
-    comp, pair = amb.at(H.comp), amb.pairing(H.X2)
+    comp = amb.operation(H.X2, H.comp)
     lact = SetMap(
         ldom.apex,
         carrier,
-        {(g, (a, h)): (G.t(g), comp(pair(F.F1(g), h))) for (g, (a, h)) in ldom.apex},
+        {(g, (a, h)): (G.t(g), comp[F.F1(g), h]) for (g, (a, h)) in ldom.apex},
     )
     left = LeftAction(G, carrier, left_anchor, lact, ldom)
     return Bibundle(G, H, carrier, left, tb.action, tb.designated_pb)
@@ -595,9 +580,9 @@ def anafunctor_from_bibundle(P: Bibundle, T) -> Anafunctor:
     # the inverse of the shear map onto the pair-set fibre product P x_{G0} P
     shear = amb.into_pullback(amb.pullback(pi, pi), P.right.dom.to_left, P.right.act)
     unshear, arrow = amb.at(shear.inverse()), amb.at(P.right.dom.to_right)
-    lact, on_L = amb.at(P.left.act), amb.pairing(P.left.dom)
+    lact = amb.operation(P.left.dom, P.left.act)
     # the arrow m = ((x1, g), x2) goes to the h with x1 h = g x2
-    F1 = SetMap(Gpi.X1, H.X1, {m: arrow(unshear((m[0][0], lact(on_L(m[0][1], m[1]))))) for m in Gpi.X1})
+    F1 = SetMap(Gpi.X1, H.X1, {m: arrow(unshear((m[0][0], lact[m[0][1], m[1]]))) for m in Gpi.X1})
     F = InternalFunctor(Gpi, H, P.right.anchor, F1, name="Ana")
     return Anafunctor(G, H, pi, F, name="Ana")
 
@@ -614,7 +599,7 @@ def anafunctor_transformations(A1: Anafunctor, A2: Anafunctor):
     F1_1(m1) . eta_z2 == eta_z1 . F1_2(m2) as soon as both components are set."""
     G = A1.gpd_src
     H = A1.gpd_tgt
-    comp, pair = H.ambient.at(H.comp), H.ambient.pairing(H.X2)
+    comp = H.ambient.operation(H.X2, H.comp)
     Z = G.ambient.pullback(A1.pi, A2.pi).apex  # pairs (y, y')
     F0_1, F1_1 = A1.functor.F0, A1.functor.F1
     F0_2, F1_2 = A2.functor.F0, A2.functor.F1
@@ -628,8 +613,8 @@ def anafunctor_transformations(A1: Anafunctor, A2: Anafunctor):
                     continue
                 f1 = F1_1(((y1, g), y2))
                 f2 = F1_2(((y1_, g), y2_))
-                lhs = {h: comp(pair(f1, h)) for h in domains[j]}
-                rhs = {h: comp(pair(h, f2)) for h in domains[i]}
+                lhs = {h: comp[f1, h] for h in domains[j]}
+                rhs = {h: comp[h, f2] for h in domains[i]}
                 by_last.setdefault(max(i, j), []).append((j, lhs, i, rhs))
     return [SetMap(frozenset(Z), H.X1, dict(zip(zs, t))) for t in _join(domains, by_last)]
 

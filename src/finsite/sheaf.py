@@ -412,7 +412,9 @@ def right_kan_extension(F: FunctorData, P: Presheaf) -> Presheaf:
         idx2 = slices[y2]
         # slices[y1] iterates its slice objects in _slice_objects' repr order
         at = [idx2[(x, tgt.compose(g, phi))] for (x, phi) in slices[y1]]
-        restriction[g] = {fam: tuple(fam[k] for k in at) for fam in values[y2]}
+        # each image is the element of values[y1] itself, so equal families are one object
+        canon = {fam: fam for fam in values[y1]}
+        restriction[g] = {fam: canon.get(image := tuple(fam[k] for k in at), image) for fam in values[y2]}
     return Presheaf(tgt, values, restriction, name=f"{F.name}_*{P.name}")
 
 

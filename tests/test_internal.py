@@ -375,6 +375,47 @@ def test_readers_agree_on_relabelled_fibre_products(gpds, case):
             assert getattr(want, "ok", True), name
 
 
+def _operation_squares(gpds):
+    """(ambient, square, map out of its apex): the relabelled squares read in
+    test_readers_agree_on_relabelled_fibre_products, X2 of the catalog
+    groupoids with comp, and X2 of the table copies of FIX-Z2GPD and
+    FIX-TRIV1 (a table copy of FIX-PAIR2's eight-element X2 would list 8^8
+    endomaps)."""
+    P = internal.bibundle_from_functor(_identity_functor(gpds["FIX-PAIR2"]))
+    actions = [gpds["FIX-Z2BUNDLE"].action, P.left, P.right]
+    for name in ("FIX-PAIR2", "FIX-Z2GPD"):
+        yield (FS, *_relabel(gpds[name].X2, gpds[name].comp))
+    for a in actions:
+        yield (FS, *_relabel(a.dom, a.act))
+    for name in ("FIX-PAIR2", "FIX-Z2GPD", "FIX-TRIV1"):
+        yield FS, gpds[name].X2, gpds[name].comp
+    for name in ("FIX-Z2GPD", "FIX-TRIV1"):
+        G = gpds[name]
+        img = internal.map_groupoid(TableAmbient([G.X0, G.X1, G.X2.apex]), G)
+        yield img.ambient, img.X2, img.comp
+
+
+def test_operation_reads_f_at_the_mediator(gpds):
+    """operation(sq, f)[a, b] is f at into_pullback's mediator from the
+    fibre product's points, at every point (a, b) of pairs, on both
+    backends; a pair no apex point lies over raises ValueError."""
+    for amb, sq, f in _operation_squares(gpds):
+        op = amb.operation(sq, f)
+        pb = amb.pullback(sq.f, sq.g)
+        fu = amb.at(amb.compose(f, amb.into_pullback(sq, pb.to_left, pb.to_right)))
+        left, right = amb.at(pb.to_left), amb.at(pb.to_right)
+        want = {(left(z), right(z)): fu(z) for z in amb.points(pb.apex)}
+        pairs = amb.pairs(sq.f, sq.g)
+        assert set(pairs) == set(want)
+        assert {(a, b): op[a, b] for a, b in pairs} == want
+        if amb is FS:
+            with pytest.raises(ValueError, match="^legs do not factor through the given apex$"):
+                op[min(sq.f.src, key=repr), "outside"]
+        else:
+            with pytest.raises(ValueError, match="^mediating morphism into fibre product not found$"):
+                op[sq.to_left, amb.identity(sq.apex)]
+
+
 def _plain_groupoid(G):
     return {"X1": list(G.X1), "s": G.s.mapping, "t": G.t.mapping, "comp": G.comp.mapping}
 
@@ -516,6 +557,42 @@ def test_action_verdicts_match_oracle_on_small_act_tables(gpds):
                 got = (internal.validate_action(a).counterexample or {}).get("axiom")
                 assert got == {"associativity": "associativity-square"}.get(want, want), (name, k)
     assert first_failures == {"associativity": 68541, "unit": 228, None: 35}
+
+
+def _swap_composites(G, gh, kl):
+    """G with comp's values at the composable pairs gh and kl swapped."""
+    comp = G.comp.mapping
+    return _with(G, comp=SetMap(G.comp.src, G.X1, {**comp, gh: comp[kl], kl: comp[gh]}))
+
+
+def test_laws_match_oracles_at_benchmark_sizes():
+    """The groupoid laws, and the principal bundle of a groupoid acting on its
+    arrows by composition, against the oracles on the sizes the benchmark
+    checks: the pair groupoid on 6 points and Z/n for n = 6..12, each as it
+    is and with two composites swapped, the swap both in the groupoid and in
+    the act of the unmutated groupoid.  In Z/n, 1 + 2 and 1 + 3 lie in the
+    one fibre and the swap breaks associativity alone.  Each hom set of a
+    pair groupoid has one arrow, so no swap keeps both endpoints: (0, 1)(1, 2)
+    and (3, 4)(4, 2) share their source 2 only, which breaks the groupoid's
+    endpoints and, for the action anchored at the source, associativity
+    alone."""
+    P = catalog.pair_groupoid(range(6))
+    swapped = _swap_composites(P, ((0, 1), (1, 2)), ((3, 4), (4, 2)))
+    cases = [(P, P, "none", None), (P, swapped, "comp-endpoints-compat", "associativity")]
+    for n in range(6, 13):
+        Z = catalog.cyclic_groupoid(n)
+        swapped = _swap_composites(Z, (1, 2), (1, 3))
+        cases += [(Z, Z, "none", None), (Z, swapped, "associativity", "associativity")]
+    for G, M, axiom, action_law in cases:
+        report = internal.validate_groupoid(M)
+        maps = (M.s, M.t, M.i, M.comp, M.inv)
+        assert bool(report) == oracles.groupoid_laws(M.X0, M.X1, *(m.mapping for m in maps))
+        assert (report.counterexample or {"axiom": "none"})["axiom"] == axiom
+        B = internal.groupoid_as_bundle(G)
+        B = dataclasses.replace(B, action=dataclasses.replace(B.action, act=M.comp))
+        assert oracles.right_action_failure(_plain_groupoid(G), _plain_action(B.action)) == action_law
+        got = (internal.validate_principal_bundle(B).counterexample or {}).get("axiom")
+        assert got == {"associativity": "associativity-square"}.get(action_law)
 
 
 def test_weakly_invertible_anafunctor(gpds):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spaces import finite_spaces, restrict
 
 from finsite import catalog, sheaf
-from finsite.fincat import identity_functor, is_full, is_faithful
+from finsite.fincat import FunctorData, identity_functor, is_full, is_faithful
 from finsite.site import (
     canonical_topology,
     discrete_topology,
@@ -360,3 +360,17 @@ def test_sheaf_condition_and_homs_match_oracles(space, data):
 
     assert len(set(images(got))) == len(got)
     assert set(images(got)) == set(images(want))
+
+
+def test_kan_restriction_images_are_elements_of_the_value_sets():
+    """Each restriction image of a right Kan extension is the very tuple held
+    in its value set, so equal families are one object to whatever encodes
+    them: finset_skeleton([0, 1, 2]) into [0, 1, 2, 3], on Yo_n3 restricted."""
+    big = catalog.finset_skeleton([0, 1, 2, 3])
+    small = catalog.fix_fs012()
+    incl = FunctorData(small, big, {x: x for x in small.objects}, {m: m for m in small.morphisms()})
+    ext = sheaf.right_kan_extension(incl, sheaf.pullback_presheaf(incl, sheaf.representable(big, "n3")))
+    assert ext.restriction
+    for g, row in ext.restriction.items():
+        held = {id(fam) for fam in ext.values[big.src(g)]}
+        assert all(id(image) in held for image in row.values()), g
