@@ -32,7 +32,6 @@ from .fincat import (
     TableCategory,
     ill_typed,
     is_effective_epi,
-    is_epi,
     is_extensive,
     is_universal,
     validate_category,
@@ -402,13 +401,6 @@ def catalog_bundle() -> BundleDoc:
 
 
 def _jsonable(v):
-    if isinstance(v, CheckReport):
-        return {
-            "ok": v.ok,
-            "check": v.check,
-            "witness": _jsonable(v.witness),
-            "counterexample": _jsonable(v.counterexample),
-        }
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple, set, frozenset)):
@@ -530,7 +522,7 @@ def _dispatch_table(mode):
             lambda T: sheaf.subcanonical_via_representables(T, mode),
         ),
         "is_universal": (("morphism",), lambda cm: is_universal(cm[0], cm[1])),
-        "is_epi": (("morphism",), lambda cm: is_epi(cm[0], cm[1])),
+        "is_epi": (("morphism",), lambda cm: cm[0].is_epi(cm[1])),
         "is_effective_epi": (("morphism",), lambda cm: is_effective_epi(cm[0], cm[1])),
         "is_locally_split": (("morphism", "topology"), _is_locally_split),
     }

@@ -12,15 +12,15 @@ directly and classifications like "every morphism is universal" hold as
 meta-facts about finite sets rather than by enumeration.
 
 Both backends implement src, tgt, identity, compose, hom, is_identity,
-is_iso, inverse, pullback, into_pullback, product (a PullbackSquare with
-no cospan, so into_pullback mediates into it), coproduct, from_coproduct,
-coequalizer, is_cone_pullback, is_cocone_coequalizer and
-has_all_pullbacks.  Generic checks (is_effective_epi here, the fibre
-products of internal) call only these and run unchanged on either
-backend.  The FinSetTopology branches left in site answer meta-facts
-about an intensional topology (its axioms, its universal completion, the
-coarser order) that no enumeration over the ambient could decide, so
-they stay there rather than in methods.
+is_iso, is_epi, inverse, pullback, into_pullback, product (a
+PullbackSquare with no cospan, so into_pullback mediates into it),
+coproduct, from_coproduct, coequalizer, is_cone_pullback,
+is_cocone_coequalizer and has_all_pullbacks.  Generic checks
+(is_effective_epi here, the fibre products of internal) call only these
+and run unchanged on either backend.  The FinSetTopology branches left in
+site answer meta-facts about an intensional topology (its axioms, its
+universal completion, the coarser order) that no enumeration over the
+ambient could decide, so they stay there rather than in methods.
 
 Laws are checked at points: two maps out of x are equal iff they agree
 at every point (generalized element) of x, and the generic point id_x is
@@ -208,6 +208,11 @@ class TableCategory:
 
     def is_iso(self, f):
         return self._inverse(f) is not None
+
+    def is_epi(self, f):
+        """f is epi iff u -> u.f is injective on every hom(tgt f, Q): the
+        injectivity half of the cocone test for the single leg f."""
+        return self._injective(1, self.tgt(f), (f,))
 
     def inverse(self, f):
         g = self._inverse(f)
@@ -635,6 +640,9 @@ class FinSetCat:
     def is_iso(self, f):
         return f.is_bijective()
 
+    def is_epi(self, f):
+        return f.is_surjective()
+
     def inverse(self, f):
         return f.inverse()
 
@@ -806,14 +814,6 @@ def is_universal(cat, f) -> bool:
     return cat._universal[f]
 
 
-def is_epi(cat, f) -> bool:
-    if isinstance(cat, FinSetCat):
-        return f.is_surjective()
-    # f is epi iff u -> u.f is injective on every hom(tgt f, Q): the
-    # injectivity half of the cocone test for the single leg f
-    return cat._injective(1, cat.tgt(f), (f,))
-
-
 def is_effective_epi(cat, f) -> bool:
     """Whether the kernel pair exists and f coequalizes it."""
     kp = cat.pullback(f, f)
@@ -978,20 +978,21 @@ def coproduct_is_disjoint_stable(cat, co) -> bool:
     return init is not None and _coproduct_failure(cat, co, init.apex) is None
 
 
-def preserves_coproducts(F: FunctorData, which: str = "all") -> bool:
+def preserves_coproducts(F: FunctorData, mode: str = "literal") -> bool:
     """Existing source coproducts map to coproduct cocones in the target.
 
-    which='disjoint' quantifies only over the disjoint pullback-stable
-    source coproducts, matching the disjoint extensivity mode.
+    mode 'literal' quantifies over every existing source coproduct; mode
+    'disjoint' only over the disjoint pullback-stable ones, as in the
+    disjoint extensivity mode.
     """
-    if which not in ("all", "disjoint"):
-        raise ValueError(f"unknown coproduct scope {which!r}")
+    if mode not in ("literal", "disjoint"):
+        raise ValueError(f"unknown extensivity mode {mode!r}")
     src, tgt = F.source, F.target
     init = src.coproduct(())
     if init is not None and not tgt.is_coproduct_cocone(F.on_obj(init.apex), ()):
         return False
     for a, b, co in _existing_binary_coproducts(src):
-        if which == "disjoint" and not coproduct_is_disjoint_stable(src, co):
+        if mode == "disjoint" and not coproduct_is_disjoint_stable(src, co):
             continue
         legs = tuple(F.on_mor(i) for i in co.injections)
         if tuple(tgt.src(leg) for leg in legs) != (F.on_obj(a), F.on_obj(b)):

@@ -325,14 +325,10 @@ def shear_map(B: Bundle):
     amb = B.gpd.ambient
     rep = B.designated_pb
     pr1, act = B.action.dom.to_left, B.action.act
-    if rep is not None:
-        if rep.apex == B.action.dom.apex and rep.to_left == pr1 and rep.to_right == act:
-            # the designated representative is the shear cone itself
-            return amb.identity(rep.apex)
-        return amb.into_pullback(rep, pr1, act)
-    rep = amb.pullback(B.p, B.p)
     if rep is None:
-        raise ValueError("the fibre product P x_X P does not exist")
+        rep = amb.pullback(B.p, B.p)
+        if rep is None:
+            raise ValueError("the fibre product P x_X P does not exist")
     return amb.into_pullback(rep, pr1, act)
 
 

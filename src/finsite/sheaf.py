@@ -491,12 +491,11 @@ def verify_comparison(F: FunctorData, T1, T2, source_samples=(), target_samples=
     on sample presheaves; refuses when a hypothesis fails."""
     from .fincat import preserves_coproducts, inverts_coproducts
 
-    which = "disjoint" if mode == "disjoint" else "all"
     hyps = {
         "continuous": _site.is_continuous(F, T1, T2).ok,
         "cocontinuous": _site.is_cocontinuous(F, T1, T2).ok,
         "dense_image": _site.has_dense_image(F, T2).ok,
-        "preserves_coproducts": preserves_coproducts(F, which),
+        "preserves_coproducts": preserves_coproducts(F, mode),
         "inverts_coproducts": inverts_coproducts(F),
         "target_extensive": is_extensive(F.target).ok,
     }

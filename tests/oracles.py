@@ -3,8 +3,9 @@ two-point discrete space, the fibre product of finite sets, the
 traditional sheaf condition on a finite space, natural transformations
 between finite presheaves and between anafunctors of finite groupoids, the
 groupoid laws, the right-action laws, the bibundle laws, the coproduct
-families of a poset of opens and of a skeleton of finite sets, and the
-limits and colimits of an explicit-table category by its cones.
+families of a poset of opens and of a skeleton of finite sets, dense
+images between skeletons of finite sets, and the limits and colimits of
+an explicit-table category by its cones.
 
 Deliberately separate from the main code path: the poset is rebuilt from
 raw subset data, morphisms are (src, tgt) pairs, and every universal
@@ -194,6 +195,19 @@ def finset_coproduct_families(sizes, n):
         for legs in combinations(injective, r)
         if sum(map(len, legs)) == n and set().union(*legs) == set(range(n))
     }
+
+
+def finset_dense_sizes(sizes, within):
+    """Whether the inclusion of the skeleton of finite sets of the given
+    sizes into the one of the sizes within has a dense image for the
+    indiscrete topology.  There the universal locally split maps are the
+    bijections, so each size in within must be a sum of sizes (0 is the
+    empty sum)."""
+    top = max(within)
+    sums = {0}
+    for _ in range(top):
+        sums |= {a + k for a in sums for k in sizes if a + k <= top}
+    return set(within) <= sums
 
 
 def finset_pullback(f, A, g, B):

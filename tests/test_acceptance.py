@@ -398,9 +398,9 @@ def _compare_backends(sets):
                 tf = mor_of[f]
                 # morphism classifications
                 assert cat.is_iso(tf) == f.is_bijective()
-                from finsite.fincat import is_epi, is_effective_epi
+                from finsite.fincat import is_effective_epi
 
-                assert is_epi(cat, tf) == f.is_surjective(), f
+                assert cat.is_epi(tf) == f.is_surjective(), f
                 kp = FS.pullback(f, f)
                 if len(kp.apex) in sizes:
                     assert is_effective_epi(cat, tf) == f.is_surjective(), f

@@ -15,7 +15,6 @@ from finsite.fincat import (
     identity_functor,
     inverts_coproducts,
     is_effective_epi,
-    is_epi,
     is_extensive,
     is_faithful,
     is_full,
@@ -186,8 +185,8 @@ def test_epi_is_surjective_on_finite_sets():
     a, b = frozenset({0, 1, 2}), frozenset({0, 1})
     surj = SetMap(a, b, {0: 0, 1: 1, 2: 1})
     nonsurj = SetMap(b, a, {0: 0, 1: 1})
-    assert is_epi(FS, surj) and is_effective_epi(FS, surj)
-    assert not is_epi(FS, nonsurj) and not is_effective_epi(FS, nonsurj)
+    assert FS.is_epi(surj) and is_effective_epi(FS, surj)
+    assert not FS.is_epi(nonsurj) and not is_effective_epi(FS, nonsurj)
 
 
 def test_injection_not_effective_epi_in_skeleton(fs012):
@@ -239,7 +238,7 @@ def test_inclusion_preserves_and_inverts(fix_v):
 def test_skeleton_inclusion_coproduct_scopes():
     small, big, incl = catalog.skeleton_inclusion()
     # n1 + n1 = n1 inside the small skeleton, but n2 in the big one
-    assert not preserves_coproducts(incl, "all")
+    assert not preserves_coproducts(incl, "literal")
     assert preserves_coproducts(incl, "disjoint")
     assert inverts_coproducts(incl)
     co = small.coproduct(("n1", "n1"))

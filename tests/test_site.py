@@ -12,6 +12,7 @@ from spaces import open_sites
 from finsite import catalog, cli, site
 from finsite.fincat import (
     FinSetCat,
+    FunctorData,
     SetMap,
     identity_functor,
     is_effective_epi,
@@ -297,13 +298,34 @@ def test_dense_image_verdicts(v, fs012):
     # oX = oU join oV with the identity as induced map, so FIX-B is dense
     assert has_dense_image(incl, indiscrete_topology(cat)).ok
     # the one-object inclusion {n0} cannot reach n2 by coproducts of n0
-    from finsite.fincat import FunctorData
-
     tiny = catalog.finset_skeleton([0])
     j = FunctorData(tiny, fs012, {"n0": "n0"}, {tiny.identity("n0"): fs012.identity("n0")})
     r = has_dense_image(j, indiscrete_topology(fs012))
     assert r.ok is False
     assert r.counterexample["object"] in ("n1", "n2")
+
+
+def test_dense_image_of_finset_sub_skeletons_matches_the_sums_oracle():
+    """Every non-empty S in [0..3]: the inclusion of finset_skeleton(S) is
+    dense for T_indis iff every size is a sum of sizes in S.  S = [1] and
+    [0, 1] reach n3 only as n1 + n1 + n1."""
+    sizes = [0, 1, 2, 3]
+    big = catalog.finset_skeleton(sizes)
+    T = indiscrete_topology(big)
+    for r in range(1, len(sizes) + 1):
+        for S in itertools.combinations(sizes, r):
+            small = catalog.finset_skeleton(S)
+            incl = FunctorData(small, big, {x: x for x in small.objects}, {m: m for m in small.morphisms()})
+            rep = has_dense_image(incl, T)
+            assert rep.ok == oracles.finset_dense_sizes(S, sizes), S
+            if rep.ok:
+                for x, w in rep.witness["objects"].items():
+                    h, legs = w["morphism"], w["family"]
+                    assert big.tgt(h) == x and uni_contains(T, h)
+                    assert big.is_coproduct_cocone(big.src(h), legs)
+                    assert all(big.src(m) in small.objects for m in legs)
+            else:
+                assert rep.counterexample["object"] in big.objects
 
 
 def test_finset_topology_order_and_uni():
