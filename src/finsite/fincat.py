@@ -24,17 +24,19 @@ ambient could decide, so they stay there rather than in methods.
 
 Laws are checked at points: two maps out of x are equal iff they agree
 at every point (generalized element) of x, and the generic point id_x is
-enough.  points(x), at(f), pairs(f, g) (the fibre product's points as
-pairs, None if there is none) and operation(square, f) serve this.  The
-operation is a table m with m[a, b] = f at the apex's point over (a, b),
-f . into_pullback(square, a, b), and a pair that does not factor raises
-ValueError.  FinSetCat's points are the elements, so a law is dict lookups
-and builds no map: its operation is a dict built once from the legs and f.
-TableCategory's one point is the generic point, where a law compares
-composites: its operation composes f with the mediator on first use.  The
-apex of FinSetCat.pullback is the set of pairs (a, b); any other square may
-name its apex elements otherwise, so callers read the elements of a square
-they did not build through its legs and operation.
+enough.  points(x), at(f), pairs(f, g, among) (the fibre product's points
+as pairs, None if there is none; given among, only the pairs whose right
+factor is among those points of g's source) and operation(square, f)
+serve this.  The operation is a table m with m[a, b] = f at the apex's
+point over (a, b), f . into_pullback(square, a, b), and a pair that does
+not factor raises ValueError.  FinSetCat's points are the elements, so a
+law is dict lookups and builds no map: its operation is a dict built once
+from the legs and f.  TableCategory's one point is the generic point,
+where a law compares composites: its operation composes f with the
+mediator on first use.  The apex of FinSetCat.pullback is the set of
+pairs (a, b); any other square may name its apex elements otherwise, so
+callers read the elements of a square they did not build through its
+legs and operation.
 
 TableCategory alone also answers the two sieve questions that
 universality, locality and continuity ask: into(x), the morphisms with
@@ -490,7 +492,9 @@ class TableCategory:
     def at(self, f):
         return lambda e: self.compose(f, e)
 
-    def pairs(self, f, g):
+    def pairs(self, f, g, among=None):
+        """The generic point of the fibre product, or None if there is none;
+        g's source has one point, the one that among holds when given."""
         P = self.pullback(f, g)
         return None if P is None else ((P.to_left, P.to_right),)
 
@@ -652,13 +656,15 @@ class FinSetCat:
     def at(self, f):
         return f.mapping.__getitem__
 
-    def pairs(self, f, g):
-        """The elements (a, b) of the pair-set fibre product, joined through
-        g's fibres: O(|A| + |B| + |apex|) for f: A -> X, g: B -> X."""
+    def pairs(self, f, g, among=None):
+        """The elements (a, b) of the pair-set fibre product with b among the
+        given elements of B (default all), a-major, joined through g's
+        fibres: O(|A| + |among| + |result|) for f: A -> X, g: B -> X."""
         if f.tgt != g.tgt:
             raise ValueError("pullback needs a cospan")
+        gm = g.mapping
         fibres = {}
-        for b, x in g.mapping.items():
+        for b, x in gm.items() if among is None else ((b, gm[b]) for b in among):
             fibres.setdefault(x, []).append(b)
         return [(a, b) for a, x in f.mapping.items() for b in fibres.get(x, ())]
 

@@ -502,6 +502,19 @@ def _constant_action(G, carrier):
     return internal.RightAction(G, carrier, anchor, act, dom)
 
 
+def _in_table(a):
+    """The image of the action a in a table copy of finite sets."""
+    G, d = a.gpd, a.dom
+    amb = TableAmbient([G.X0, G.X1, G.X2.apex, a.carrier, d.apex])
+    return internal.RightAction(
+        internal.map_groupoid(amb, G),
+        amb.on_obj(a.carrier),
+        amb.on_mor(a.anchor),
+        amb.on_mor(a.act),
+        PullbackSquare(amb.on_obj(d.apex), *map(amb.on_mor, (d.to_left, d.to_right, d.f, d.g))),
+    )
+
+
 def test_non_unital_action_fails_unit(gpds):
     """FIX-Z2GPD acting on {0, 1} by the constant map to 0 passes the anchor
     square and associativity but breaks x 1 == x, in finite sets and, for
@@ -512,16 +525,18 @@ def test_non_unital_action_fails_unit(gpds):
     for carrier, axiom in (({0, 1}, "unit"), ({0}, None)):
         a = _constant_action(triv, carrier)
         assert (internal.validate_action(a).counterexample or {}).get("axiom") == axiom
-        amb = TableAmbient([triv.X0, triv.X1, triv.X2.apex, a.carrier, a.dom.apex])
-        d = a.dom
-        img = internal.RightAction(
-            internal.map_groupoid(amb, triv),
-            amb.on_obj(a.carrier),
-            amb.on_mor(a.anchor),
-            amb.on_mor(a.act),
-            PullbackSquare(amb.on_obj(d.apex), *map(amb.on_mor, (d.to_left, d.to_right, d.f, d.g))),
-        )
-        assert (internal.validate_action(img).counterexample or {}).get("axiom") == axiom
+        assert (internal.validate_action(_in_table(a)).counterexample or {}).get("axiom") == axiom
+
+
+def test_swap_action_fails_associativity_in_a_table(gpds):
+    """FIX-TRIV1 acting on {0, 1} by the swap x 1 = 1 - x breaks (x 1) 1 ==
+    x (1 1) before x 1 == x, in finite sets and at the generic point of a
+    table copy, whose one point of X1 is its generating set."""
+    triv = gpds["FIX-TRIV1"]
+    a = _constant_action(triv, {0, 1})
+    a = dataclasses.replace(a, act=SetMap(a.dom.apex, a.carrier, {(x, g): 1 - x for x, g in a.dom.apex}))
+    assert internal.validate_action(a).counterexample == {"axiom": "associativity-square"}
+    assert internal.validate_action(_in_table(a)).counterexample == {"axiom": "associativity-square"}
 
 
 def _anchored_act_tables(G):
@@ -568,18 +583,20 @@ def _swap_composites(G, gh, kl):
 def test_laws_match_oracles_at_benchmark_sizes():
     """The groupoid laws, and the principal bundle of a groupoid acting on its
     arrows by composition, against the oracles on the sizes the benchmark
-    checks: the pair groupoid on 6 points and Z/n for n = 6..12, each as it
-    is and with two composites swapped, the swap both in the groupoid and in
-    the act of the unmutated groupoid.  In Z/n, 1 + 2 and 1 + 3 lie in the
-    one fibre and the swap breaks associativity alone.  Each hom set of a
-    pair groupoid has one arrow, so no swap keeps both endpoints: (0, 1)(1, 2)
-    and (3, 4)(4, 2) share their source 2 only, which breaks the groupoid's
-    endpoints and, for the action anchored at the source, associativity
-    alone."""
-    P = catalog.pair_groupoid(range(6))
-    swapped = _swap_composites(P, ((0, 1), (1, 2)), ((3, 4), (4, 2)))
-    cases = [(P, P, "none", None), (P, swapped, "comp-endpoints-compat", "associativity")]
-    for n in range(6, 13):
+    checks and larger ones: the pair groupoid on 6, 12 and 20 points and Z/n
+    for n = 6..12, 30 and 60, each as it is and with two composites swapped,
+    the swap both in the groupoid and in the act of the unmutated groupoid.
+    In Z/n, 1 + 2 and 1 + 3 lie in the one fibre and the swap breaks
+    associativity alone.  Each hom set of a pair groupoid has one arrow, so
+    no swap keeps both endpoints: (0, 1)(1, 2) and (3, 4)(4, 2) share their
+    source 2 only, which breaks the groupoid's endpoints and, for the action
+    anchored at the source, associativity alone."""
+    cases = []
+    for n in (6, 12, 20):
+        P = catalog.pair_groupoid(range(n))
+        swapped = _swap_composites(P, ((0, 1), (1, 2)), ((3, 4), (4, 2)))
+        cases += [(P, P, "none", None), (P, swapped, "comp-endpoints-compat", "associativity")]
+    for n in (*range(6, 13), 30, 60):
         Z = catalog.cyclic_groupoid(n)
         swapped = _swap_composites(Z, (1, 2), (1, 3))
         cases += [(Z, Z, "none", None), (Z, swapped, "associativity", "associativity")]
@@ -593,6 +610,53 @@ def test_laws_match_oracles_at_benchmark_sizes():
         assert oracles.right_action_failure(_plain_groupoid(G), _plain_action(B.action)) == action_law
         got = (internal.validate_principal_bundle(B).counterexample or {}).get("axiom")
         assert got == {"associativity": "associativity-square"}.get(action_law)
+
+
+def _closure(G, S):
+    """The arrows of G that are composites of arrows in S, by the plain tables."""
+    comp, s, t = G.comp.mapping, G.s.mapping, G.t.mapping
+    reached, new = set(), set(S)
+    while new:
+        reached |= new
+        new = {comp[g, h] for g in reached for h in reached if s[g] == t[h]} - reached
+    return reached
+
+
+def _generators(G):
+    return internal._generators(G, FS.operation(G.X2, G.comp), G.s, G.t)
+
+
+def test_generators_generate(gpds):
+    """The S that associativity is read at generates X1 under comp, on the
+    standard groupoids and on the pair groupoids and Z/n that the benchmark
+    and the oracle tests check; Z/n needs two generators for n >= 2."""
+    groupoids = [gpds[name] for name in ("FIX-PAIR2", "FIX-Z2GPD", "FIX-TRIV1")]
+    groupoids += [gpds["FIX-Z2BUNDLE"].gpd]
+    groupoids += [catalog.pair_groupoid(range(n)) for n in (6, 9, 12, 20)]
+    cyclic = [catalog.cyclic_groupoid(n) for n in (*range(2, 13), 30, 60)]
+    for G in groupoids + cyclic + [catalog.cyclic_groupoid(1)]:
+        S = _generators(G)
+        assert set(S) <= G.X1 and _closure(G, S) == G.X1, G.name
+    for G in cyclic:
+        assert len(_generators(G)) == 2
+
+
+def test_action_of_a_non_associative_groupoid_reads_every_arrow():
+    """Z/n with the composites at (1, 2) and (1, 3) swapped, acting on Z/n by
+    plain addition, is associative at every h in the generating set {0, 1}
+    of the swapped composition but not at h = 2: the action law reads every
+    h when its groupoid does not validate, and names the law the oracle
+    finds broken first."""
+    for n in (6, 12, 30, 60):
+        G = _swap_composites(catalog.cyclic_groupoid(n), (1, 2), (1, 3))
+        assert _generators(G) == [0, 1]
+        dom = G.X2.apex
+        plus = {(x, h): (x + h) % n for x, h in dom}
+        C = G.comp.mapping
+        assert all(plus[plus[x, g], h] == plus[x, C[g, h]] for x, g in dom for h in (0, 1))
+        a = internal.RightAction(G, G.X1, G.s, SetMap(dom, G.X1, plus), G.X2)
+        assert oracles.right_action_failure(_plain_groupoid(G), _plain_action(a)) == "associativity"
+        assert internal.validate_action(a).counterexample == {"axiom": "associativity-square"}
 
 
 def test_weakly_invertible_anafunctor(gpds):
