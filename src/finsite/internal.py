@@ -20,25 +20,23 @@ whose apex FinSetCat documents as the pair set.
 Associativity is read at the points (w, k) of X3 = X2 x_{G0} X1 with k in a
 set S of X1's points that generates X1 under comp (Light's test,
 _generators): about 2 n^3 points for the pair groupoid on n points and 2 n^2
-for Z/n, against n^4 and n^3 for all of X3.  An action's associativity square
-and a bibundle's actions-commute law are read at the h in S likewise once
-the groupoid validates; otherwise at every h.  A table ambient's X1 has one
-point, so its S is that point and its laws read what they always did.
+for Z/n, against n^4 and n^3 for all of X3.  A groupoid's laws are checked
+once, on first use (InternalGroupoid._laws).  An action or bibundle over a
+groupoid that breaks them fails with axiom "groupoid"; otherwise its
+associativity square and actions-commute law are read at the h in S
+likewise.  A table ambient's X1 has one point, so its S is that point and
+its laws read what they always did.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from .fincat import CheckReport, FinSetCat, PullbackSquare, SetMap, is_universal
 from . import site as _site
 from .sheaf import _join
-
-
-def _is_fibre_product(amb, square) -> bool:
-    """Whether the square is a terminal cone over its cospan (f, g)."""
-    return amb.is_cone_pullback(square.f, square.g, square.apex, square.to_left, square.to_right)
 
 
 class InternalGroupoid:
@@ -56,6 +54,12 @@ class InternalGroupoid:
 
     def __repr__(self):
         return f"InternalGroupoid({self.name!r})"
+
+    @functools.cached_property
+    def _laws(self):
+        """_groupoid_laws(self), computed once: the parts are fixed after
+        construction."""
+        return _groupoid_laws(self)
 
 
 def make_groupoid(ambient, X0, X1, s, t, i, comp, inv, name=""):
@@ -77,19 +81,16 @@ def _composable(amb, g, f):
 
 
 def _generators(G, C, s, t):
-    """A list S of X1's points that generates X1 under comp, whose table is
-    C; None when G.X2 is not over the cospan (s, t), as C then need not hold
-    every composable pair.  A point the closure of S so far does not reach
-    joins S, in point order; the closure grows by right-multiplying through C
-    and lags one generator behind, so a single point, as in a table ambient,
-    is read at no pair.
+    """A list S of X1's points that generates X1 under comp, whose table C
+    holds every composable pair, G.X2 being a fibre product of (s, t).  A
+    point the closure of S so far does not reach joins S, in point order;
+    the closure grows by right-multiplying through C and lags one generator
+    behind, so a single point, as in a table ambient, is read at no pair.
 
     Light's associativity test (Clifford & Preston, The Algebraic Theory of
     Semigroups I, 1.2): the k with (g h) k = g (h k) for all composable g, h
     are closed under comp by that equation alone, so associativity holds at
     every k once it holds at every k in S."""
-    if G.X2.f != G.s or G.X2.g != G.t:
-        return None
     S, reached, todo, by_target = [], set(), [], {}
     for k in G.ambient.points(G.X1):
         while todo:
@@ -104,27 +105,20 @@ def _generators(G, C, s, t):
     return S
 
 
-def _action_generators(G):
-    """S for a law read at (e, h) with h in X1, or None to read every h.  The
-    h at which an action of G is associative, or at which it commutes with an
-    associative action on the other side, are closed under comp when comp is
-    associative and keeps the endpoints of its factors: so S serves once G
-    validates as a groupoid.  If G does not, or that check raises, the law
-    reads every h, as it would without S."""
-    try:
-        report, S = _groupoid_laws(G, check_universality=False)
-    except ValueError:
-        return None
-    return S if report else None
-
-
 def validate_groupoid(G, check_universality=True) -> CheckReport:
-    return _groupoid_laws(G, check_universality)[0]
+    """The groupoid laws of G._laws, then the universality of s and t."""
+    report, amb = G._laws[0], G.ambient
+    if report and check_universality and not (is_universal(amb, G.s) and is_universal(amb, G.t)):
+        return CheckReport(False, "validate_groupoid", counterexample={"axiom": "source-target-universal"})
+    return report
 
 
-def _groupoid_laws(G, check_universality):
-    """validate_groupoid's report, and the S of _generators that it read
-    associativity at (None where it read every k, or stopped before)."""
+def _groupoid_laws(G):
+    """validate_groupoid's report without the universality of s and t, and
+    the S of _generators that it read associativity at (None if it stopped
+    before).  The h at which an action of G is associative, or at which it
+    commutes with an associative action on the other side, are closed under
+    comp when G is a groupoid, so the action and bibundle laws read S too."""
     amb = G.ambient
 
     def fail(axiom, **data):
@@ -134,9 +128,7 @@ def _groupoid_laws(G, check_universality):
         return fail("source-endpoints")
     if amb.src(G.t) != G.X1 or amb.tgt(G.t) != G.X0:
         return fail("target-endpoints")
-    if check_universality and not (is_universal(amb, G.s) and is_universal(amb, G.t)):
-        return fail("source-target-universal")
-    if not _is_fibre_product(amb, G.X2):
+    if not amb.is_cone_pullback(G.s, G.t, G.X2.apex, G.X2.to_left, G.X2.to_right):
         return fail("X2")
     if amb.src(G.comp) != G.X2.apex or amb.tgt(G.comp) != G.X1:
         return fail("comp-endpoints")
@@ -332,12 +324,13 @@ def validate_action(a: RightAction) -> CheckReport:
     G = a.gpd
     amb = G.ambient
 
-    def fail(what):
-        return CheckReport(False, "validate_action", counterexample={"axiom": what})
+    def fail(what, **data):
+        return CheckReport(False, "validate_action", counterexample={"axiom": what, **data})
 
-    if a.dom.f != a.anchor or a.dom.g != G.t:
-        return fail("domain-cospan")
-    if not _is_fibre_product(amb, a.dom):
+    report, S = G._laws
+    if not report:
+        return fail("groupoid", groupoid=report.counterexample)
+    if not amb.is_cone_pullback(a.anchor, G.t, a.dom.apex, a.dom.to_left, a.dom.to_right):
         return fail("domain")
     if amb.src(a.act) != a.dom.apex or amb.tgt(a.act) != a.carrier:
         return fail("act-endpoints")
@@ -345,9 +338,8 @@ def validate_action(a: RightAction) -> CheckReport:
     _composable(amb, a.anchor, a.act)
     if not all(anchor(act(e)) == s(pr2(e)) for e in amb.points(a.dom.apex)):
         return fail("anchor-square")
-    # at the points (e, h) of dom x_{G0} X1, (x g) h against x (g h) for e = (x, g), h in S if
-    # G is a groupoid
-    D = amb.pairs(amb.compose(G.s, a.dom.to_right), G.t, _action_generators(G))
+    # at the points (e, h) of dom x_{G0} X1, (x g) h against x (g h) for e = (x, g), h in S
+    D = amb.pairs(amb.compose(G.s, a.dom.to_right), G.t, S)
     if D is None:
         return fail("associativity-square")
     A, C = amb.operation(a.dom, a.act), amb.operation(G.X2, G.comp)
@@ -410,7 +402,7 @@ def validate_principal_bundle(B: Bundle) -> CheckReport:
         return fail("projection-universal")
     if B.designated_pb is not None:
         d = B.designated_pb
-        if d.f != B.p or d.g != B.p or not _is_fibre_product(amb, d):
+        if not amb.is_cone_pullback(B.p, B.p, d.apex, d.to_left, d.to_right):
             return fail("designated-fibre-product")
     try:
         sh = shear_map(B)
@@ -550,7 +542,7 @@ def validate_bibundle(P: Bibundle) -> CheckReport:
     """The left action, the right principal bundle over G0 (whose invariance
     is the left anchor ignoring the right action), the right anchor ignoring
     the left action, and the two actions commuting."""
-    L, R, H = P.left, P.right, P.right_gpd
+    L, R, H = P.left, P.right, P.right.gpd
     amb = P.left_gpd.ambient
 
     def fail(what):
@@ -564,10 +556,8 @@ def validate_bibundle(P: Bibundle) -> CheckReport:
     lact, ranchor, pr1, pr2 = map(amb.at, (L.act, R.anchor, L.dom.to_left, L.dom.to_right))
     if not all(ranchor(lact(e)) == ranchor(pr2(e)) for e in amb.points(L.dom.apex)):
         return fail("right-anchor-left-invariant")
-    # at the points (e, h) of L.dom x_{H0} H1, (g x) h against g (x h) for e = (g, x), h in S if
-    # H, whose action R is associative, is a groupoid
-    S = _action_generators(H) if R.gpd is H else None
-    D = amb.pairs(amb.compose(R.anchor, L.dom.to_right), H.t, S)
+    # at the points (e, h) of L.dom x_{H0} H1, (g x) h against g (x h) for e = (g, x), h in S
+    D = amb.pairs(amb.compose(R.anchor, L.dom.to_right), H.t, H._laws[1])
     if D is None:
         return fail("actions-commute")
     LA, RA = amb.operation(L.dom, L.act), amb.operation(R.dom, R.act)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import json
 
 import pytest
 
@@ -100,13 +101,32 @@ def test_mistyped_unit_and_inverse_keep_the_composite_outcomes(gpds):
     assert internal.validate_groupoid(off).counterexample == {"axiom": "unit-section"}
 
 
-def test_action_pairing_that_does_not_factor_raises():
-    """A pairing that does not factor raises even where the two sides of the
-    associativity square already differ at another point."""
+def test_action_over_a_groupoid_with_misplaced_composites_fails_groupoid():
+    """An action whose groupoid's comp breaks the endpoints of its factors
+    fails with the groupoid's own law, before its associativity square reads
+    a pairing that does not factor: once the groupoid, the domain and the
+    anchor square hold, every read of the act's table factors."""
     G = catalog.pair_groupoid(range(2))
     bad = _with(G, comp=SetMap(G.comp.src, G.X1, {**G.comp.mapping, ((0, 0), (0, 0)): (1, 0)}))
-    with pytest.raises(ValueError, match="legs do not factor through the given apex"):
-        internal.validate_principal_bundle(internal.groupoid_as_bundle(bad))
+    assert internal.validate_principal_bundle(internal.groupoid_as_bundle(bad)).counterexample == {
+        "axiom": "groupoid",
+        "groupoid": {"axiom": "comp-endpoints-compat"},
+    }
+
+
+def test_comp_on_every_pair_of_arrows_fails_x2():
+    """X2 is checked against the cospan (s, t): the pair groupoid on three
+    points with X2 the 81 pairs of arrows over a point, and comp extended to
+    them by the endpoints of its factors, fails X2, as the oracle, whose comp
+    is defined on the 27 composable pairs alone, fails it."""
+    G = catalog.pair_groupoid(range(3))
+    bang = SetMap(G.X1, frozenset({"*"}), dict.fromkeys(G.X1, "*"))
+    X2 = FS.pullback(bang, bang)
+    comp = SetMap(X2.apex, G.X1, {(g, h): (g[0], h[1]) for g, h in X2.apex})
+    wide = internal.InternalGroupoid(FS, G.X0, G.X1, G.s, G.t, G.i, comp, G.inv, X2)
+    assert len(X2.apex) == 81 and len(G.X2.apex) == 27
+    assert not oracles.groupoid_laws(G.X0, G.X1, *(m.mapping for m in (G.s, G.t, G.i, comp, G.inv)))
+    assert internal.validate_groupoid(wide).counterexample == {"axiom": "X2"}
 
 
 def test_pair_groupoid_with_identity_inverse_fails_inverse_endpoints():
@@ -641,12 +661,11 @@ def test_generators_generate(gpds):
         assert len(_generators(G)) == 2
 
 
-def test_action_of_a_non_associative_groupoid_reads_every_arrow():
+def test_action_of_a_non_associative_groupoid_fails_groupoid():
     """Z/n with the composites at (1, 2) and (1, 3) swapped, acting on Z/n by
     plain addition, is associative at every h in the generating set {0, 1}
-    of the swapped composition but not at h = 2: the action law reads every
-    h when its groupoid does not validate, and names the law the oracle
-    finds broken first."""
+    of the swapped composition but not at h = 2: the action fails with its
+    groupoid's associativity, as the groupoid and action oracles fail it."""
     for n in (6, 12, 30, 60):
         G = _swap_composites(catalog.cyclic_groupoid(n), (1, 2), (1, 3))
         assert _generators(G) == [0, 1]
@@ -655,8 +674,38 @@ def test_action_of_a_non_associative_groupoid_reads_every_arrow():
         C = G.comp.mapping
         assert all(plus[plus[x, g], h] == plus[x, C[g, h]] for x, g in dom for h in (0, 1))
         a = internal.RightAction(G, G.X1, G.s, SetMap(dom, G.X1, plus), G.X2)
-        assert oracles.right_action_failure(_plain_groupoid(G), _plain_action(a)) == "associativity"
-        assert internal.validate_action(a).counterexample == {"axiom": "associativity-square"}
+        maps = (G.s, G.t, G.i, G.comp, G.inv)
+        want = oracles.groupoid_laws(G.X0, G.X1, *(m.mapping for m in maps))
+        want = want and oracles.right_action_failure(_plain_groupoid(G), _plain_action(a)) is None
+        report = internal.validate_action(a)
+        assert report.ok == want
+        assert report.counterexample == {"axiom": "groupoid", "groupoid": {"axiom": "associativity"}}
+
+
+def _count_groupoid_laws(monkeypatch):
+    """The groupoids internal._groupoid_laws is called on, from now on."""
+    calls, laws = [], internal._groupoid_laws
+    monkeypatch.setattr(internal, "_groupoid_laws", lambda G: calls.append(G) or laws(G))
+    return calls
+
+
+def test_each_groupoid_is_checked_once(monkeypatch):
+    """validate over a document with one groupoid and two bundles over it
+    checks the groupoid laws once, and a bibundle checks them once for each
+    of its two groupoids, the left action reading the opposite groupoid."""
+    calls = _count_groupoid_laws(monkeypatch)
+    G = catalog.pair_groupoid(range(3))
+    doc = cli.BundleDoc()
+    doc.groupoids["G"] = G
+    doc.bundles["B1"] = internal.groupoid_as_bundle(G)
+    doc.bundles["B2"] = internal.trivial_bundle(G, FS.identity(G.X0))
+    doc = cli.parse_bundle_doc(json.loads(json.dumps(cli.serialize_bundle_doc(doc))))
+    assert [fn().ok for _, fn in cli._validate_all(doc)] == [True] * 3
+    assert len(calls) == 1
+    calls.clear()
+    P = internal.bibundle_from_functor(_identity_functor(catalog.pair_groupoid(range(3))))
+    assert internal.validate_bibundle(P).ok
+    assert len(calls) == 2
 
 
 def test_weakly_invertible_anafunctor(gpds):
