@@ -61,6 +61,16 @@ class InternalGroupoid:
         construction."""
         return _groupoid_laws(self)
 
+    @functools.cached_property
+    def _opposite(self):
+        """The opposite groupoid, built once, so that its laws are too."""
+        amb = self.ambient
+        X2op = amb.pullback(self.t, self.s)
+        comp_op = amb.compose(self.comp, amb.into_pullback(self.X2, X2op.to_right, X2op.to_left))
+        return InternalGroupoid(
+            amb, self.X0, self.X1, self.t, self.s, self.i, comp_op, self.inv, X2op, name=f"{self.name}^op"
+        )
+
 
 def make_groupoid(ambient, X0, X1, s, t, i, comp, inv, name=""):
     """Build a finite-sets groupoid from elementwise python functions."""
@@ -164,12 +174,7 @@ def _groupoid_laws(G):
 
 
 def opposite_groupoid(G) -> InternalGroupoid:
-    amb = G.ambient
-    X2op = amb.pullback(G.t, G.s)
-    comp_op = amb.compose(G.comp, amb.into_pullback(G.X2, X2op.to_right, X2op.to_left))
-    return InternalGroupoid(
-        amb, G.X0, G.X1, G.t, G.s, G.i, comp_op, G.inv, X2op, name=f"{G.name}^op"
-    )
+    return G._opposite
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +530,9 @@ def validate_trivialization(B: Bundle, triv: Trivialization, pi) -> bool:
 
 @dataclass(frozen=True)
 class Bibundle:
-    left_gpd: InternalGroupoid
-    right_gpd: InternalGroupoid
+    """A left G-action and a right H-action on one carrier; G and H are
+    left.gpd and right.gpd."""
+
     carrier: Any
     left: LeftAction
     right: RightAction
@@ -535,7 +541,7 @@ class Bibundle:
 
 def right_bundle(P: Bibundle) -> Bundle:
     """The right structure as a principal bundle over G0 via the left anchor."""
-    return Bundle(P.right_gpd, P.right, P.left_gpd.X0, P.left.anchor, P.designated_pb)
+    return Bundle(P.right.gpd, P.right, P.left.gpd.X0, P.left.anchor, P.designated_pb)
 
 
 def validate_bibundle(P: Bibundle) -> CheckReport:
@@ -543,7 +549,7 @@ def validate_bibundle(P: Bibundle) -> CheckReport:
     is the left anchor ignoring the right action), the right anchor ignoring
     the left action, and the two actions commuting."""
     L, R, H = P.left, P.right, P.right.gpd
-    amb = P.left_gpd.ambient
+    amb = P.left.gpd.ambient
 
     def fail(what):
         return CheckReport(False, "validate_bibundle", counterexample={"axiom": what})
@@ -583,7 +589,7 @@ def bibundle_from_functor(F: InternalFunctor) -> Bibundle:
         {(g, (a, h)): (G.t(g), comp[F.F1(g), h]) for (g, (a, h)) in ldom.apex},
     )
     left = LeftAction(G, carrier, left_anchor, lact, ldom)
-    return Bibundle(G, H, carrier, left, tb.action, tb.designated_pb)
+    return Bibundle(carrier, left, tb.action, tb.designated_pb)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +624,7 @@ def anafunctor_from_functor(F: InternalFunctor) -> Anafunctor:
 
 def anafunctor_from_bibundle(P: Bibundle, T) -> Anafunctor:
     """Ana(P): the anafunctor of a locally trivial bibundle."""
-    G, H = P.left_gpd, P.right_gpd
+    G, H = P.left.gpd, P.right.gpd
     amb = G.ambient
     pi = P.left.anchor
     if not _site.uni_contains(T, pi):

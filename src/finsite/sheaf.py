@@ -230,11 +230,27 @@ def is_traditional_sheaf(F: Presheaf, T) -> CheckReport:
     product of the F(u_i) that agree on every pairwise fibre product
     u_i x_x u_j, i <= j.  _join enumerates the matching families with one
     variable per member, so a partial family that already disagrees is never
-    extended.  The counterexample names the first covering that fails."""
+    extended.  The counterexample names the first covering that fails.
+
+    At x only T.sheaf_families(x) is read: the minimal families of x when
+    (1) every family of T has its pairwise pullbacks and (2) each minimal
+    family of x pulls back along each member of x's families to a family,
+    and all of x's families otherwise.  For a presheaf F this is exact.
+    Take a family G of x that contains a minimal family M.  A matching
+    family on G restricts to one on M, which glues to a unique s.  For each
+    f in G, the pullback of M along f is a family by (2), so it contains a
+    minimal family M', which is read wherever its object sits; F is
+    separated for M', and s|f and the given element agree on each member of
+    M' because the element at f and those at M agree on the pullbacks of f
+    with M.  By (1) no read family lacks a pullback; when (1) fails every
+    object reads all of its families, as the loop over all families did.
+    So the verdict, and whether the check raises, is that of the loop over
+    all families; only the counterexample, its object and family, may
+    differ."""
     _site._same_cat(T, F.cat, f"presheaf {F.name!r}")
     cat = F.cat
     for x in cat.objects:
-        for cov in T.covering_families(x):
+        for cov in T.sheaf_families(x):
             members = cov.members
             by_last = {}
             for i, mi in enumerate(members):
@@ -331,7 +347,9 @@ def subcanonical_via_representables(T, mode: str = "literal") -> CheckReport:
 
 
 def is_pre_covering(phi: PresheafMorphism, T) -> CheckReport:
-    """Element-wise local lifting through phi along T-coverings."""
+    """Element-wise local lifting through phi along T-coverings.  An
+    element lifts along a family whenever it lifts along a subfamily, so
+    only the minimal families are read."""
     F, G = phi.src, phi.tgt
     cat = F.cat
     image = {u: {phi.at(u, a) for a in F.values[u]} for u in cat.objects}
@@ -339,7 +357,7 @@ def is_pre_covering(phi: PresheafMorphism, T) -> CheckReport:
         for psi in G.values[x]:
             if not any(
                 all(G.res(m, psi) in image[cat.src(m)] for m in cov.members)
-                for cov in T.covering_families(x)
+                for cov in T.minimal_families(x)
             ):
                 return CheckReport(
                     False, "is_pre_covering", counterexample={"object": x, "element": psi}

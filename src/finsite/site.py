@@ -9,6 +9,7 @@ membership in the universal completion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,7 +50,19 @@ class Pretopology:
     """Extensional pretopology on a TableCategory.  The constructor checks
     that each family is keyed by an object and made of morphisms into it;
     validate_pretopology checks the axioms.  The families are fixed after
-    construction, so covering_families sorts those of an object once."""
+    construction, so each reader below builds its answer for an object once,
+    on first use.
+
+    minimal_families(x) is the antichain of x's families: those that contain
+    no other family of x.  Every family contains a minimal one, so a
+    question that holds for a family whenever it holds for a subfamily (a
+    family inside a sieve, one that refines another, one along which
+    elements lift) holds for some family iff it holds for a minimal one:
+    is_locally_split, find_refinement and sheaf.is_pre_covering read only
+    these.  sheaf_families(x) is what the traditional sheaf condition
+    reads; membership itself (is_singletonizable, singletonize,
+    is_superextensive, the covering clause of continuity_sufficient) is not
+    monotone and reads every family."""
 
     backend = "explicit-table"
 
@@ -66,16 +79,71 @@ class Pretopology:
             if stray:
                 raise ValueError(f"family member {min(stray, key=repr)!r} is not a morphism into {x!r}")
             self.families[x] = fams
-        self._covering = {}
+        self._covering, self._minimal, self._sheaf = {}, {}, {}
 
     def covering_families(self, x):
         """The families of x as CoveringFamily values, members and families
         sorted by repr."""
         if x not in self._covering:
-            self._covering[x] = tuple(
-                sorted((CoveringFamily(x, tuple(sorted(s, key=repr))) for s in self.families[x]), key=repr)
-            )
+            self._covering[x] = _wrap(x, self.families[x])
         return self._covering[x]
+
+    def minimal_families(self, x):
+        """The families of x that contain no other family of x, sorted as
+        covering_families.  The raw sets are read in order of size and one
+        is kept unless a kept set lies inside it; only the kept sets are
+        wrapped and sorted."""
+        if x not in self._minimal:
+            kept = []
+            for s in sorted(self.families[x], key=len):
+                if not any(map(s.issuperset, kept)):
+                    kept.append(s)
+            self._minimal[x] = _wrap(x, kept)
+        return self._minimal[x]
+
+    def sheaf_families(self, x):
+        """The families sheaf.is_traditional_sheaf reads at x: the minimal
+        ones when (1) every two members of a family of the site, a member
+        with itself included, have a pullback, and (2) each minimal family
+        of x pulls back along each member of x's families to a family of
+        that member's source; every family of x otherwise.  (1) is decided
+        once, and only if some object has a family that is not minimal."""
+        if x not in self._sheaf:
+            fams = self.minimal_families(x)
+            if len(fams) < len(self.families[x]) and not (
+                self._pairwise_pullbacks and self._pulls_back(x, fams)
+            ):
+                fams = self.covering_families(x)
+            self._sheaf[x] = fams
+        return self._sheaf[x]
+
+    @functools.cached_property
+    def _pairwise_pullbacks(self):
+        """Condition (1) of sheaf_families.  Two members of x's families
+        without a pullback fail it only if some family holds both."""
+        for x, fams in self.families.items():
+            members = sorted(frozenset().union(*fams), key=repr)
+            for i, a in enumerate(members):
+                for b in members[i:]:
+                    if self.cat.pullback(a, b) is None and any(a in s and b in s for s in fams):
+                        return False
+        return True
+
+    def _pulls_back(self, x, minimal):
+        """Condition (2) of sheaf_families at x, with pullbacks taken as
+        validate_pretopology's axiom 3 takes them."""
+        cat = self.cat
+        for f in frozenset().union(*self.families[x]):
+            for cov in minimal:
+                pulled = set()
+                for m in cov.members:
+                    sq = cat.pullback(m, f)
+                    if sq is None:
+                        return False
+                    pulled.add(sq.to_right)
+                if not self.has_family(cat.src(f), pulled):
+                    return False
+        return True
 
     def has_family(self, x, members):
         return frozenset(members) in self.families[x]
@@ -85,6 +153,12 @@ class Pretopology:
 
     def __repr__(self):
         return f"Pretopology({self.name!r})"
+
+
+def _wrap(x, sets):
+    """The member sets of families of x as CoveringFamily values, members
+    and families sorted by repr."""
+    return tuple(sorted((CoveringFamily(x, tuple(sorted(s, key=repr))) for s in sets), key=repr))
 
 
 class FinSetTopology:
@@ -230,6 +304,9 @@ def extensive_topology(cat):
 
 
 def is_locally_split(T, f) -> Optional[SplitWitness]:
+    """A covering of tgt(f) inside the sieve f generates, with a section of
+    f at each member; on a Pretopology, the first minimal family that lies
+    inside it."""
     cat = T.cat
     if isinstance(T, FinSetTopology):
         if T.kind in ("surjections", "all"):
@@ -243,7 +320,7 @@ def is_locally_split(T, f) -> Optional[SplitWitness]:
             return SplitWitness(cov, (_choose_section(f),))
         return None
     sieve = cat.through(f)
-    for cov in T.covering_families(cat.tgt(f)):
+    for cov in T.minimal_families(cat.tgt(f)):
         if all(m in sieve for m in cov.members):
             return SplitWitness(cov, tuple(sieve[m] for m in cov.members))
     return None
@@ -308,9 +385,11 @@ def are_equivalent(T1, T2) -> bool:
 
 
 def find_refinement(family: CoveringFamily, T2) -> Optional[Refinement]:
-    """A T2-covering of the same target refining the family, if one exists."""
+    """A T2-covering of the same target refining the family, if one exists:
+    the first minimal family of T2 that does, since a family refines
+    whenever a subfamily of it does."""
     sieves = [T2.cat.through(pi) for pi in family.members]
-    for cov in T2.covering_families(family.target):
+    for cov in T2.minimal_families(family.target):
         hits = [
             next(((i, s[psi]) for i, s in enumerate(sieves) if psi in s), None)
             for psi in cov.members

@@ -1,6 +1,8 @@
 """Independent brute-force oracles: the diamond poset of opens of the
 two-point discrete space, the fibre product of finite sets, the
-traditional sheaf condition on a finite space, natural transformations
+traditional sheaf condition on a finite space (for its open covers or
+for any families of opens) and on any site by finsite's former loop over
+all families, the minimal sets of a family of sets, natural transformations
 between finite presheaves and between anafunctors of finite groupoids, the
 groupoid laws, the right-action laws, the bibundle laws, the coproduct
 families of a poset of opens and of a skeleton of finite sets, dense
@@ -13,9 +15,12 @@ property is decided by the textbook definition (existence and uniqueness
 of mediating morphisms), not by the bijection method the package uses.
 Finite-set functions are plain dicts or tuples of values.  The sheaf and
 naturality oracles build the full product of candidates and filter it by
-the definition.  The cone oracle is the exception: it is finsite's cone
-kernel as it was before the kernel indexed its tables, counting every cone
-at every object, and pins which apex and which legs finsite returns.
+the definition.  Two oracles are the exception.  The cone oracle is
+finsite's cone kernel as it was before the kernel indexed its tables,
+counting every cone at every object, and pins which apex and which legs
+finsite returns.  all_families_sheaf is finsite's sheaf check as it was
+before it read minimal families, and takes pullbacks from the category it
+is given.
 """
 
 from itertools import combinations, product as iproduct
@@ -216,25 +221,29 @@ def finset_pullback(f, A, g, B):
     return frozenset((a, b) for a in A for b in B if f[a] == g[b])
 
 
-def sections_sheaf(opens, values):
+def open_covers(opens, U):
+    """Every cover of U: a list of opens below U whose union is U."""
+    below = [V for V in opens if V <= U]
+    covers = ([V for i, V in enumerate(below) if r >> i & 1] for r in range(1 << len(below)))
+    return [cover for cover in covers if frozenset().union(*cover) == U]
+
+
+def sections_sheaf(opens, values, families=None):
     """The traditional sheaf condition, by definition, for the presheaf
     U -> values[U] on the finite space with the given opens (frozensets),
     where a section is a tuple of (point, value) pairs and restriction to
     V <= U keeps the pairs whose point lies in V.
 
-    For every open U and every cover of U (a set of opens below U whose
-    union is U), restriction must be a bijection from values[U] onto the
-    families (s_V) that agree on every pairwise intersection V & W."""
+    For every open U and every family of U (families[U], a list of lists
+    of opens below U; by default the covers of U), restriction must be a
+    bijection from values[U] onto the families (s_V) that agree on every
+    pairwise intersection V & W."""
 
     def res(s, V):
         return tuple(p for p in s if p[0] in V)
 
     for U in opens:
-        below = [V for V in opens if V <= U]
-        for r in range(1 << len(below)):
-            cover = [V for i, V in enumerate(below) if r >> i & 1]
-            if frozenset().union(*cover) != U:
-                continue
+        for cover in open_covers(opens, U) if families is None else families[U]:
             matching = {
                 fam
                 for fam in iproduct(*(values[V] for V in cover))
@@ -247,6 +256,45 @@ def sections_sheaf(opens, values):
             if len(set(image)) != len(image) or set(image) != matching:
                 return False
     return True
+
+
+def all_families_sheaf(P, T):
+    """finsite's traditional sheaf check as it was before it read minimal
+    families: every family of every object, objects in category order and
+    the families of each sorted by the reprs of their sorted members.  P
+    and T are finsite's Presheaf and Pretopology, read through their tables
+    and the category's pullback; the matching families are the tuples
+    extended one member at a time and kept while they agree on each
+    pairwise pullback.  The first family that fails, as a tuple of members,
+    or None; raises ValueError, with finsite's message, at the first family
+    two of whose members have no pullback."""
+    cat = T.cat
+    for x in cat.objects:
+        for members in sorted((tuple(sorted(s, key=repr)) for s in T.families[x]), key=repr):
+            squares = {}
+            for i, mi in enumerate(members):
+                for j, mj in enumerate(members[i:], i):
+                    sq = cat.pullback(mi, mj)
+                    if sq is None:
+                        raise ValueError(f"pairwise fibre product missing for {mi!r}, {mj!r}")
+                    squares[i, j] = P.restriction[sq.to_left], P.restriction[sq.to_right]
+            matching = [()]
+            for j, mj in enumerate(members):
+                matching = [
+                    t + (v,)
+                    for t in matching
+                    for v in P.values[cat.src(mj)]
+                    if all(squares[i, j][0][t[i] if i < j else v] == squares[i, j][1][v] for i in range(j + 1))
+                ]
+            image = [tuple(P.restriction[m][s] for m in members) for s in P.values[x]]
+            if len(set(image)) != len(image) or set(image) != set(matching):
+                return members
+    return None
+
+
+def minimal_sets(sets):
+    """The sets that contain no other set of the given ones."""
+    return {s for s in sets if not any(t < s for t in sets)}
 
 
 def natural_transformations(objects, morphisms, F, G):

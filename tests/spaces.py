@@ -44,11 +44,11 @@ def subsets(points):
 
 def open_sites():
     """FIX-V, the six-open space, the discrete 3-point space and DOWN12, each
-    with the open every object names."""
-    cat, _ = catalog.fix_v()
-    yield "FIX-V", cat, dict(zip(("oE", "oU", "oV", "oX"), oracles.OPENS))
+    with its open-cover topology and the open every object names."""
+    cat, T = catalog.fix_v()
+    yield "FIX-V", cat, T, dict(zip(("oE", "oU", "oV", "oX"), oracles.OPENS))
     six = [frozenset(s) for s in [(), (0,), (1,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]]
     down12 = [a | b for a in map(frozenset, [(), (0,), (0, 1)]) for b in subsets([2, 3])]
     for label, opens in (("six-open", six), ("discrete-3", subsets([0, 1, 2])), ("DOWN12", down12)):
-        cat, _ = catalog.open_poset(opens)
-        yield label, cat, {x: frozenset(int(c) for c in x[1:]) for x in cat.objects}
+        cat, T = catalog.open_poset(opens)
+        yield label, cat, T, {x: frozenset(int(c) for c in x[1:]) for x in cat.objects}

@@ -102,7 +102,7 @@ def test_cone_kernel_matches_the_oracle_where_orders_matter():
 
 
 def test_cone_kernel_matches_the_oracle_on_open_posets():
-    for _, cat, _ in open_sites():
+    for _, cat, _, _ in open_sites():
         _check_cones(cat)
 
 

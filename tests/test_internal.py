@@ -692,7 +692,8 @@ def _count_groupoid_laws(monkeypatch):
 def test_each_groupoid_is_checked_once(monkeypatch):
     """validate over a document with one groupoid and two bundles over it
     checks the groupoid laws once, and a bibundle checks them once for each
-    of its two groupoids, the left action reading the opposite groupoid."""
+    of its two groupoids, the left action reading the opposite groupoid,
+    however often it is validated: the opposite is built once."""
     calls = _count_groupoid_laws(monkeypatch)
     G = catalog.pair_groupoid(range(3))
     doc = cli.BundleDoc()
@@ -704,8 +705,21 @@ def test_each_groupoid_is_checked_once(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     P = internal.bibundle_from_functor(_identity_functor(catalog.pair_groupoid(range(3))))
-    assert internal.validate_bibundle(P).ok
-    assert len(calls) == 2
+    counts = []
+    for _ in range(3):
+        assert internal.validate_bibundle(P).ok
+        counts.append(len(calls))
+    assert counts == [2, 2, 2]
+    assert internal.opposite_groupoid(P.left.gpd) is internal.opposite_groupoid(P.left.gpd)
+
+
+def test_right_bundle_reads_the_right_action_groupoid():
+    """A bibundle's groupoids are those of its actions, so its right bundle
+    is over the right action's groupoid and based at the left one's X0."""
+    P = internal.bibundle_from_functor(_identity_functor(catalog.pair_groupoid(range(3))))
+    B = internal.right_bundle(P)
+    assert B.gpd is P.right.gpd
+    assert B.base == P.left.gpd.X0
 
 
 def test_weakly_invertible_anafunctor(gpds):

@@ -3,13 +3,14 @@ import math
 
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from spaces import finite_spaces, restrict
 
 from finsite import catalog, sheaf
 from finsite.fincat import FunctorData, identity_functor, is_full, is_faithful
 from finsite.site import (
+    Pretopology,
     canonical_topology,
     discrete_topology,
     extensive_topology,
@@ -360,6 +361,90 @@ def test_sheaf_condition_and_homs_match_oracles(space, data):
 
     assert len(set(images(got))) == len(got)
     assert set(images(got)) == set(images(want))
+
+
+def _branches(T):
+    """Which families the sheaf check reads at each object that has a family
+    that is not minimal: 'minimal' or 'all'."""
+    return {
+        x: "minimal" if T.sheaf_families(x) is T.minimal_families(x) else "all"
+        for x in T.cat.objects
+        if len(T.minimal_families(x)) < len(T.families[x])
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_spaces(), st.data())
+def test_sheaf_check_on_mutated_topologies_matches_the_oracles(space, data):
+    """Open-cover sites with families dropped at random, or with only
+    families that contain another one dropped, which breaks superset
+    closure: the sheaf check reads the minimal families where that is exact
+    and all families elsewhere, and its verdict is the definition's and
+    that of the loop over all families."""
+    opens, full, sub = space
+    rnd = data.draw(st.randoms(use_true_random=False))
+    keep_minimal = data.draw(st.booleans())
+    families = {}
+    for U in opens:
+        covers = oracles.open_covers(opens, U)
+        minimal = oracles.minimal_sets([frozenset(c) for c in covers])
+        families[U] = [c for c in covers if (keep_minimal and frozenset(c) in minimal) or rnd.random() < 0.5]
+    T0, by_name, presheaves = _finsite_site(opens, [full, sub])
+    name = {U: x for x, U in by_name.items()}
+    T = Pretopology(
+        T0.cat,
+        {name[U]: [{f"{name[V]}_to_{name[U]}" for V in c} for c in fams] for U, fams in families.items()},
+    )
+    for x, branch in _branches(T).items():
+        event(f"reads {branch} families")
+    for values, P in zip((full, sub), presheaves):
+        if math.prod(max(len(values[U]), 1) for U in opens) <= 10**5:
+            got = sheaf.is_traditional_sheaf(P, T).ok
+            assert got == oracles.sections_sheaf(opens, values, families)
+            assert got == (oracles.all_families_sheaf(P, T) is None)
+
+
+def test_sheaf_check_reads_all_families_where_a_minimal_one_does_not_pull_back(v):
+    """On FIX-V the open covers of oX reduce to their minimal families.  Drop
+    {oU_to_oU, oE_to_oU}, the pullback of {oU_to_oX, oV_to_oX} along
+    oU_to_oX, and oX reads all of its families; the verdicts stay those of
+    the loop over all families."""
+    cat, T_op, shv = v
+    assert _branches(T_op) == {x: "minimal" for x in cat.objects}
+    pulled = frozenset({"oU_to_oU", "oE_to_oU"})
+    T = Pretopology(cat, {x: [s for s in fams if s != pulled] for x, fams in T_op.families.items()})
+    assert _branches(T) == {"oE": "minimal", "oV": "minimal", "oX": "all"}
+    for P in (shv, catalog.k2(cat), *(sheaf.representable(cat, x) for x in cat.objects)):
+        for top in (T_op, T):
+            assert sheaf.is_traditional_sheaf(P, top).ok == (oracles.all_families_sheaf(P, top) is None)
+
+
+def test_a_family_without_pairwise_pullbacks_raises_as_before(fs012):
+    """FIX-FS012 with the families {id} and {id, c} of n1, c = n2>n1:0,0: {id}
+    is the minimal one, and c has no pullback with itself (it would be a
+    4-element set), so the check raises, as the loop over all families
+    does, rather than read {id} alone."""
+    c, ident = "n2>n1:0,0", fs012.identity("n1")
+    T = Pretopology(fs012, {"n1": [{ident}, {ident, c}]})
+    assert [cov.members for cov in T.minimal_families("n1")] == [(ident,)]
+    P = sheaf.representable(fs012, "n1")
+    with pytest.raises(ValueError) as got:
+        sheaf.is_traditional_sheaf(P, T)
+    with pytest.raises(ValueError) as want:
+        oracles.all_families_sheaf(P, T)
+    assert str(got.value) == str(want.value) == f"pairwise fibre product missing for {c!r}, {c!r}"
+
+
+def test_sheaf_check_on_fs012_matches_the_loop_over_all_families(fs012):
+    """The representables of FIX-FS012 under its extensive topology, whose
+    families with a leg from n0 are not minimal, and under the singleton
+    topologies."""
+    tops = [extensive_topology(fs012), indiscrete_topology(fs012), discrete_topology(fs012), canonical_topology(fs012)]
+    assert _branches(tops[0]) and set(_branches(tops[0]).values()) == {"minimal"}
+    for T in tops:
+        for x in fs012.objects:
+            P = sheaf.representable(fs012, x)
+            assert sheaf.is_traditional_sheaf(P, T).ok == (oracles.all_families_sheaf(P, T) is None), (T.name, x)
 
 
 def test_kan_restriction_images_are_elements_of_the_value_sets():

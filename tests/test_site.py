@@ -219,28 +219,43 @@ def _sieve_site(name):
 
 @pytest.mark.parametrize("name", ["FIX-V", "FS012", "skeleton0123"])
 def test_split_witnesses_and_refinements_factor(name):
+    """Local splitness and refinement exist iff some family, of all of
+    them, splits or refines; the witness is the first minimal family that
+    does, and its sections and connecting maps factor."""
     cat, tops = _sieve_site(name)
     for T in tops:
         for f in cat.morphisms():
             w = is_locally_split(T, f)
-            splits = [
-                cov
-                for cov in T.covering_families(cat.tgt(f))
-                if all(
+
+            def split(cov):
+                return all(
                     any(cat.compose(f, r) == m for r in cat.hom(cat.src(m), cat.src(f)))
                     for m in cov.members
                 )
-            ]
-            assert (w is None) == (not splits), (T.name, f)
+
+            assert (w is None) == (not any(map(split, T.covering_families(cat.tgt(f))))), (T.name, f)
             if w is not None:
-                assert w.covering == splits[0]
+                assert w.covering == next(filter(split, T.minimal_families(cat.tgt(f))))
                 assert [cat.compose(f, s) for s in w.sections] == list(w.covering.members)
         for T2 in tops:
             for x in cat.objects:
                 for fam in T.covering_families(x):
                     r = find_refinement(fam, T2)
+
+                    def refines(cov):
+                        return all(
+                            any(
+                                cat.compose(pi, rho) == psi
+                                for pi in fam.members
+                                for rho in cat.hom(cat.src(psi), cat.src(pi))
+                            )
+                            for psi in cov.members
+                        )
+
+                    assert (r is None) == (not any(map(refines, T2.covering_families(x)))), (T.name, T2.name)
                     if r is None:
                         continue
+                    assert r.refining_family == next(filter(refines, T2.minimal_families(x)))
                     assert T2.has_family(x, r.refining_family.members)
                     assert len(r.index_map) == len(r.connecting) == len(r.refining_family.members)
                     for psi, i, rho in zip(r.refining_family.members, r.index_map, r.connecting):
@@ -352,8 +367,17 @@ def test_uni_class_refuses_intensional_backend():
         uni_class(FinSetTopology("surjections"))
 
 
+def test_minimal_families_are_the_antichain_of_the_families():
+    for label, cat, T, _ in open_sites():
+        for x in cat.objects:
+            got = T.minimal_families(x)
+            assert {frozenset(cov.members) for cov in got} == oracles.minimal_sets(T.families[x]), (label, x)
+            assert list(got) == sorted(got, key=repr)
+            assert all(list(cov.members) == sorted(cov.members, key=repr) for cov in got)
+
+
 def test_extensive_families_of_open_posets_match_the_union_oracle():
-    for label, cat, open_of in open_sites():
+    for label, cat, _, open_of in open_sites():
         families = site._extensive_families(cat)
         for x in cat.objects:
             # in a poset a family into x is given by its sources
