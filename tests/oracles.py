@@ -2,12 +2,14 @@
 two-point discrete space, the fibre product of finite sets, the
 traditional sheaf condition on a finite space (for its open covers or
 for any families of opens) and on any site by finsite's former loop over
-all families, the minimal sets of a family of sets, natural transformations
-between finite presheaves and between anafunctors of finite groupoids, the
-groupoid laws, the right-action laws, the bibundle laws, the coproduct
-families of a poset of opens and of a skeleton of finite sets, dense
-images between skeletons of finite sets, and the limits and colimits of
-an explicit-table category by its cones.
+all families, the three pretopology axioms (by their definition, and by
+finsite's former loop over all families), the minimal sets of a family of
+sets and whether a family of sets is closed under supersets, natural
+transformations between finite presheaves and between anafunctors of
+finite groupoids, the groupoid laws, the right-action laws, the bibundle
+laws, the coproduct families of a poset of opens and of a skeleton of
+finite sets, dense images between skeletons of finite sets, and the
+limits and colimits of an explicit-table category by its cones.
 
 Deliberately separate from the main code path: the poset is rebuilt from
 raw subset data, morphisms are (src, tgt) pairs, and every universal
@@ -15,12 +17,14 @@ property is decided by the textbook definition (existence and uniqueness
 of mediating morphisms), not by the bijection method the package uses.
 Finite-set functions are plain dicts or tuples of values.  The sheaf and
 naturality oracles build the full product of candidates and filter it by
-the definition.  Two oracles are the exception.  The cone oracle is
-finsite's cone kernel as it was before the kernel indexed its tables,
-counting every cone at every object, and pins which apex and which legs
-finsite returns.  all_families_sheaf is finsite's sheaf check as it was
-before it read minimal families, and takes pullbacks from the category it
-is given.
+the definition; pretopology_axioms gathers the composites of axiom 2 one
+member at a time, every choice kept as the set it gives.  Three oracles
+are the exception.  The cone oracle is finsite's cone kernel as it was
+before the kernel indexed its tables, counting every cone at every
+object, and pins which apex and which legs finsite returns.
+all_families_sheaf and all_families_pretopology are finsite's sheaf and
+pretopology checks as they were before they read minimal families, and
+take pullbacks from the category they are given.
 """
 
 from itertools import combinations, product as iproduct
@@ -297,6 +301,51 @@ def minimal_sets(sets):
     return {s for s in sets if not any(t < s for t in sets)}
 
 
+def superset_closed(sets, universe):
+    """Whether every subset of universe that contains one of the sets is
+    itself one of them: each set with any one more element is a set."""
+    return all(s | {u} in sets for s in sets for u in universe)
+
+
+def all_families_pretopology(T):
+    """finsite's pretopology check as it was before it read minimal
+    families: axiom 1 for every iso, axiom 2 for every family of every
+    object, its composites built member by member from every family of each
+    member's source, and axiom 3 for every family and every morphism into
+    its target.  T is finsite's Pretopology, read through its families and
+    its category's isos, composites and pullbacks; families are read in the
+    repr order of their sorted members.  The first failure, as a dict of
+    the shape of finsite's counterexample, or None."""
+    cat = T.cat
+
+    def sorted_families(x):
+        return sorted((tuple(sorted(s, key=repr)) for s in T.families[x]), key=repr)
+
+    for f in sorted(cat.isos(), key=repr):
+        if frozenset({f}) not in T.families[cat.tgt(f)]:
+            return {"axiom": 1, "iso": f}
+    for x in cat.objects:
+        for members in sorted_families(x):
+            composites = {frozenset()}
+            for m in members:
+                pieces = {frozenset(cat.compose(m, s) for s in sub) for sub in T.families[cat.src(m)]}
+                composites = {acc | piece for acc in composites for piece in pieces}
+            if not composites <= T.families[x]:
+                return {"axiom": 2, "family": members}
+    for x in cat.objects:
+        for members in sorted_families(x):
+            for g in cat.into(x):
+                pulled = set()
+                for m in members:
+                    sq = cat.pullback(m, g)
+                    if sq is None:
+                        return {"axiom": 3, "member": m, "along": g}
+                    pulled.add(sq.to_right)
+                if frozenset(pulled) not in T.families[cat.src(g)]:
+                    return {"axiom": 3, "family": members, "along": g}
+    return None
+
+
 def natural_transformations(objects, morphisms, F, G):
     """Every natural transformation F -> G, as dicts {x: {v: eta_x(v)}}.
 
@@ -540,3 +589,54 @@ def is_epi(cat, f):
     return not any(
         u != v and comp[u, f] == comp[v, f] for q0 in objects for u in hom[b, q0] for v in hom[b, q0]
     )
+
+
+def pretopology_axioms(cat, families, pullbacks=None):
+    """Whether families (object -> set of frozensets of morphisms into it)
+    form a pretopology on the plain-table category cat, by the definition:
+    (1) every iso {m} is a family; (2) for every family F of x and every
+    choice of a family G_m of src(m) for each m in F, the composites
+    {m.g : m in F, g in G_m} form a family of x; (3) for every family F of
+    x and every g into x, each m in F has a pullback along g and the legs
+    to src(g) form a family of src(g).  Identities and isos are read off
+    the composition table, and the pullback of (m, g) is first_universal
+    over cospan_cones, the choice rule finsite's kernel follows.  The
+    composites of (2) are gathered one member at a time: the set of the
+    composites of every choice for the members so far, extended by every
+    choice for the next; a composite is a set, so choices that give the
+    same set are kept once.  pullbacks, a dict, memoizes the cone kernel
+    across calls on one category."""
+    objects, mor, hom, comp = cat
+    pullbacks = {} if pullbacks is None else pullbacks
+
+    def is_identity(e, a):
+        return all(comp[e, f] == f for b in objects for f in hom[b, a]) and all(
+            comp[f, e] == f for b in objects for f in hom[a, b]
+        )
+
+    ident = {a: next(e for e in hom[a, a] if is_identity(e, a)) for a in objects}
+    for m, (a, b) in mor.items():
+        if any(comp[n, m] == ident[a] and comp[m, n] == ident[b] for n in hom[b, a]):
+            if frozenset({m}) not in families[b]:
+                return False
+    for x in objects:
+        for F in families[x]:
+            composites = {frozenset()}
+            for m in F:
+                pieces = {frozenset(comp[m, g] for g in G) for G in families[mor[m][0]]}
+                composites = {acc | piece for acc in composites for piece in pieces}
+            if not composites <= families[x]:
+                return False
+    for x in objects:
+        for F in families[x]:
+            for g in (g for g, ends in mor.items() if ends[1] == x):
+                pulled = set()
+                for m in F:
+                    if (m, g) not in pullbacks:
+                        pullbacks[m, g] = first_universal(cat, cospan_cones(cat, m, g))
+                    if pullbacks[m, g] is None:
+                        return False
+                    pulled.add(pullbacks[m, g][1][1])
+                if frozenset(pulled) not in families[mor[g][0]]:
+                    return False
+    return True

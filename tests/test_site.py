@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -5,10 +6,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import finsite
 import oracles
-from spaces import open_sites
+from spaces import finite_spaces, open_sites, subsets
 from finsite import catalog, cli, site
 from finsite.fincat import (
     FinSetCat,
@@ -457,3 +459,221 @@ def test_canonical_topology_and_locality_pull_back_only_what_decides():
     cat._universal.clear()
     assert is_local(T)
     assert len(cat._pullbacks) <= 539
+
+
+@functools.cache
+def _axiom_sites():
+    """The fixed sites the pretopology oracle test mutates, each with its
+    plain tables and a memo of the oracle's pullbacks: FIX-V, the six-open
+    space and the discrete 3-point space with their open-cover topologies,
+    and T_can, T_indis and T_dis on the skeletons of {0..2} and {0..3}.
+    DOWN12 is left out: both oracles read every family of its top open,
+    which takes over a minute."""
+    sites = {label: T for label, _, T, _ in open_sites() if label != "DOWN12"}
+    for points in ([0, 1, 2], [0, 1, 2, 3]):
+        cat = catalog.finset_skeleton(points)
+        for T in (canonical_topology(cat), indiscrete_topology(cat), discrete_topology(cat)):
+            sites[f"{T.name} on {len(points)} objects"] = T
+    return {
+        label: (T, oracles.table_category(T.cat.objects, T.cat._mor, T.cat._comp), {})
+        for label, T in sites.items()
+    }
+
+
+def _mutate(data, T):
+    """T with the families of one object x changed, x and the change; or T
+    as it is, which is valid.  On a topology closed under supersets the
+    change drops a minimal family or adds the supersets of a new set
+    (closure kept), or drops a family that is not minimal or adds one new
+    set alone (closure broken, unless every set one member larger is
+    already a family).  On a singleton topology it drops an iso singleton
+    or adds a non-iso one."""
+    cat = T.cat
+    fams = {x: set(T.families[x]) for x in cat.objects}
+
+    def pick(options):
+        return data.draw(st.sampled_from(sorted(options, key=lambda s: sorted(map(repr, s)))))
+
+    def others(x):
+        return [s for s in subsets(cat.into(x)) if s not in fams[x]]
+
+    if T.is_singleton():
+        isos = cat.isos()
+        kinds = {
+            "drop an iso singleton": [x for x in cat.objects if any(m in isos for m in cat.into(x))],
+            "add a non-iso singleton": [
+                x for x in cat.objects if any(m not in isos and {m} not in fams[x] for m in cat.into(x))
+            ],
+        }
+    else:
+        kinds = {
+            "drop a minimal family": [x for x in cat.objects if fams[x]],
+            "add an up-set": [x for x in cat.objects if others(x)],
+            "drop a non-minimal family": [
+                x for x in cat.objects if fams[x] - oracles.minimal_sets(fams[x])
+            ],
+            "add a lone set": [x for x in cat.objects if others(x)],
+        }
+    kinds["keep every family"] = list(cat.objects)
+    kind = data.draw(st.sampled_from(sorted(k for k, xs in kinds.items() if xs)))
+    x = data.draw(st.sampled_from(kinds[kind]))
+    if kind == "keep every family":
+        pass
+    elif kind == "drop an iso singleton":
+        fams[x].discard(pick(frozenset({m}) for m in cat.into(x) if m in isos))
+    elif kind == "add a non-iso singleton":
+        fams[x].add(pick(frozenset({m}) for m in cat.into(x) if m not in isos and {m} not in fams[x]))
+    elif kind == "drop a minimal family":
+        fams[x].discard(pick(oracles.minimal_sets(fams[x])))
+    elif kind == "drop a non-minimal family":
+        fams[x].discard(pick(fams[x] - oracles.minimal_sets(fams[x])))
+    elif kind == "add an up-set":
+        new = pick(others(x))
+        fams[x].update(s for s in subsets(cat.into(x)) if s >= new)
+    else:
+        fams[x].add(pick(others(x)))
+    return Pretopology(cat, fams, name=f"{T.name} ({kind} at {x})"), x, kind
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.data())
+def test_validate_pretopology_matches_both_oracles_on_mutated_sites(data):
+    """validate_pretopology against the definitional oracle and the former
+    all-families loop, on open-cover sites and singleton topologies with
+    one object's families changed.  The changed object reads the antichain
+    when the change keeps closure under supersets and every family when it
+    breaks it; both readings occur."""
+    sites = _axiom_sites()
+    label = data.draw(st.sampled_from(sorted(sites) + ["random space"]))
+    if label == "random space":
+        opens, _, _ = data.draw(finite_spaces())
+        _, T = catalog.open_poset(opens)
+        tables, pullbacks = oracles.table_category(T.cat.objects, T.cat._mor, T.cat._comp), {}
+    else:
+        T, tables, pullbacks = sites[label]
+    T2, x, kind = _mutate(data, T)
+    for y in T2.cat.objects:
+        assert T2.superset_closed(y) == oracles.superset_closed(T2.families[y], T2.cat.into(y)), (T2.name, y)
+    if kind in ("drop a minimal family", "add an up-set"):
+        assert T2.superset_closed(x), T2.name
+    if kind == "drop a non-minimal family":
+        assert not T2.superset_closed(x), T2.name
+    event(f"{'the antichain' if T2.superset_closed(x) else 'every family'} read at the changed object")
+    ok = validate_pretopology(T2).ok
+    event(f"valid: {ok}")
+    assert ok == oracles.pretopology_axioms(tables, T2.families, pullbacks), T2.name
+    assert ok == (oracles.all_families_pretopology(T2) is None), T2.name
+
+
+def test_dropping_any_one_cover_of_the_six_open_site_matches_both_oracles():
+    """Each of the six-open site's 64 covers dropped in turn.  Dropping a
+    cover that is not minimal, such as {id, o_to_o01} of o01, leaves o01
+    not closed under supersets; the minimal covers of o012 then pull back
+    along o01_to_o012 to covers, and only a larger cover pulls back to the
+    dropped one, so axiom 3 at (o012, o01_to_o012) must read every cover of
+    o012."""
+    (_, cat, T, _), = (site for site in open_sites() if site[0] == "six-open")
+    tables, pullbacks = oracles.table_category(cat.objects, cat._mor, cat._comp), {}
+    for y in cat.objects:
+        for cov in T.covering_families(y):
+            T2 = Pretopology(cat, dict(T.families, **{y: T.families[y] - {frozenset(cov.members)}}))
+            ok = validate_pretopology(T2).ok
+            assert ok == oracles.pretopology_axioms(tables, T2.families, pullbacks), (y, cov)
+            assert ok == (oracles.all_families_pretopology(T2) is None), (y, cov)
+    T2 = Pretopology(cat, dict(T.families, o01=T.families["o01"] - {frozenset({"o01_to_o01", "o_to_o01"})}))
+    assert validate_pretopology(T2).counterexample == {
+        "axiom": 3,
+        "family": ("o012_to_o012", "o01_to_o012", "o_to_o012"),
+        "along": "o01_to_o012",
+    }
+
+
+_SIX_WITHOUT_A_COVER = """
+from finsite import catalog, site
+cat, T = catalog.open_poset([frozenset(s) for s in [(), (0,), (1,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]])
+drop = next(cov for cov in T.covering_families("o0123") if len(cov.members) == 3)
+fams = dict(T.families, o0123=T.families["o0123"] - {frozenset(drop.members)})
+print(site.validate_pretopology(site.Pretopology(cat, fams)).counterexample)
+"""
+
+
+def test_pretopology_counterexample_does_not_depend_on_the_hash_seed():
+    """The six-open site without the first 3-member cover of its top open
+    fails axiom 2 at the first family in repr order, whatever the hash
+    seed; the former loop read the families in set order."""
+    src = os.path.dirname(os.path.dirname(finsite.__file__))
+    outs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _SIX_WITHOUT_A_COVER], env=env, capture_output=True, text=True, check=True
+        )
+        outs.add(run.stdout)
+    assert outs == {"{'axiom': 2, 'family': ('o0123_to_o0123', 'o012_to_o0123')}\n"}
+
+
+def test_down12_validates_on_the_antichain():
+    """DOWN12 (4,096 covers of its top open, 41 minimal ones over all
+    objects) validates.  Without a minimal cover of the top it fails axiom
+    2.  Without {id, o_to_o0}, the cover of o0 that is not minimal, it
+    fails axiom 3 along o0_to_o01, where every cover of o01 is read and the
+    one that is not minimal pulls back to the dropped cover."""
+    (_, cat, T, _), = (site for site in open_sites() if site[0] == "DOWN12")
+    assert all(T.superset_closed(x) for x in cat.objects)
+    assert validate_pretopology(T).ok
+    top = cat.objects[-1]
+    cov = T.minimal_families(top)[-1]
+    T2 = Pretopology(cat, dict(T.families, **{top: T.families[top] - {frozenset(cov.members)}}))
+    assert T2.superset_closed(top)
+    assert validate_pretopology(T2).counterexample["axiom"] == 2
+    T3 = Pretopology(cat, dict(T.families, o0={frozenset({"o0_to_o0"})}))
+    assert not T3.superset_closed("o0")
+    assert validate_pretopology(T3).counterexample == {
+        "axiom": 3,
+        "family": ("o01_to_o01", "o0_to_o01", "o_to_o01"),
+        "along": "o0_to_o01",
+    }
+
+
+def test_a_read_family_whose_iso_member_has_no_pullback_is_reported(monkeypatch):
+    """The iso lemma needs the category laws, which check assumes.  On a
+    table whose pullback of an iso is missing, axiom 3 still reports the
+    member of a family it reads instead of raising.  The chain of opens
+    {} < {0} < {0, 1} with o01 covered only by {id} and {id, o_to_o01} is a
+    pretopology, and o01 is not closed under supersets, so both of its
+    families are read along its identity."""
+    cat, T = catalog.open_poset([frozenset(s) for s in [(), (0,), (0, 1)]])
+    o01 = {frozenset({"o01_to_o01"}), frozenset({"o01_to_o01", "o_to_o01"})}
+    T = Pretopology(cat, dict(T.families, o01=o01))
+    assert not T.superset_closed("o01")
+    assert validate_pretopology(T).ok
+    pullback = cat.pullback
+    monkeypatch.setattr(
+        cat, "pullback", lambda a, b: None if a == b == "o01_to_o01" else pullback(a, b)
+    )
+    assert validate_pretopology(T).counterexample == {
+        "axiom": 3,
+        "member": "o01_to_o01",
+        "along": "o01_to_o01",
+    }
+
+
+def test_a_member_of_an_unread_family_without_a_pullback_is_reported():
+    """On FIX-FS012 the surjection n2 -> n1 has no pullback along itself.
+    With every object's families the sets that hold an iso, every object is
+    closed under supersets and its minimal families are iso singletons, so
+    axiom 3 reads no family with the surjection in it; the existence check
+    on the members of x's families is what finds it."""
+    cat = catalog.fix_fs012()
+    isos = cat.isos()
+
+    def up(x):
+        into = sorted(cat.into(x))
+        subsets = (frozenset(c) for r in range(len(into) + 1) for c in itertools.combinations(into, r))
+        return {s for s in subsets if s & isos}
+
+    T = Pretopology(cat, {x: up(x) for x in cat.objects})
+    assert all(T.superset_closed(x) for x in cat.objects)
+    expected = {"axiom": 3, "member": "n2>n1:0,0", "along": "n2>n1:0,0"}
+    assert oracles.all_families_pretopology(T) == expected
+    assert validate_pretopology(T).counterexample == expected
