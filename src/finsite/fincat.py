@@ -17,10 +17,13 @@ PullbackSquare with no cospan, so into_pullback mediates into it),
 coproduct, from_coproduct, coequalizer, is_cone_pullback,
 is_cocone_coequalizer and has_all_pullbacks.  Generic checks
 (is_effective_epi here, the fibre products of internal) call only these
-and run unchanged on either backend.  The FinSetTopology branches left in
-site answer meta-facts about an intensional topology (its axioms, its
-universal completion, the coarser order) that no enumeration over the
-ambient could decide, so they stay there rather than in methods.
+and run unchanged on either backend.  The six FinSetTopology branches left
+in site (is_locally_split, uni_class, universal_completion, is_coarser,
+is_local and is_superextensive) answer meta-facts about an intensional
+topology that no enumeration over the ambient could decide, so they stay
+there rather than in methods; the table constructors of site, and
+validate_category and universally_effective_epis here, take explicit
+tables only.
 
 Laws are checked at points: two maps out of x are equal iff they agree
 at every point (generalized element) of x, and the generic point id_x is
@@ -786,8 +789,6 @@ def ill_typed(cat) -> Optional[dict]:
 
 
 def validate_category(cat) -> CheckReport:
-    if isinstance(cat, FinSetCat):
-        return CheckReport(True, "validate_category", witness={"note": "function composition"})
     bad = ill_typed(cat)
     if bad is not None:
         return CheckReport(False, "validate_category", counterexample=bad)
@@ -833,8 +834,6 @@ def universally_effective_epis(cat) -> frozenset:
     stay in the class.  Effectiveness is tested before universality: it
     pulls back one kernel pair where universality pulls back along every
     morphism into the target, and the conjunction is the same either way."""
-    if isinstance(cat, FinSetCat):
-        raise ValueError("enumerate only on explicit tables; surjectivity classifies here")
     current = {
         f for f in cat.morphisms() if is_effective_epi(cat, f) and is_universal(cat, f)
     }
@@ -941,20 +940,28 @@ def is_full(F: FunctorData) -> bool:
     return True
 
 
-def _existing_binary_coproducts(cat):
-    """All (a, b, cocone) with a chosen existing coproduct, pairs unordered."""
-    out = []
-    seen = set()
-    for a in cat.objects:
-        for b in cat.objects:
-            key = frozenset({a, b}) if a != b else (a, a)
-            if key in seen:
-                continue
-            seen.add(key)
+def _existing_binary_coproducts(cat, mode):
+    """The (a, b, cocone) of the existing binary coproducts that the
+    extensivity mode counts, pairs unordered, yielded lazily: mode 'literal'
+    counts every one, mode 'disjoint' only those disjoint and stable under
+    the pullbacks that exist, which needs the initial object (found once).
+    An unknown mode raises ValueError on the call, before anything is read."""
+    if mode not in ("literal", "disjoint"):
+        raise ValueError(f"unknown extensivity mode {mode!r}")
+    return _binary_coproducts(cat, mode == "disjoint")
+
+
+def _binary_coproducts(cat, disjoint):
+    if disjoint:
+        init = cat.coproduct(())
+        if init is None:
+            return
+    objects = list(dict.fromkeys(cat.objects))
+    for i, a in enumerate(objects):
+        for b in objects[i:]:
             co = cat.coproduct((a, b))
-            if co is not None:
-                out.append((a, b, co))
-    return out
+            if co is not None and not (disjoint and _coproduct_failure(cat, co, init.apex)):
+                yield a, b, co
 
 
 def _coproduct_failure(cat, co, initial):
@@ -991,15 +998,12 @@ def preserves_coproducts(F: FunctorData, mode: str = "literal") -> bool:
     'disjoint' only over the disjoint pullback-stable ones, as in the
     disjoint extensivity mode.
     """
-    if mode not in ("literal", "disjoint"):
-        raise ValueError(f"unknown extensivity mode {mode!r}")
     src, tgt = F.source, F.target
+    coproducts = _existing_binary_coproducts(src, mode)
     init = src.coproduct(())
     if init is not None and not tgt.is_coproduct_cocone(F.on_obj(init.apex), ()):
         return False
-    for a, b, co in _existing_binary_coproducts(src):
-        if mode == "disjoint" and not coproduct_is_disjoint_stable(src, co):
-            continue
+    for a, b, co in coproducts:
         legs = tuple(F.on_mor(i) for i in co.injections)
         if tuple(tgt.src(leg) for leg in legs) != (F.on_obj(a), F.on_obj(b)):
             return False
@@ -1023,9 +1027,10 @@ def inverts_coproducts(F: FunctorData) -> bool:
     def component_ok(c):
         return any(_isomorphic_objects(tgt, c, im) for im in images)
 
+    coproducts = list(_existing_binary_coproducts(tgt, "literal"))
     for x in src.objects:
         fx = F.on_obj(x)
-        for a, b, co in _existing_binary_coproducts(tgt):
+        for a, b, co in coproducts:
             if _isomorphic_objects(tgt, co.apex, fx):
                 if not (component_ok(a) and component_ok(b)):
                     return False
@@ -1039,7 +1044,7 @@ def is_extensive(cat) -> CheckReport:
     init = cat.coproduct(())
     if init is None:
         return CheckReport(False, "is_extensive", counterexample={"initial_object": None})
-    for a, b, co in _existing_binary_coproducts(cat):
+    for a, b, co in _existing_binary_coproducts(cat, "literal"):
         failure = _coproduct_failure(cat, co, init.apex)
         if failure is not None:
             return CheckReport(

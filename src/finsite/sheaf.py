@@ -12,10 +12,11 @@ from .fincat import (
     CheckReport,
     FunctorData,
     TableCategory,
-    coproduct_is_disjoint_stable,
+    inverts_coproducts,
     is_extensive,
     is_full,
     is_faithful,
+    preserves_coproducts,
     _existing_binary_coproducts,
 )
 from . import site as _site
@@ -128,9 +129,8 @@ def is_extensive_presheaf(F: Presheaf, mode: str = "literal") -> CheckReport:
     mode 'literal' quantifies over every existing coproduct; mode
     'disjoint' only over the disjoint pullback-stable ones.
     """
-    if mode not in ("literal", "disjoint"):
-        raise ValueError(f"unknown extensivity mode {mode!r}")
     cat = F.cat
+    coproducts = _existing_binary_coproducts(cat, mode)
 
     def fail(**cx):
         return CheckReport(False, "is_extensive_presheaf", counterexample=cx)
@@ -138,9 +138,7 @@ def is_extensive_presheaf(F: Presheaf, mode: str = "literal") -> CheckReport:
     init = cat.coproduct(())
     if init is not None and len(F.values[init.apex]) != 1:
         return fail(initial=init.apex, size=len(F.values[init.apex]))
-    for a, b, co in _existing_binary_coproducts(cat):
-        if mode == "disjoint" and not coproduct_is_disjoint_stable(cat, co):
-            continue
+    for a, b, co in coproducts:
         i1, i2 = co.injections
         image = {(F.res(i1, x), F.res(i2, x)) for x in F.values[co.apex]}
         total = len(F.values[a]) * len(F.values[b])
@@ -507,8 +505,6 @@ def verify_adjunction(F: FunctorData, source_samples, target_samples) -> CheckRe
 def verify_comparison(F: FunctorData, T1, T2, source_samples=(), target_samples=(), mode="literal") -> CheckReport:
     """The comparison-lemma hypotheses plus sheaf and unit/counit checks
     on sample presheaves; refuses when a hypothesis fails."""
-    from .fincat import preserves_coproducts, inverts_coproducts
-
     hyps = {
         "continuous": _site.is_continuous(F, T1, T2).ok,
         "cocontinuous": _site.is_cocontinuous(F, T1, T2).ok,

@@ -67,8 +67,6 @@ class Pretopology:
     is_superextensive and the covering clause of continuity_sufficient read
     every family."""
 
-    backend = "explicit-table"
-
     def __init__(self, cat, families, name=""):
         self.cat = cat
         self.name = name
@@ -184,16 +182,19 @@ class FinSetTopology:
     kind 'isos':        singleton coverings by bijections (indiscrete).
     kind 'all':         singleton coverings by arbitrary maps (discrete,
                         since every map of finite sets is universal).
+
+    A finite-sets topology is built as FinSetTopology(kind): the table
+    constructors (indiscrete_topology, discrete_topology, canonical_topology,
+    singletonize) take explicit tables only.
     """
 
-    backend = "finite-sets-ambient"
     KINDS = ("surjections", "isos", "all")
 
-    def __init__(self, kind, cat=None):
+    def __init__(self, kind):
         if kind not in self.KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         self.kind = kind
-        self.cat = cat if cat is not None else FinSetCat()
+        self.cat = FinSetCat()
         self.name = f"finset-{kind}"
 
     def covers(self, f):
@@ -201,9 +202,6 @@ class FinSetTopology:
             return f.is_surjective()
         if self.kind == "isos":
             return f.is_bijective()
-        return True
-
-    def is_singleton(self):
         return True
 
     def __repr__(self):
@@ -249,12 +247,6 @@ def validate_pretopology(T) -> CheckReport:
        checked first, has put {iso} in T.  The argument uses only the
        category laws, which check assumes; a member of a family that is read
        and has no pullback is still reported."""
-    if isinstance(T, FinSetTopology):
-        return CheckReport(
-            True,
-            "validate_pretopology",
-            witness={"note": f"intensional descriptor {T.kind!r} on finite sets"},
-        )
     cat = T.cat
     isos = cat.isos()
 
@@ -321,20 +313,14 @@ def _singleton_topology(cat, morphisms, name):
 
 
 def indiscrete_topology(cat):
-    if isinstance(cat, FinSetCat):
-        return FinSetTopology("isos", cat)
     return _singleton_topology(cat, cat.isos(), "T_indis")
 
 
 def discrete_topology(cat):
-    if isinstance(cat, FinSetCat):
-        return FinSetTopology("all", cat)
     return _singleton_topology(cat, (f for f in cat.morphisms() if is_universal(cat, f)), "T_dis")
 
 
 def canonical_topology(cat):
-    if isinstance(cat, FinSetCat):
-        return FinSetTopology("surjections", cat)
     return _singleton_topology(cat, universally_effective_epis(cat), "T_can")
 
 
@@ -397,7 +383,7 @@ def uni_contains(T, f) -> bool:
 def universal_completion(T):
     if isinstance(T, FinSetTopology):
         kind = {"surjections": "surjections", "isos": "surjections", "all": "all"}[T.kind]
-        return FinSetTopology(kind, T.cat)
+        return FinSetTopology(kind)
     return _singleton_topology(T.cat, uni_class(T), f"Uni({T.name})")
 
 
@@ -456,35 +442,29 @@ def find_refinement(family: CoveringFamily, T2) -> Optional[Refinement]:
 # ---------------------------------------------------------------------------
 
 
-def _family_coproduct(T, x, fam):
+def _induced(T, x, fam):
+    """The map into x that the family fam induces out of the coproduct of
+    its members' sources; None if that coproduct or map does not exist."""
     cat = T.cat
     members = tuple(sorted(fam, key=repr))
     co = cat.coproduct(tuple(cat.src(m) for m in members))
     if co is None:
-        return members, None, None
+        return None
     if members:
-        induced = cat.from_coproduct(co, members)
-    else:
-        # empty family: the mediator is the unique map out of the initial object
-        homs = cat.hom(co.apex, x)
-        induced = homs[0] if len(homs) == 1 else None
-    return members, co, induced
+        return cat.from_coproduct(co, members)
+    # empty family: the mediator is the unique map out of the initial object
+    homs = cat.hom(co.apex, x)
+    return homs[0] if len(homs) == 1 else None
 
 
 def is_singletonizable(T) -> bool:
-    if isinstance(T, FinSetTopology):
-        return True
-    for x in T.cat.objects:
-        for fam in T.families[x]:
-            _, co, induced = _family_coproduct(T, x, fam)
-            if co is None or induced is None:
-                return False
-    return True
+    return all(_induced(T, x, fam) is not None for x in T.cat.objects for fam in T.families[x])
 
 
 def singletonize(T):
-    if isinstance(T, FinSetTopology):
-        return FinSetTopology(T.kind, T.cat)
+    """The singleton topology of the maps T's families induce.  A family
+    without an induced map is named as the first such family of the first
+    object that has one, in covering_families order."""
     cat = T.cat
     rep = is_extensive(cat)
     if not rep.ok:
@@ -492,9 +472,10 @@ def singletonize(T):
     fams = {x: set() for x in cat.objects}
     for x in cat.objects:
         for fam in T.families[x]:
-            members, co, induced = _family_coproduct(T, x, fam)
-            if co is None or induced is None:
-                raise ValueError(f"covering family without coproduct: {members}")
+            induced = _induced(T, x, fam)
+            if induced is None:
+                bad = next(c for c in T.covering_families(x) if _induced(T, x, c.members) is None)
+                raise ValueError(f"covering family without coproduct: {bad.members}")
             fams[x].add(frozenset({induced}))
     return Pretopology(cat, fams, name=f"Sing({T.name})")
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spaces import finite_spaces, restrict
 
 from finsite import catalog, sheaf
-from finsite.fincat import FunctorData, identity_functor, is_full, is_faithful
+from finsite.fincat import FunctorData, identity_functor, is_full, is_faithful, preserves_coproducts
 from finsite.site import (
     Pretopology,
     canonical_topology,
@@ -67,6 +67,21 @@ def test_extensivity_modes(v, fs012):
     assert not r.ok and r.counterexample["initial"] == "n0"
     with pytest.raises(ValueError):
         sheaf.is_extensive_presheaf(k2, "bogus")
+
+
+def test_unknown_extensivity_mode_is_refused_before_any_early_exit(v, fs012):
+    """K2 fails the initial-object check on FIX-V and on FIX-FS012, and the
+    mode is still refused first, by each reader of the mode."""
+    message = r"^unknown extensivity mode 'bogus'$"
+    for cat, T in ((v[0], v[1]), (fs012, extensive_topology(fs012))):
+        k2 = catalog.k2(cat)
+        assert sheaf.is_extensive_presheaf(k2).counterexample["initial"] == cat.objects[0]
+        with pytest.raises(ValueError, match=message):
+            preserves_coproducts(identity_functor(cat), "bogus")
+        with pytest.raises(ValueError, match=message):
+            sheaf.is_extensive_presheaf(k2, "bogus")
+        with pytest.raises(ValueError, match=message):
+            sheaf.is_sheaf(k2, T, "bogus")
 
 
 def test_descent_basics(v):

@@ -280,6 +280,87 @@ def test_singletonization_on_skeleton(fs012):
     assert are_equivalent(T_ext, S)
 
 
+_FS012_TWO_FAMILIES_WITHOUT_COPRODUCT = """
+from finsite import catalog, site
+cat = catalog.fix_fs012()
+fams = {x: {frozenset({cat.identity(x)})} for x in cat.objects}
+fams["n2"] = {frozenset(s) for s in [
+    ("n1>n2:0", "n1>n2:1"), ("n2>n2:0,1", "n1>n2:0"), ("n2>n2:0,1", "n1>n2:1")
+]}
+T = site.Pretopology(cat, fams)
+print(site.is_singletonizable(T))
+try:
+    site.singletonize(T)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_singletonize_names_the_same_family_under_every_hash_seed():
+    """On FIX-FS012 the two families {id_n2, n1 -> n2} of n2 have no
+    coproduct (n2 + n1 is not in the skeleton).  singletonize names the
+    first of them in covering_families order whatever the hash seed; it
+    named whichever its set of families yielded first."""
+    src = os.path.dirname(os.path.dirname(finsite.__file__))
+    outs = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _FS012_TWO_FAMILIES_WITHOUT_COPRODUCT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outs.add(run.stdout)
+    assert outs == {"False\ncovering family without coproduct: ('n1>n2:0', 'n2>n2:0,1')\n"}
+
+
+def _finset_fragment():
+    """The sets {0..k} for k <= 3, the empty set included, and every map
+    between them."""
+    sets = [frozenset(range(n)) for n in range(5)]
+    return sets, [f for a in sets for b in sets for f in FS.hom(a, b)]
+
+
+def test_finset_topology_branches_match_brute_force_on_small_sets():
+    """On the maps between the sets {0..k}, k <= 3: f is locally split in
+    FinSetTopology(kind) iff some map c: U -> tgt(f) of that kind equals
+    f . s for some s: U -> src(f), U in the fragment; each witness factors;
+    universal_completion keeps the Uni class; and is_coarser is inclusion
+    of the Uni classes.  Every map of finite sets is universal, so the Uni
+    class of a kind is its locally split maps."""
+    sets, maps = _finset_fragment()
+    of_kind = {
+        "surjections": lambda img, tgt, n: img == tgt,
+        "isos": lambda img, tgt, n: img == tgt and n == len(tgt),
+        "all": lambda img, tgt, n: True,
+    }
+
+    def brute(kind, f):
+        for u in sets:
+            for s in itertools.product(sorted(f.src), repeat=len(u)):
+                if of_kind[kind]({f(y) for y in s}, f.tgt, len(u)):
+                    return True
+        return False
+
+    uni = {}
+    for kind in FinSetTopology.KINDS:
+        T = FinSetTopology(kind)
+        split = set()
+        for f in maps:
+            w = is_locally_split(T, f)
+            assert (w is not None) == brute(kind, f), (kind, f)
+            if w is not None:
+                split.add(f)
+                (c,), (s,) = w.covering.members, w.sections
+                assert w.covering.target == f.tgt and T.covers(c), (kind, f)
+                assert FS.compose(f, s) == c, (kind, f)
+        uni[kind] = frozenset(f for f in maps if uni_contains(T, f))
+        assert uni[kind] == split, kind
+        done = universal_completion(T)
+        assert frozenset(f for f in maps if uni_contains(done, f)) == uni[kind], kind
+    for k1, k2 in itertools.product(FinSetTopology.KINDS, repeat=2):
+        assert is_coarser(FinSetTopology(k1), FinSetTopology(k2)) == (uni[k1] <= uni[k2]), (k1, k2)
+
+
 def test_classification_predicates(v, fs012):
     cat, T_op = v
     assert is_subcanonical(T_op)
