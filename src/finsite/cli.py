@@ -9,10 +9,21 @@ and `parse_bundle_doc` is the one place that turns a malformed entry into
 a `BundleError`.  Mappings are
 arrays of [key, value] pairs, compositions arrays of [g, f, gf] meaning
 compose(g, f) = gf, and elements are JSON scalars or arrays (arrays
-decode to tuples; equal strings, and arrays with equal JSON text, decode
-to one shared object per document).  Reports go to stdout as JSON with
-indent 2 and sorted keys; a human summary goes to stderr.  Exit codes:
-0 verdict-true, 1 verdict-false, 2 usage or parse error.
+decode to tuples).  A keyed list with two rows for one key is malformed.
+Reports go to stdout as JSON with indent 2 and sorted keys; a human
+summary goes to stderr.  Exit codes: 0 verdict-true, 1 verdict-false,
+2 usage or parse error.
+
+What does not depend on the request is paid for once per process, and
+each id once per document:
+
+- One decoder per document (`_decoder`) gives one shared object per
+  string and one per array text: equal strings decode to one object, and
+  so do arrays with equal JSON text.  A string id costs one C-level call,
+  the decoder's `share`, made inline by the parsers' loops.
+- The parser is built at import and parses one fixed command line of
+  each command there (never sys.argv), so argparse's regular expressions
+  are in `re`'s cache before a request process starts, forked or not.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from . import catalog, internal, sheaf, site
@@ -79,7 +91,10 @@ def _decoder():
     text, so dict lookups on ids stop at identity and a repeated array
     costs one repr and one lookup.  Arrays are keyed by their repr, which
     tells types apart: [1], [1.0] and [true] stay distinct, and so do -0.0
-    and 0.0."""
+    and 0.0.  The function's `share` is the strings memo's setdefault:
+    share(v, v) is decode(v) for a string v, without a Python call, and
+    the parsers' loops call it inline as
+    `share(v, v) if type(v) is str else decode(v)`."""
     strings = {}
     share = strings.setdefault
     arrays = {}
@@ -95,6 +110,7 @@ def _decoder():
             return items
         return v
 
+    decode.share = share
     return decode
 
 
@@ -102,8 +118,25 @@ def _pairs(mapping, encode=_encode):
     return sorted(([encode(k), encode(v)] for k, v in mapping.items()), key=repr)
 
 
-def _unpairs(pairs, decode):
-    return {decode(k): decode(v) for k, v in pairs}
+def _keyed(table, rows, what, decode, key=0):
+    """table, built with one entry per row of rows, each keyed by row[key];
+    where two rows share a key the table kept only the last, so ValueError
+    names the first key repeated."""
+    if len(table) != len(rows):
+        seen = set()
+        repeat = next(k for k in (decode(row[key]) for row in rows) if k in seen or seen.add(k))
+        raise ValueError(f"{what} rows repeat the key {repeat!r}")
+    return table
+
+
+def _unpairs(pairs, decode, what):
+    share = decode.share
+    table = {
+        share(k, k) if type(k) is str else decode(k):
+            share(v, v) if type(v) is str else decode(v)
+        for k, v in pairs
+    }
+    return _keyed(table, pairs, what, decode)
 
 
 @dataclass
@@ -243,11 +276,26 @@ def serialize_bundle_doc(doc: BundleDoc) -> dict:
 
 
 def parse_category(sec, doc, name, decode) -> TableCategory:
+    share = decode.share
+    rows = sec["morphisms"]
+    morphisms = {
+        share(m, m) if type(m) is str else decode(m): (
+            share(a, a) if type(a) is str else decode(a),
+            share(b, b) if type(b) is str else decode(b),
+        )
+        for m, a, b in rows
+    }
+    comp_rows = sec["composition"]
+    comp = {
+        (share(g, g) if type(g) is str else decode(g), share(f, f) if type(f) is str else decode(f)):
+            share(gf, gf) if type(gf) is str else decode(gf)
+        for g, f, gf in comp_rows
+    }
     cat = TableCategory(
-        [decode(x) for x in sec["objects"]],
-        {decode(m): (decode(a), decode(b)) for m, a, b in sec["morphisms"]},
-        _unpairs(sec["identity"], decode),
-        {(decode(g), decode(f)): decode(gf) for g, f, gf in sec["composition"]},
+        [share(x, x) if type(x) is str else decode(x) for x in sec["objects"]],
+        _keyed(morphisms, rows, "morphisms", decode),
+        _unpairs(sec["identity"], decode, "identity"),
+        _keyed(comp, comp_rows, "composition", decode, slice(2)),
         name=name,
     )
     bad = ill_typed(cat)
@@ -256,48 +304,85 @@ def parse_category(sec, doc, name, decode) -> TableCategory:
     return cat
 
 
+def _families(fs, decode):
+    """The set of frozensets that fs, a list of member lists, gives: every
+    member is decoded in one comprehension, then cut back into families."""
+    share = decode.share
+    members = iter([share(m, m) if type(m) is str else decode(m) for fam in fs for m in fam])
+    return {frozenset(islice(members, len(fam))) for fam in fs}
+
+
 def parse_topology(sec, doc, name, decode) -> site.Pretopology:
-    fams = {decode(x): {frozenset(map(decode, fam)) for fam in fs} for x, fs in sec["families"]}
-    return site.Pretopology(doc.categories[sec["category"]], fams, name=name)
+    share = decode.share
+    rows = sec["families"]
+    fams = {share(x, x) if type(x) is str else decode(x): _families(fs, decode) for x, fs in rows}
+    return site.Pretopology(
+        doc.categories[sec["category"]], _keyed(fams, rows, "families", decode), name=name
+    )
 
 
 def parse_functor(sec, doc, name, decode) -> FunctorData:
     return FunctorData(
         doc.categories[sec["source"]],
         doc.categories[sec["target"]],
-        _unpairs(sec["on_objects"], decode),
-        _unpairs(sec["on_morphisms"], decode),
+        _unpairs(sec["on_objects"], decode, "on_objects"),
+        _unpairs(sec["on_morphisms"], decode, "on_morphisms"),
         name=name,
     )
 
 
 def parse_presheaf(sec, doc, name, decode) -> sheaf.Presheaf:
-    values = {decode(x): tuple(map(decode, vs)) for x, vs in sec["values"]}
-    restriction = {decode(m): _unpairs(r, decode) for m, r in sec["restriction"]}
-    return sheaf.Presheaf(doc.categories[sec["category"]], values, restriction, name=name)
+    share = decode.share
+    rows = sec["values"]
+    values = {
+        share(x, x) if type(x) is str else decode(x):
+            tuple([share(v, v) if type(v) is str else decode(v) for v in vs])
+        for x, vs in rows
+    }
+    res_rows = sec["restriction"]
+    restriction = {
+        share(m, m) if type(m) is str else decode(m): _unpairs(r, decode, "restriction map")
+        for m, r in res_rows
+    }
+    return sheaf.Presheaf(
+        doc.categories[sec["category"]],
+        _keyed(values, rows, "values", decode),
+        _keyed(restriction, res_rows, "restriction", decode),
+        name=name,
+    )
 
 
 def _on_apex(apex, rows, tgt, what, decode):
-    """The SetMap apex -> tgt that the [x, y, z] rows give as (x, y) -> z,
-    keyed by the apex's own elements; a stray or missing row raises."""
+    """The SetMap apex -> tgt that the [x, y, z] rows give as (x, y) -> z;
+    a stray, missing or repeated row raises.  Its one dict starts with the
+    apex's own elements as keys, and storing under an equal pair keeps
+    that key, so the map holds no pair built from the rows."""
+    share = decode.share
+    missing = object()
+    mapping = dict.fromkeys(apex, missing)
+    for x, y, z in rows:
+        w = (share(x, x) if type(x) is str else decode(x), share(y, y) if type(y) is str else decode(y))
+        mapping[w] = share(z, z) if type(z) is str else decode(z)
+    if len(mapping) == len(apex) == len(rows) and missing not in mapping.values():
+        return SetMap(apex, tgt, mapping)
     table = {(decode(x), decode(y)): decode(z) for x, y, z in rows}
-    try:
-        if len(table) == len(apex):
-            return SetMap(apex, tgt, {w: table[w] for w in apex})
-    except KeyError:
-        pass
-    stray = min(table.keys() ^ apex, key=repr)
+    stray = min(_keyed(table, rows, what, decode, slice(2)).keys() ^ apex, key=repr)
     raise ValueError(f"{what} rows and the fibre product differ at {stray!r}")
+
+
+def _elements(items, decode):
+    share = decode.share
+    return frozenset([share(x, x) if type(x) is str else decode(x) for x in items])
 
 
 def parse_groupoid(sec, doc, name, decode) -> internal.InternalGroupoid:
     amb = catalog.finite_sets_ambient()
-    X0 = frozenset(map(decode, sec["X0"]))
-    X1 = frozenset(map(decode, sec["X1"]))
-    s = SetMap(X1, X0, _unpairs(sec["s"], decode))
-    t = SetMap(X1, X0, _unpairs(sec["t"], decode))
-    i = SetMap(X0, X1, _unpairs(sec["i"], decode))
-    inv = SetMap(X1, X1, _unpairs(sec["inv"], decode))
+    X0 = _elements(sec["X0"], decode)
+    X1 = _elements(sec["X1"], decode)
+    s = SetMap(X1, X0, _unpairs(sec["s"], decode, "s"))
+    t = SetMap(X1, X0, _unpairs(sec["t"], decode, "t"))
+    i = SetMap(X0, X1, _unpairs(sec["i"], decode, "i"))
+    inv = SetMap(X1, X1, _unpairs(sec["inv"], decode, "inv"))
     X2 = amb.pullback(s, t)
     comp = _on_apex(X2.apex, sec["comp"], X1, "comp", decode)
     return internal.InternalGroupoid(amb, X0, X1, s, t, i, comp, inv, X2, name=name)
@@ -306,13 +391,13 @@ def parse_groupoid(sec, doc, name, decode) -> internal.InternalGroupoid:
 def parse_bundle(sec, doc, name, decode) -> internal.Bundle:
     G = doc.groupoids[sec["groupoid"]]
     amb = G.ambient
-    carrier = frozenset(map(decode, sec["carrier"]))
-    base = frozenset(map(decode, sec["base"]))
-    anchor = SetMap(carrier, G.X0, _unpairs(sec["anchor"], decode))
+    carrier = _elements(sec["carrier"], decode)
+    base = _elements(sec["base"], decode)
+    anchor = SetMap(carrier, G.X0, _unpairs(sec["anchor"], decode, "anchor"))
     dom = amb.pullback(anchor, G.t)
     act = _on_apex(dom.apex, sec["action"], carrier, "action", decode)
     action = internal.RightAction(G, carrier, anchor, act, dom)
-    p = SetMap(carrier, base, _unpairs(sec["projection"], decode))
+    p = SetMap(carrier, base, _unpairs(sec["projection"], decode, "projection"))
     return internal.Bundle(G, action, base, p)
 
 
@@ -321,8 +406,9 @@ def _kinds():
     (BundleDoc section, parser, validator).  A parser reads one entry of its
     section, parse(entry, doc, name, decode), given the structures parsed
     before it in doc and the document's one decode function (`_decoder`),
-    through which it reads every id.  Built on each call, so that wrappers
-    installed on the module names after import are used."""
+    through which it reads every id, a string id through its `share`.
+    Built on each call, so that wrappers installed on the module names
+    after import are used."""
     return {
         "category": ("categories", parse_category, validate_category),
         "topology": ("topologies", parse_topology, site.validate_pretopology),
@@ -737,6 +823,17 @@ def _parser():
 
 # built once: a process that calls main() many times pays for the tree once
 _PARSER = _parser()
+# argparse matches arguments with regular expressions that depend on the
+# parser alone; one parse of each command puts them in re's cache, so a
+# process forked after import compiles none of them per request
+for _argv in (
+    ["validate", "bundle.json"],
+    ["check", "bundle.json", "--op", "is_local", "--args", "T"],
+    ["laws"],
+    ["kan", "bundle.json", "--functor", "F", "--presheaf", "P"],
+):
+    _PARSER.parse_args(_argv)
+del _argv
 
 
 def main(argv=None) -> int:

@@ -114,9 +114,10 @@ class TableCategory:
     identity:  dict ObjId -> MorId
     comp:      dict (g, f) -> g.f  for every composable pair (f first)
 
-    The constructor raises ValueError unless every endpoint and identity
-    row names declared ids and comp has one row of declared morphisms per
-    composable pair, so compose is total; validate_category checks the laws.
+    The constructor raises ValueError unless the objects are distinct, every
+    endpoint and identity row names declared ids and comp has one row of
+    declared morphisms per composable pair, so compose is total;
+    validate_category checks the laws.
 
     The tables are immutable after construction: hom sets are built once,
     the cone index on first use, and pullbacks and universality are
@@ -132,6 +133,10 @@ class TableCategory:
         self._identity = dict(identity)
         self._comp = comp = dict(comp)
         into, out, hom = {x: [] for x in self.objects}, dict.fromkeys(self.objects, 0), {}
+        if len(into) != len(self.objects):
+            seen = set()
+            repeat = next(x for x in self.objects if x in seen or seen.add(x))
+            raise ValueError(f"objects repeat the id {repeat!r}")
         for m, (a, b) in mor.items():
             if a not in out or b not in into:
                 raise ValueError(f"morphism {m!r} has an unknown endpoint")
@@ -547,7 +552,7 @@ class SetMap:
         src = frozenset(src)
         tgt = frozenset(tgt)
         mapping = dict(mapping)
-        if frozenset(mapping) != src:
+        if not (len(mapping) == len(src) and src.issuperset(mapping)):
             bad = min(src.symmetric_difference(mapping), key=repr)
             raise ValueError(f"mapping domain mismatch at {bad!r}")
         if not tgt.issuperset(mapping.values()):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -229,6 +232,71 @@ def test_malformed_entry_names_its_kind(bundle_path, tmp_path, capsys, kind, edi
     assert cli.main(["validate", path]) == 2
     err = capsys.readouterr().err
     assert f"malformed {kind}" in err and "Traceback" not in err
+
+
+def _repeat_row(section, name, key, pick=lambda rows: rows[0]):
+    """An edit that appends to a keyed list a row repeating pick(rows)'s key."""
+
+    def edit(doc):
+        rows = doc[section][name][key]
+        rows.append(pick(rows))
+
+    return edit
+
+
+def _swapped_morphism(rows):
+    return next([m, b, a] for m, a, b in rows if a != b)
+
+
+@pytest.mark.parametrize(
+    "kind, name, edit",
+    [
+        pytest.param("category", "FIX-V", _repeat_row("categories", "FIX-V", "objects"), id="objects"),
+        pytest.param(
+            "category", "FIX-V", _repeat_row("categories", "FIX-V", "morphisms", _swapped_morphism),
+            id="morphisms-swapped",
+        ),
+        pytest.param("category", "FIX-V", _repeat_row("categories", "FIX-V", "identity"), id="identity"),
+        pytest.param(
+            "category", "FIX-V", _repeat_row("categories", "FIX-V", "composition"), id="composition"
+        ),
+        pytest.param("topology", "T_op", _repeat_row("topologies", "T_op", "families"), id="families"),
+        pytest.param(
+            "functor", "skel01-into-fs012",
+            _repeat_row("functors", "skel01-into-fs012", "on_objects"), id="on_objects",
+        ),
+        pytest.param(
+            "functor", "skel01-into-fs012",
+            _repeat_row("functors", "skel01-into-fs012", "on_morphisms"), id="on_morphisms",
+        ),
+        pytest.param("presheaf", "SHV", _repeat_row("presheaves", "SHV", "values"), id="values"),
+        pytest.param(
+            "presheaf", "SHV", _repeat_row("presheaves", "SHV", "restriction"), id="restriction"
+        ),
+        pytest.param(
+            "presheaf", "SHV",
+            lambda doc: doc["presheaves"]["SHV"]["restriction"][0][1].append(
+                doc["presheaves"]["SHV"]["restriction"][0][1][0]
+            ),
+            id="restriction-pairs",
+        ),
+        *(
+            pytest.param("groupoid", "FIX-PAIR2", _repeat_row("groupoids", "FIX-PAIR2", key), id=key)
+            for key in ("s", "t", "i", "inv", "comp")
+        ),
+        *(
+            pytest.param("bundle", "FIX-Z2BUNDLE", _repeat_row("bundles", "FIX-Z2BUNDLE", key), id=key)
+            for key in ("anchor", "action", "projection")
+        ),
+    ],
+)
+def test_repeated_key_is_malformed(bundle_path, tmp_path, capsys, kind, name, edit):
+    """A keyed list with two rows for one key is refused, where a table
+    built from it would keep the last row only."""
+    path = _write_variant(bundle_path, tmp_path, edit)
+    assert cli.main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed {kind} {name!r}" in err and "repeat" in err and "Traceback" not in err
 
 
 def _restriction_row(doc, m):
@@ -506,8 +574,48 @@ def test_parsed_groupoid_maps_are_keyed_by_its_arrows(bundle_path):
     assert all(id(g) in arrows for g in G.s.mapping)
 
 
+def test_parsed_comp_and_action_are_keyed_by_the_apex(bundle_path):
+    """comp and act hold the fibre product's own pairs as keys, not the
+    equal pairs built from the bundle's rows."""
+    doc = cli.load_bundle(bundle_path)
+    G = doc.groupoids["FIX-PAIR2"]
+    assert {id(w) for w in G.comp.mapping} == {id(w) for w in G.X2.apex}
+    action = doc.bundles["FIX-Z2BUNDLE"].action
+    assert {id(e) for e in action.act.mapping} == {id(e) for e in action.dom.apex}
+
+
+_PARSE_EACH_COMMAND = """
+import json, re, sys
+from finsite import cli
+compiler = getattr(re, "_compiler", None) or __import__("sre_compile")
+real, patterns = compiler.compile, []
+compiler.compile = lambda p, *a: patterns.append(p) or real(p, *a)
+for argv in json.loads(sys.argv[1]):
+    cli._PARSER.parse_args(argv)
+print(json.dumps(patterns))
+"""
+
+
 def test_one_parser_serves_every_call(bundle_path, capsys):
-    """main() reuses one parser; no option value carries over to the next call."""
+    """main() reuses one parser; no option value carries over to the next
+    call.  Parsing compiles no regular expression after import: argparse's
+    patterns are in re's cache by then.  Counted in a fresh interpreter,
+    whose cache nothing else has filled."""
+    argvs = [
+        ["validate", bundle_path],
+        ["check", bundle_path, "--op", "is_sheaf", "--args", "SHV", "T_op", "--extensivity-mode", "disjoint"],
+        ["check", bundle_path, "--op", "validate_category", "--args", "FIX-V"],
+        ["laws"],
+        ["laws", bundle_path],
+        ["kan", bundle_path, "--functor", "skel01-into-fs012", "--presheaf", "Yo_n1_small"],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    run = subprocess.run(
+        [sys.executable, "-c", _PARSE_EACH_COMMAND, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(run.stdout) == []
+
     check = ["check", bundle_path, "--op", "is_subcanonical"]
     assert cli.main([*check, "--args", "T_op"]) == 0
     capsys.readouterr()
