@@ -42,7 +42,6 @@ from .fincat import (
     FunctorData,
     SetMap,
     TableCategory,
-    ill_typed,
     is_effective_epi,
     is_extensive,
     is_universal,
@@ -291,17 +290,13 @@ def parse_category(sec, doc, name, decode) -> TableCategory:
             share(gf, gf) if type(gf) is str else decode(gf)
         for g, f, gf in comp_rows
     }
-    cat = TableCategory(
+    return TableCategory(
         [share(x, x) if type(x) is str else decode(x) for x in sec["objects"]],
         _keyed(morphisms, rows, "morphisms", decode),
         _unpairs(sec["identity"], decode, "identity"),
         _keyed(comp, comp_rows, "composition", decode, slice(2)),
         name=name,
     )
-    bad = ill_typed(cat)
-    if bad is not None:
-        raise ValueError(f"ill-typed table entry {bad}")
-    return cat
 
 
 def _families(fs, decode):
@@ -776,10 +771,6 @@ def cmd_kan(path, functor, presheaf) -> int:
     doc = load_bundle(path)
     F = _resolve(doc, "functor", functor)
     P = _resolve(doc, "presheaf", presheaf)
-    if P.cat is not F.source:
-        raise BundleError(
-            f"presheaf {presheaf!r} does not live on the source of functor {functor!r}"
-        )
     ext = sheaf.right_kan_extension(F, P)
     names = {id(c): n for n, c in doc.categories.items()}
     out = {"presheaves": {ext.name: serialize_presheaf(ext, names[id(F.target)])}}

@@ -47,9 +47,6 @@ class Presheaf:
             if r.keys() != values[b] or not values[a].issuperset(r.values()):
                 raise ValueError(f"restriction {m!r} is not a map values[{b!r}] -> values[{a!r}]")
 
-    def value(self, x):
-        return self.values[x]
-
     def res(self, m, a):
         return self.restriction[m][a]
 
@@ -415,6 +412,7 @@ def _kan_families(F: FunctorData, P: Presheaf, y):
 
 
 def right_kan_extension(F: FunctorData, P: Presheaf) -> Presheaf:
+    _site._same_cat(P, F.source, f"the source of functor {F.name!r}")
     tgt = F.target
     slices = {}
     values = {}

@@ -393,14 +393,15 @@ def universal_completion(T):
 
 
 def _same_cat(T, cat, owner):
-    """Raise ValueError unless the topology T lives on cat, the category of
-    owner (named in the message).  Two TableCategory objects with the same
-    tables are the same category, and so are any two FinSetCat objects."""
+    """Raise ValueError unless T, a topology or a presheaf, lives on cat, the
+    category of owner (both named in the message).  Two TableCategory
+    objects with the same tables are the same category, and so are any two
+    FinSetCat objects."""
     if T.cat is not cat and any(
         getattr(T.cat, a, None) != getattr(cat, a, None)
         for a in ("backend", "_mor", "_identity", "_comp")
     ):
-        raise ValueError(f"{owner} and topology {T.name!r} live on different categories")
+        raise ValueError(f"{owner} and {T.name!r} live on different categories")
 
 
 def _functor_sites(F: FunctorData, T1, T2):

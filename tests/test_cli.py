@@ -219,6 +219,14 @@ def test_sheaf_check_across_categories_exit_two(bundle_path, capsys, op, args):
     assert "different categories" in capsys.readouterr().err
 
 
+def test_kan_across_categories_exit_two(bundle_path, capsys):
+    """K2_FS lives on FIX-FS012, the target of the functor, not its source."""
+    argv = ["kan", bundle_path, "--functor", "skel01-into-fs012", "--presheaf", "K2_FS"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "live on different categories" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "kind, edit",
     [
@@ -382,6 +390,11 @@ def test_unknown_functor_and_presheaf_ids_exit_two(bundle_path, tmp_path, capsys
     assert "malformed" in err and "Traceback" not in err
 
 
+def _functor_wrong_endpoints(doc):
+    """Send the identity of n0 to the swap on n2, which is no morphism n0 -> n0."""
+    doc["functors"]["skel01-into-fs012"]["on_morphisms"][0][1] = "n2>n2:1,0"
+
+
 def _drop_identity_row(doc):
     identity = doc["categories"]["FIX-V"]["identity"]
     identity[:] = [row for row in identity if row[0] != "oU"]
@@ -390,11 +403,7 @@ def _drop_identity_row(doc):
 @pytest.mark.parametrize(
     "edit, command",
     [
-        pytest.param(
-            lambda doc: doc["functors"]["skel01-into-fs012"]["on_morphisms"][0].__setitem__(1, "n2>n2:1,0"),
-            KAN,
-            id="functor-wrong-endpoints",
-        ),
+        pytest.param(_functor_wrong_endpoints, KAN, id="functor-wrong-endpoints"),
         pytest.param(_drop_identity_row, SHEAF, id="identity-row-missing"),
     ],
 )
@@ -404,7 +413,26 @@ def test_law_breaking_bundle_exit_two(bundle_path, tmp_path, capsys, edit, comma
     assert "Traceback" not in capsys.readouterr().err
 
 
-def _ill_typed_fix_v(doc):
+@pytest.mark.parametrize(
+    "command",
+    [
+        KAN,
+        ["check", "--op", "has_dense_image", "--args", "skel01-into-fs012", "T_ext"],
+        ["check", "--op", "validate_functor", "--args", "skel01-into-fs012"],
+        ["validate"],
+    ],
+    ids=["kan", "has_dense_image", "validate_functor", "validate"],
+)
+def test_functor_wrong_endpoints_is_malformed(bundle_path, tmp_path, capsys, command):
+    """A functor map that sends a morphism to one with other endpoints is
+    rejected when the bundle loads, whatever the command asks about."""
+    path = _write_variant(bundle_path, tmp_path, _functor_wrong_endpoints)
+    assert cli.main([command[0], path, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "malformed functor 'skel01-into-fs012'" in err and "Traceback" not in err
+
+
+def _mistyped_fix_v(doc):
     for row in doc["categories"]["FIX-V"]["composition"]:
         if row[:2] == ["oU_to_oX", "oE_to_oU"]:
             row[2] = "oX_to_oX"  # should be oE -> oX
@@ -418,7 +446,7 @@ def _ill_typed_fix_v(doc):
 def test_ill_typed_category_exit_two(bundle_path, tmp_path, capsys, command):
     """A composition row with the wrong endpoints makes the whole bundle
     malformed, whatever the command asks about."""
-    path = _write_variant(bundle_path, tmp_path, _ill_typed_fix_v)
+    path = _write_variant(bundle_path, tmp_path, _mistyped_fix_v)
     assert cli.main([command[0], path, *command[1:]]) == 2
     err = capsys.readouterr().err
     assert "malformed category 'FIX-V'" in err and "Traceback" not in err

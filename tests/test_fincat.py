@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,18 +49,24 @@ def test_validate_category_accepts_fixtures(fix_v, fs012):
 
 
 def test_validate_category_catches_broken_composition(fix_v):
+    """A composite with the wrong endpoints never reaches validate_category:
+    the constructor rejects its row."""
     comp = dict(fix_v._comp)
     comp[("oU_to_oX", "oE_to_oU")] = "oX_to_oX"  # wrong source
-    broken = TableCategory(fix_v.objects, fix_v._mor, fix_v._identity, comp)
-    assert not validate_category(broken).ok
+    with pytest.raises(ValueError, match=re.escape(repr(["oU_to_oX", "oE_to_oU", "oX_to_oX"]))):
+        TableCategory(fix_v.objects, fix_v._mor, fix_v._identity, comp)
 
 
 def test_validate_category_rejects_missing_identity(fix_v):
+    """An object without an identity row never reaches validate_category:
+    the constructor rejects the tables, naming the object."""
     ident = dict(fix_v._identity)
     del ident["oU"]
-    report = validate_category(TableCategory(fix_v.objects, fix_v._mor, ident, fix_v._comp))
-    assert not report.ok
-    assert report.counterexample == {"identity": "oU"}
+    with pytest.raises(ValueError, match="oU"):
+        TableCategory(fix_v.objects, fix_v._mor, ident, fix_v._comp)
+    ident["oU"] = "oE_to_oU"  # not an endomorphism of oU
+    with pytest.raises(ValueError, match="oE_to_oU"):
+        TableCategory(fix_v.objects, fix_v._mor, ident, fix_v._comp)
 
 
 def test_validate_category_raises_on_dangling_table_entry(fix_v):
@@ -280,8 +288,8 @@ def test_cone_checks_reject_legs_off_the_apex(fix_v):
     assert not fix_v.is_coproduct_cocone("oU", ("oU_to_oX", "oV_to_oX"))
     sub, incl = catalog.fix_b()
     swapped = dict(incl.obj_map, oU="oV", oV="oU")
-    bad = FunctorData(sub, incl.target, swapped, incl.mor_map)
-    assert not preserves_coproducts(bad)
+    with pytest.raises(ValueError, match="oE_to_oU"):  # oE_to_oU goes into oU, not into F(oU) = oV
+        FunctorData(sub, incl.target, swapped, incl.mor_map)
 
     f = SetMap({0, 1, 2}, {0, 1}, {0: 0, 1: 1, 2: 0})
     g = SetMap({"u", "v"}, {0, 1}, {"u": 0, "v": 0})
