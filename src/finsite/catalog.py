@@ -106,7 +106,7 @@ def fix_b():
 # ---------------------------------------------------------------------------
 
 
-def _fn_id(m, a, b, values):
+def _fn_id(a, b, values):
     return f"n{a}>n{b}:" + ",".join(map(str, values))
 
 
@@ -122,7 +122,7 @@ def finset_skeleton(sizes):
             if a > 0 and b == 0:
                 continue
             for values in iproduct(range(b), repeat=a) if b > 0 else [()]:
-                mid = _fn_id(None, a, b, values)
+                mid = _fn_id(a, b, values)
                 morphisms[mid] = (f"n{a}", f"n{b}")
                 graphs[mid] = values
                 if a == b and values == tuple(range(a)):
@@ -135,7 +135,7 @@ def finset_skeleton(sizes):
             a = int(sa[1:])
             c = int(sc[1:])
             gf = tuple(graphs[g][graphs[f][i]] for i in range(a))
-            comp[(g, f)] = _fn_id(None, a, c, gf)
+            comp[(g, f)] = _fn_id(a, c, gf)
     return TableCategory(objects, morphisms, identity, comp, name=f"finset-skeleton{sizes}")
 
 

@@ -959,9 +959,8 @@ def _binary_coproducts(cat, disjoint):
         init = cat.coproduct(())
         if init is None:
             return
-    objects = list(dict.fromkeys(cat.objects))
-    for i, a in enumerate(objects):
-        for b in objects[i:]:
+    for i, a in enumerate(cat.objects):
+        for b in cat.objects[i:]:
             co = cat.coproduct((a, b))
             if co is not None and not (disjoint and _coproduct_failure(cat, co, init.apex)):
                 yield a, b, co

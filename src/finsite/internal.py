@@ -47,10 +47,9 @@ class InternalGroupoid:
     composite "g after h").
     """
 
-    def __init__(self, ambient, X0, X1, s, t, i, comp, inv, X2=None, name=""):
+    def __init__(self, ambient, X0, X1, s, t, i, comp, inv, X2, name=""):
         self.ambient, self.X0, self.X1, self.name = ambient, X0, X1, name
-        self.s, self.t, self.i, self.comp, self.inv = s, t, i, comp, inv
-        self.X2 = ambient.pullback(s, t) if X2 is None else X2
+        self.s, self.t, self.i, self.comp, self.inv, self.X2 = s, t, i, comp, inv, X2
 
     def __repr__(self):
         return f"InternalGroupoid({self.name!r})"

@@ -117,8 +117,41 @@ def test_check_extensivity_mode(bundle_path, capsys):
 def test_laws_catalog_only(capsys):
     assert cli.main(["laws"]) == 0
     laws = json.loads(capsys.readouterr().out)
-    assert isinstance(laws, list) and len(laws) >= 40
+    assert isinstance(laws, list) and len(laws) == 62
     assert all(law["verdict"] for law in laws)
+
+
+SITE_LAWS = [
+    "pretopology axioms",
+    "T equivalent to Uni(T)",
+    "Uni idempotent",
+    "indiscrete coarsest, discrete finest",
+    "subcanonical iff representables are sheaves",
+]
+
+
+def test_each_site_gets_the_five_site_laws():
+    """The catalog's 12 sites get the five site laws each, in order, then the
+    presheaf and groupoid fixtures; a bundle adds five laws per topology and
+    one per structure."""
+    catalog_names = [name for name, _ in cli.law_suite()]
+    tags = [name.rpartition(" [")[2] for name in catalog_names[:60:5]]
+    assert catalog_names == [f"{label} [{tag}" for tag in tags for label in SITE_LAWS] + [
+        "presheaf fixtures behave [catalog]",
+        "groupoid fixtures validate [catalog]",
+    ]
+    doc = cli.parse_bundle_doc(_one_char_doc())
+    names = [name for name, _ in cli.law_suite(doc)]
+    assert names[60:65] == [f"{label} [T@D]" for label in SITE_LAWS]
+    assert names[:60] + names[65:67] == catalog_names
+    assert names[67:] == [
+        "user category D validates",
+        "user topology T validates",
+        "user functor F validates",
+        "user presheaf P validates",
+        "user groupoid G validates",
+        "user bundle B validates",
+    ]
 
 
 def test_laws_with_broken_user_topology(bundle_path, tmp_path, capsys):
@@ -240,6 +273,96 @@ def test_malformed_entry_names_its_kind(bundle_path, tmp_path, capsys, kind, edi
     assert cli.main(["validate", path]) == 2
     err = capsys.readouterr().err
     assert f"malformed {kind}" in err and "Traceback" not in err
+
+
+def _one_char_doc():
+    """A valid bundle of one structure per kind whose elements are all
+    one-character strings, so that every list of elements, written as the
+    string of its elements, spells the same elements character by character."""
+    return {
+        "categories": {"D": {
+            "objects": ["a", "b"],
+            "morphisms": [["1", "a", "a"], ["2", "b", "b"]],
+            "identity": [["a", "1"], ["b", "2"]],
+            "composition": [["1", "1", "1"], ["2", "2", "2"]],
+        }},
+        "topologies": {"T": {"category": "D", "families": [["a", [["1"]]], ["b", [["2"]]]]}},
+        "functors": {"F": {
+            "source": "D", "target": "D", "on_objects": [["a", "a"], ["b", "b"]],
+            "on_morphisms": [["1", "1"], ["2", "2"]],
+        }},
+        "presheaves": {"P": {
+            "category": "D",
+            "values": [["a", ["p", "q"]], ["b", ["p"]]],
+            "restriction": [["1", [["p", "p"], ["q", "q"]]], ["2", [["p", "p"]]]],
+        }},
+        "groupoids": {"G": {
+            "X0": ["*"], "X1": ["e"], "s": [["e", "*"]], "t": [["e", "*"]], "i": [["*", "e"]],
+            "comp": [["e", "e", "e"]], "inv": [["e", "e"]],
+        }},
+        "bundles": {"B": {
+            "groupoid": "G", "carrier": ["x"], "anchor": [["x", "*"]], "action": [["x", "e", "x"]],
+            "base": ["b"], "projection": [["x", "b"]],
+        }},
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, name, edit",
+    [
+        ("category", "D", lambda doc: doc["categories"]["D"].__setitem__("objects", "ab")),
+        # the family [["1"]] of a written as ["1"]: its one member list is the string "1"
+        ("topology", "T", lambda doc: doc["topologies"]["T"]["families"][0].__setitem__(1, ["1"])),
+        ("presheaf", "P", lambda doc: doc["presheaves"]["P"]["values"][0].__setitem__(1, "pq")),
+        ("groupoid", "G", lambda doc: doc["groupoids"]["G"].__setitem__("X0", "*")),
+        ("groupoid", "G", lambda doc: doc["groupoids"]["G"].__setitem__("X1", "e")),
+        ("bundle", "B", lambda doc: doc["bundles"]["B"].__setitem__("carrier", "x")),
+        ("bundle", "B", lambda doc: doc["bundles"]["B"].__setitem__("base", "b")),
+    ],
+)
+def test_string_for_element_list_is_malformed(tmp_path, capsys, kind, name, edit):
+    """A string where a list of elements is required is not read as its
+    characters, even where they would name the right elements."""
+    path = tmp_path / "one-char.json"
+    path.write_text(json.dumps(_one_char_doc()))
+    assert cli.main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    doc = _one_char_doc()
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"malformed {kind} {name!r}: ") and "JSON array" in err and "Traceback" not in err
+
+
+def test_check_offers_one_validate_op_per_kind(tmp_path, capsys):
+    """Each kind of bundle structure has one validate op, which takes one
+    structure of that kind."""
+    ops = {op: kinds for op, (kinds, _) in cli._dispatch_table("literal").items() if op.startswith("validate_")}
+    assert ops == {
+        "validate_category": ("category",),
+        "validate_pretopology": ("topology",),
+        "validate_functor": ("functor",),
+        "validate_presheaf": ("presheaf",),
+        "validate_groupoid": ("groupoid",),
+        "validate_principal_bundle": ("bundle",),
+    }
+    assert sorted(ops.values()) == sorted((kind,) for kind in cli._kinds())
+    path = tmp_path / "one-char.json"
+    path.write_text(json.dumps(_one_char_doc()))
+    for op, name in [
+        ("validate_category", "D"),
+        ("validate_pretopology", "T"),
+        ("validate_functor", "F"),
+        ("validate_presheaf", "P"),
+        ("validate_groupoid", "G"),
+        ("validate_principal_bundle", "B"),
+    ]:
+        assert cli.main(["check", str(path), "--op", op, "--args", name]) == 0
+        assert json.loads(capsys.readouterr().out)["check"] == op
+        # a name of another kind does not resolve
+        assert cli.main(["check", str(path), "--op", op, "--args", "D" if name != "D" else "T"]) == 2
+        capsys.readouterr()
 
 
 def _repeat_row(section, name, key, pick=lambda rows: rows[0]):
@@ -542,7 +665,7 @@ def test_serialized_restriction_rows_keep_the_whole_row_order():
     fs = catalog.finset_skeleton([0, 1, 2, 3])
     presheaves += [sheaf.representable(fs, x) for x in fs.objects]
     for P in presheaves:
-        assert cli.serialize_presheaf(P, "C")["restriction"] == _old_restriction_order(P)
+        assert cli.serialize_presheaf(P, {id(P.cat): "C"})["restriction"] == _old_restriction_order(P)
 
 
 def _recursive_decode(v):
@@ -776,7 +899,7 @@ def test_serialize_presheaf_matches_the_unshared_encoder():
     for P in presheaves:
         # compared as text, where true and 1 differ
         expected = _stdlib_dumps(_old_serialize_presheaf(P, "C"))
-        got = cli.serialize_presheaf(P, "C")
+        got = cli.serialize_presheaf(P, {id(P.cat): "C"})
         assert _stdlib_dumps(got) == expected
         assert cli._dumps(got) == expected
 

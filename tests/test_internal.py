@@ -360,7 +360,7 @@ def _bundle_readers(B):
         "validate_principal_bundle": internal.validate_principal_bundle,
         "pullback_bundle": lambda B: internal.pullback_bundle(pi, B).action.act,
         "section_to_trivialization": trivializations,
-        "serialize_bundle": lambda B: cli.serialize_bundle(B, "G"),
+        "serialize_bundle": lambda B: cli.serialize_bundle(B, {id(B.gpd): "G"}),
     }
 
 
