@@ -77,14 +77,18 @@ def fix_v():
     """FIX-V: the diamond poset of opens of the 2-point discrete space."""
     e, u, v, x = frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})
     names = {e: "oE", u: "oU", v: "oV", x: "oX"}
-    return open_poset([e, u, v, x], names)
+    cat, T_op = open_poset([e, u, v, x], names)
+    cat.name = "FIX-V"
+    return cat, T_op
 
 
 def fix_s():
     """FIX-S: the chain of opens of the Sierpinski space."""
     e, a, x = frozenset(), frozenset({0}), frozenset({0, 1})
     names = {e: "oE", a: "oA", x: "oX"}
-    return open_poset([e, a, x], names)
+    cat, T_op = open_poset([e, a, x], names)
+    cat.name = "FIX-S"
+    return cat, T_op
 
 
 def fix_b():

@@ -10,7 +10,8 @@ the one place that turns a malformed entry into a `BundleError`.  Mappings
 are arrays of [key, value] pairs, compositions arrays of [g, f, gf] meaning
 compose(g, f) = gf, and elements are JSON scalars or arrays (arrays
 decode to tuples).  A keyed list with two rows for one key is malformed,
-and so is a string or object where a list of elements is required.
+and so is a string or object where a list of elements or of rows is
+required, or where a row is.
 Reports go to stdout as JSON with indent 2 and sorted keys; a human
 summary goes to stderr.  Exit codes: 0 verdict-true, 1 verdict-false,
 2 usage or parse error.
@@ -135,7 +136,7 @@ def _unpairs(pairs, decode, what):
     table = {
         share(k, k) if type(k) is str else decode(k):
             share(v, v) if type(v) is str else decode(v)
-        for k, v in pairs
+        for k, v in _rows(pairs, what)
     }
     return _keyed(table, pairs, what, decode)
 
@@ -269,9 +270,23 @@ def _array(v, what):
     return v
 
 
+_LIST = frozenset([list])
+
+
+def _rows(rows, what):
+    """rows, a JSON array of JSON arrays: a string or object row of the
+    right length would unpack to its characters or keys.  The row types
+    are read in one scan at C speed, with no set built."""
+    if type(rows) is not list or not _LIST.issuperset(map(type, rows)):
+        _array(rows, f"{what} rows")
+        bad = next(type(row) for row in rows if type(row) is not list)
+        raise TypeError(f"{what} rows must be JSON arrays, not {bad.__name__}")
+    return rows
+
+
 def parse_category(sec, doc, name, decode) -> TableCategory:
     share = decode.share
-    rows = sec["morphisms"]
+    rows = _rows(sec["morphisms"], "morphisms")
     morphisms = {
         share(m, m) if type(m) is str else decode(m): (
             share(a, a) if type(a) is str else decode(a),
@@ -279,7 +294,7 @@ def parse_category(sec, doc, name, decode) -> TableCategory:
         )
         for m, a, b in rows
     }
-    comp_rows = sec["composition"]
+    comp_rows = _rows(sec["composition"], "composition")
     comp = {
         (share(g, g) if type(g) is str else decode(g), share(f, f) if type(f) is str else decode(f)):
             share(gf, gf) if type(gf) is str else decode(gf)
@@ -306,7 +321,7 @@ def _families(fs, decode):
 
 def parse_topology(sec, doc, name, decode) -> site.Pretopology:
     share = decode.share
-    rows = sec["families"]
+    rows = _rows(sec["families"], "families")
     fams = {share(x, x) if type(x) is str else decode(x): _families(fs, decode) for x, fs in rows}
     return site.Pretopology(
         doc.categories[sec["category"]], _keyed(fams, rows, "families", decode), name=name
@@ -325,13 +340,13 @@ def parse_functor(sec, doc, name, decode) -> FunctorData:
 
 def parse_presheaf(sec, doc, name, decode) -> sheaf.Presheaf:
     share = decode.share
-    rows = sec["values"]
+    rows = _rows(sec["values"], "values")
     values = {
         share(x, x) if type(x) is str else decode(x):
             tuple([share(v, v) if type(v) is str else decode(v) for v in _array(vs, "a value list")])
         for x, vs in rows
     }
-    res_rows = sec["restriction"]
+    res_rows = _rows(sec["restriction"], "restriction")
     restriction = {
         share(m, m) if type(m) is str else decode(m): _unpairs(r, decode, "restriction map")
         for m, r in res_rows
@@ -352,7 +367,7 @@ def _on_apex(apex, rows, tgt, what, decode):
     share = decode.share
     missing = object()
     mapping = dict.fromkeys(apex, missing)
-    for x, y, z in rows:
+    for x, y, z in _rows(rows, what):
         w = (share(x, x) if type(x) is str else decode(x), share(y, y) if type(y) is str else decode(y))
         mapping[w] = share(z, z) if type(z) is str else decode(z)
     if len(mapping) == len(apex) == len(rows) and missing not in mapping.values():

@@ -45,7 +45,8 @@ TableCategory alone also answers the two sieve questions that
 universality, locality and continuity ask: into(x), the morphisms with
 target x, and through(f), the sieve f generates with a witness factor for
 each member; and coproduct_families(x), the coproduct cocones into x that
-the extensive topology covers by.  FinSetCat has none of these: its hom
+the extensive topology covers by, and smallest_coproduct_family(x,
+sources), the one a dense image needs.  FinSetCat has none of these: its hom
 sets are enumerated lazily, and no caller asks these questions of the
 ambient.
 """
@@ -55,7 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
-from operator import eq, mul
+from operator import eq, le, mul
+from sys import maxsize
 from typing import Any, NamedTuple, Optional
 
 ObjId = Any
@@ -104,7 +106,8 @@ class _ConeSide(NamedTuple):
 
     sig: dict  # object -> its hom counts (|hom(Q, x)|)_Q, or (|hom(x, Q)|)_Q
     apexes: dict  # hom counts -> the objects with them, in object order
-    multi: dict  # object -> the (Q, count) with count > 1
+    sep: frozenset  # a separating (cones) or coseparating (cocones) set of objects
+    multi: dict  # object -> the (Q, count) with Q in sep and count > 1
 
 
 class TableCategory:
@@ -236,7 +239,8 @@ class TableCategory:
 
     def is_epi(self, f):
         """f is epi iff u -> u.f is injective on every hom(tgt f, Q): the
-        injectivity half of the cocone test for the single leg f."""
+        injectivity half of the cocone test for the single leg f, read on
+        hom(tgt f, s) for s in the coseparating set."""
         return self._injective(1, self.tgt(f), (f,))
 
     def isos(self):
@@ -257,57 +261,68 @@ class TableCategory:
     # immutable after construction, so no entry can go stale.
     # - Per object x (_cone_index): its hom-count signature,
     #   (|hom(Q, x)|)_Q for cones and (|hom(x, Q)|)_Q for cocones; the
-    #   objects with each signature, in object order; and the objects Q
-    #   where that count exceeds 1.
+    #   objects with each signature, in object order; and the objects Q of
+    #   a separating set (below) where that count exceeds 1.
     # - Per morphism h (_composites): for each Q, the composites h.u for u
     #   in hom(Q, src h), or u.h for u in hom(tgt h, Q), in hom order; and
     #   (_fibres) the fibres composite -> [u] of the first, with their
     #   sizes over hom(Q, tgt h).
-    # - The repr of each morphism (_reprs).
     # The counts are computed without building a cone: over a cospan
     # (f, g) there are sum_x |f-fibre_Q(x)| * |g-fibre_Q(x)| cones at Q.
     # The apexes whose signature equals the counts are one dict lookup.
-    # Candidate legs are built only there, sorted by repr, and the first
-    # whose composite tables are injective is returned; so the answer is
-    # the first terminal cone in object order, then in repr order.  A map
-    # out of a hom set with at most one element is injective, so only the
-    # objects with more than one arrow are read; a poset has none.  The
-    # tables of the legs line up with hom(Q, apex) (or hom(apex, Q)): the
-    # legs start (or end) at the apex by construction, or the public entry
-    # point has checked that they do.
+    # Candidate legs are generated only there, lazily, in lexicographic
+    # order of their positions in hom order, and the first whose composite
+    # tables are injective is returned; so the answer is the first terminal
+    # cone in object order, then in that order of the legs.  Injectivity is
+    # read only on the hom sets out of (into) a separating set S: if any two
+    # distinct u, v: Q -> X differ after some e: s -> Q with s in S, then
+    # legs injective on every hom(s, apex) are injective on every
+    # hom(Q, apex), since u != v gives u.e != v.e and so leg.u.e != leg.v.e
+    # for some leg (Mac Lane, CWM V.7); cocones read a coseparating set.  A
+    # map out of a hom set with at most one element is injective, so of S
+    # only the objects with more than one arrow are read; a poset has none.
+    # The tables of the legs line up with hom(Q, apex) (or hom(apex, Q)):
+    # the legs start (or end) at the apex by construction, or the public
+    # entry point has checked that they do.
 
     @cached_property
     def _cone_index(self):
         hom, objs, index = self._hom, self.objects, []
-        for side in (0, 1):
-            sig = {
-                x: tuple(len(hom.get((q0, x) if side == 0 else (x, q0), ())) for q0 in objs)
-                for x in objs
-            }
+        sigs = [
+            {x: tuple([len(hom.get((q0, x), ())) for q0 in objs]) for x in objs},
+            {x: tuple([len(hom.get((x, q0), ())) for q0 in objs]) for x in objs},
+        ]
+        for side, sig in enumerate(sigs):
             apexes = {}
             for x in objs:
                 apexes.setdefault(sig[x], []).append(x)
-            multi = {x: [(q0, n) for q0, n in zip(objs, s) if n > 1] for x, s in sig.items()}
-            index.append(_ConeSide(sig, apexes, multi))
+            # the other side's signature of Q counts the arrows out of (into) Q
+            sep = self._separating(side, sorted(objs, key=lambda x: sum(sig[x])), sigs[1 - side])
+            multi = {
+                x: [(q0, n) for q0, n in zip(objs, s) if n > 1 and q0 in sep] for x, s in sig.items()
+            }
+            index.append(_ConeSide(sig, apexes, sep, multi))
         return index
 
-    @cached_property
-    def _reprs(self):
-        return {m: repr(m) for m in self._mor}
-
-    def _in_repr_order(self, candidates):
-        """The leg tuples, all of one length, sorted by repr from the cached
-        repr of each leg: "(" + r(p) + ", " + r(q) + ")" is repr((p, q)).
-        The sort is stable, so ties keep their order."""
-        r, cands = self._reprs, list(candidates)
-        if len(cands) > 1:
-            if len(cands[0]) == 2:
-                cands.sort(key=lambda pq: "(" + r[pq[0]] + ", " + r[pq[1]] + ")")
-            elif len(cands[0]) == 1:
-                cands.sort(key=lambda q: "(" + r[q[0]] + ",)")
-            else:
-                cands.sort(key=lambda legs: "(" + ", ".join([r[m] for m in legs]) + ")")
-        return cands
+    def _separating(self, side, order, arrows):
+        """A separating set (side 0) or coseparating set (side 1), chosen
+        greedily along order: Q joins unless the objects chosen so far tell
+        apart any two distinct arrows out of Q, u, v: Q -> X with u.e != v.e
+        for some e: s -> Q.  Side 1 asks this of the opposite category,
+        where the pair (a, b) is (b, a) here.  Q tells its own arrows apart
+        (e = id_Q), so every object ends told apart.  arrows[Q] counts the
+        arrows out of Q (into Q on side 1) to each object.  The order, fewest
+        arrows first, keeps the set small: for finite sets it is {1} and
+        {2}."""
+        hom, comp, objs, sep = self._hom, self._comp, self.objects, []
+        pair = (lambda a, b: (a, b)) if side == 0 else (lambda a, b: (b, a))
+        for q in order:
+            probes = [e for s in sep for e in hom.get(pair(s, q), ())]
+            for x, n in zip(objs, arrows[q]):
+                if n > 1 and len({tuple([comp[pair(u, e)] for e in probes]) for u in hom[pair(q, x)]}) < n:
+                    sep.append(q)
+                    break
+        return frozenset(sep)
 
     def _composites(self, side, h):
         """Per object Q: (h.u for u in hom(Q, src h)) on side 0, (u.h for u
@@ -341,7 +356,8 @@ class TableCategory:
 
     def _injective(self, side, apex, legs):
         """Whether composing with the legs is injective on every hom(Q, apex)
-        (side 0) or hom(apex, Q) (side 1)."""
+        (side 0) or hom(apex, Q) (side 1): on hom(s, apex) (hom(apex, s))
+        for s in the separating (coseparating) set, by the argument above."""
         multi = self._cone_index[side].multi[apex]
         tables = [self._composites(side, leg) for leg in legs] if multi else ()
         for q0, n in multi:
@@ -354,10 +370,10 @@ class TableCategory:
 
     def _first(self, side, counts, candidates):
         """The first terminal (side 0) or initial (side 1) (apex, legs) with
-        these counts: apexes in object order, the legs candidates(apex) in
-        repr order.  None if there is none."""
+        these counts: apexes in object order, the legs in the order
+        candidates(apex) yields them.  None if there is none."""
         for apex in self._cone_index[side].apexes.get(counts, ()):
-            for legs in self._in_repr_order(candidates(apex)):
+            for legs in candidates(apex):
                 if self._injective(side, apex, legs):
                     return apex, legs
         return None
@@ -367,10 +383,24 @@ class TableCategory:
         return tuple([sum(map(mul, F[q0][1], G[q0][1])) for q0 in self.objects])
 
     def _cospan_legs(self, f, g, apex):
-        """The cones (p, q) at apex with f.p = g.q: p in hom order, then q."""
-        fib = self._fibres(g)[apex][0]
-        ps = self._hom.get((apex, self._mor[f][0]), ())
-        return [(p, q) for p, x in zip(ps, self._composites(0, f)[apex]) for q in fib.get(x, ())]
+        """The cones (p, q) at apex with f.p = g.q: p in hom order, then q.
+        A p is passed over where no q can make the pair injective on
+        hom(s, apex), s in the separating set: there u -> q.u must tell
+        apart the u in each fibre of u -> p.u, and it maps the fibre over a
+        into g's fibre over f.a, so with the counts fitting, the two
+        fibres must have one size for every a in hom(s, src f)."""
+        F, G, fibres = self._composites(0, f), self._fibres(g), self._fibres
+        sizes = [
+            (q0, tuple([len(G[q0][0].get(x, ())) for x in F[q0]]))
+            for q0, _ in self._cone_index[0].multi[apex]
+        ]
+        fib = G[apex][0]
+        return (
+            (p, q)
+            for p, x in zip(self._hom.get((apex, self._mor[f][0]), ()), F[apex])
+            if x in fib and all(fibres(p)[q0][1] == n for q0, n in sizes)
+            for q in fib[x]
+        )
 
     def _coequalizing_counts(self, f, g):
         F, G = self._composites(1, f), self._composites(1, g)
@@ -436,31 +466,60 @@ class TableCategory:
     def coproduct_families(self, x):
         """Every set of morphisms into x that are the legs of a coproduct
         cocone, that is, every subset of into(x) that is_coproduct_cocone
-        accepts.
+        accepts."""
+        ms, out = sorted(self._into[x], key=repr), set()
+        self._families(x, ms, len(ms), out.add)
+        return out
 
-        Legs are chosen one at a time in repr order, carrying the cocone
+    def smallest_coproduct_family(self, x, sources):
+        """The coproduct family into x with the fewest legs, all starting at
+        objects in sources, ties broken by the reprs of the legs in repr
+        order: its legs in repr order, or None if there is none.  Families
+        are searched with at most 0, 1, 2, ... legs, up to the first bound
+        that finds one or cuts no branch; a smaller family would have been
+        found under a smaller bound."""
+        ms = sorted((m for m in self._into[x] if self._mor[m][0] in sources), key=repr)
+        for most in range(len(ms) + 1):
+            found = []
+            if not self._families(x, ms, most, found.append) or found:
+                break
+        return sorted(found[0], key=repr) if found else None
+
+    def _families(self, x, ms, most, keep):
+        """Call keep on each coproduct family into x of at most `most` legs
+        drawn from the morphisms ms, as the frozenset of its legs, in
+        lexicographic order of their positions in ms; return whether a
+        branch was cut for reaching `most` legs.
+
+        Legs are chosen one at a time in ms order, carrying the cocone
         counts prod_i |hom(src_i, Q)| for every object Q, which must end
         equal to |hom(x, Q)|.  Adding a leg multiplies each count by a whole
-        number, so where |hom(x, Q)| > 0 a branch whose count there is 0 or
-        exceeds |hom(x, Q)| can never match again and is cut.  A set whose
+        number, so a leg from an object with no arrow to some Q with
+        |hom(x, Q)| > 0 is never chosen, and a branch whose count at such a
+        Q exceeds |hom(x, Q)| can never match again and is cut.  A set whose
         counts all match needs only the injectivity half of the test."""
         sig = self._cone_index[1].sig
         want = sig[x]
+        cap = tuple([n or maxsize for n in want])  # no bound where |hom(x, Q)| = 0
         live = [k for k, n in enumerate(want) if n]
-        ms = sorted(self._into[x], key=self._reprs.__getitem__)
-        rows = [sig[self._mor[m][0]] for m in ms]
-        out = set()
+        rows = [(m, sig[self._mor[m][0]]) for m in ms]
+        rows = [(m, row) for m, row in rows if all(row[k] for k in live)]
+        cut = []
 
-        def grow(start, legs, counts):
+        def grow(start, legs, counts, room):
             if counts == want and self._injective(1, x, legs):
-                out.add(frozenset(legs))
-            for j in range(start, len(ms)):
-                nxt = tuple(map(mul, counts, rows[j]))
-                if all(0 < nxt[k] <= want[k] for k in live):
-                    grow(j + 1, legs + (ms[j],), nxt)
+                keep(frozenset(legs))
+            for j in range(start, len(rows)):
+                m, row = rows[j]
+                nxt = tuple(map(mul, counts, row))
+                if all(map(le, nxt, cap)):
+                    if not room:
+                        cut.append(legs)
+                        return
+                    grow(j + 1, legs + (m,), nxt, room - 1)
 
-        grow(0, (), (1,) * len(want))
-        return out
+        grow(0, (), (1,) * len(want), most)
+        return bool(cut)
 
     def from_coproduct(self, cocone, legs):
         """The unique u with u . inj_i = legs[i], or None."""

@@ -637,7 +637,9 @@ def has_dense_image(F: FunctorData, T2) -> CheckReport:
     Exact: every map out of a coproduct is induced by its legs, and
     precomposing with an iso keeps Uni(T2) membership, so it is enough to
     find h in into(x) and one coproduct family into src(h) whose legs all
-    start at images.  Each object's families are read at most once."""
+    start at images.  The witness family is the smallest, ties broken by
+    the reprs of its legs, searched for at most once per object and only
+    up to the first size that has one."""
     _same_cat(T2, F.target, f"the target of functor {F.name!r}")
     tgt = F.target
     if not _full(F):
@@ -648,15 +650,8 @@ def has_dense_image(F: FunctorData, T2) -> CheckReport:
     families = {}
 
     def family(c):
-        """The smallest family into c whose legs all start at images, ties
-        broken by the reprs of its legs in order; None if there is none."""
         if c not in families:
-            fams = [
-                sorted(fam, key=repr)
-                for fam in tgt.coproduct_families(c)
-                if all(tgt.src(m) in images for m in fam)
-            ]
-            families[c] = min(fams, key=lambda legs: (len(legs), list(map(repr, legs))), default=None)
+            families[c] = tgt.smallest_coproduct_family(c, images)
         return families[c]
 
     witness = {}

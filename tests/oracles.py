@@ -547,9 +547,11 @@ def is_universal_cone(cat, cones, apex, legs, initial=False):
 
 def first_universal(cat, cones, initial=False):
     """The first universal (apex, legs): apexes in object order, the legs at
-    each in repr order.  None if there is none."""
+    each in lexicographic order of their positions in hom order.  None if
+    there is none."""
+    _, mor, hom, _ = cat
     for apex in cat[0]:
-        for legs in sorted(cones[apex], key=repr):
+        for legs in sorted(cones[apex], key=lambda legs: [hom[mor[m]].index(m) for m in legs]):
             if is_universal_cone(cat, cones, apex, legs, initial):
                 return apex, legs
     return None

@@ -154,6 +154,16 @@ def test_each_site_gets_the_five_site_laws():
     ]
 
 
+def test_every_law_has_its_own_name(capsys):
+    """A failing law can be told apart by its name: the catalog's sites
+    name their categories, so FIX-V and FIX-S, both open posets, differ."""
+    assert cli.main(["laws"]) == 0
+    names = [law["check"] for law in json.loads(capsys.readouterr().out)]
+    assert len(set(names)) == len(names) == 62
+    names = [name for name, _ in cli.law_suite(cli.parse_bundle_doc(_one_char_doc()))]
+    assert len(set(names)) == len(names)
+
+
 def test_laws_with_broken_user_topology(bundle_path, tmp_path, capsys):
     doc = json.loads(Path(bundle_path).read_text())
     fams = doc["topologies"]["T_op"]["families"]
@@ -333,6 +343,71 @@ def test_string_for_element_list_is_malformed(tmp_path, capsys, kind, name, edit
     assert cli.main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"malformed {kind} {name!r}: ") and "JSON array" in err and "Traceback" not in err
+
+
+# every list of rows in _one_char_doc: (kind, section, name, the keys down to the list)
+ROW_LISTS = [
+    ("category", "categories", "D", ("morphisms",)),
+    ("category", "categories", "D", ("identity",)),
+    ("category", "categories", "D", ("composition",)),
+    ("topology", "topologies", "T", ("families",)),
+    ("functor", "functors", "F", ("on_objects",)),
+    ("functor", "functors", "F", ("on_morphisms",)),
+    ("presheaf", "presheaves", "P", ("values",)),
+    ("presheaf", "presheaves", "P", ("restriction",)),
+    ("presheaf", "presheaves", "P", ("restriction", 0, 1)),
+    ("groupoid", "groupoids", "G", ("s",)),
+    ("groupoid", "groupoids", "G", ("t",)),
+    ("groupoid", "groupoids", "G", ("i",)),
+    ("groupoid", "groupoids", "G", ("comp",)),
+    ("groupoid", "groupoids", "G", ("inv",)),
+    ("bundle", "bundles", "B", ("anchor",)),
+    ("bundle", "bundles", "B", ("action",)),
+    ("bundle", "bundles", "B", ("projection",)),
+]
+ROW_IDS = ["/".join(map(str, (name,) + keys)) for _, _, name, keys in ROW_LISTS]
+
+
+def _row_list(doc, section, name, keys):
+    rows = doc[section][name]
+    for k in keys:
+        rows = rows[k]
+    return rows
+
+
+def _assert_malformed(tmp_path, capsys, doc, kind, name):
+    path = tmp_path / "one-char.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"malformed {kind} {name!r}: ") and "JSON array" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, section, name, keys", ROW_LISTS, ids=ROW_IDS)
+def test_string_or_object_for_a_row_is_malformed(tmp_path, capsys, kind, section, name, keys):
+    """A row given as a string of its one-character elements (a list in it
+    as one more character), or as an object, would unpack to its
+    characters or keys, which name the right elements where the row's own
+    do; either is malformed, in every list of rows."""
+    row = _row_list(_one_char_doc(), section, name, keys)[0]
+    as_string = "".join(x if isinstance(x, str) else "?" for x in row)
+    # an object whose keys, in order, are the row's elements, where they are distinct strings
+    as_object = dict.fromkeys(as_string) if len(set(as_string)) == len(row) else {"k": 0}
+    for written in (as_string, as_object):
+        doc = _one_char_doc()
+        _row_list(doc, section, name, keys)[0] = written
+        _assert_malformed(tmp_path, capsys, doc, kind, name)
+
+
+@pytest.mark.parametrize("kind, section, name, keys", ROW_LISTS, ids=ROW_IDS)
+def test_object_for_a_list_of_rows_is_malformed(tmp_path, capsys, kind, section, name, keys):
+    """A list of rows given as an object, whose one key is its first row as
+    a string, would iterate to that key and unpack it."""
+    doc = _one_char_doc()
+    rows = _row_list(doc, section, name, keys[:-1])
+    row = rows[keys[-1]][0]
+    rows[keys[-1]] = {"".join(x if isinstance(x, str) else "?" for x in row): 0}
+    _assert_malformed(tmp_path, capsys, doc, kind, name)
 
 
 def test_check_offers_one_validate_op_per_kind(tmp_path, capsys):

@@ -1,9 +1,18 @@
+import os
 import re
+import subprocess
+import sys
+from itertools import combinations
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import finset_pullback
+from spaces import open_sites
+from test_cones import _check_cones, _relabelled
+
+import finsite
 
 from finsite import catalog
 from finsite.fincat import (
@@ -425,3 +434,93 @@ def test_setmap_errors_name_the_first_offending_element():
         SetMap(frozenset({1, 2}), frozenset({0}), {1: 0, 3: 0})
     with pytest.raises(ValueError, match="codomain mismatch at 'b'"):
         SetMap(frozenset({1, 2}), frozenset({0}), {1: "c", 2: "b"})
+
+
+def _tells_apart(cat, side, sep):
+    """By definition: any two distinct u, v: Q -> X differ after some
+    e: s -> Q with s in sep (side 0), or any two distinct u, v: X -> Q
+    differ before some e: Q -> s (side 1)."""
+    comp = cat._comp
+    for q, x in iproduct(cat.objects, repeat=2):
+        if side == 0:
+            probes = [e for s in sep for e in cat.hom(s, q)]
+            pairs = combinations(cat.hom(q, x), 2)
+            if not all(any(comp[u, e] != comp[v, e] for e in probes) for u, v in pairs):
+                return False
+        else:
+            probes = [e for s in sep for e in cat.hom(q, s)]
+            pairs = combinations(cat.hom(x, q), 2)
+            if not all(any(comp[e, u] != comp[e, v] for e in probes) for u, v in pairs):
+                return False
+    return True
+
+
+def _disjoint_union(*cats):
+    """The categories side by side, no arrow between them: an id x of the
+    k-th becomes (k, x), so a (co)separating set needs objects of each."""
+    def tag(k, table):
+        return {(k, a): (k, b) for a, b in table.items()}
+
+    return TableCategory(
+        [(k, x) for k, cat in enumerate(cats) for x in cat.objects],
+        {(k, m): ((k, a), (k, b)) for k, cat in enumerate(cats) for m, (a, b) in cat._mor.items()},
+        {x: i for k, cat in enumerate(cats) for x, i in tag(k, cat._identity).items()},
+        {((k, g), (k, f)): (k, gf) for k, cat in enumerate(cats) for (g, f), gf in cat._comp.items()},
+        name="+".join(cat.name for cat in cats),
+    )
+
+
+def _kernel_categories():
+    copy, _, _ = catalog.table_copy([(), (0,), (1,), (0, 1), (2, 3)])
+    yield catalog.fix_fs012()
+    yield catalog.finset_skeleton([0, 1, 2, 3])
+    yield copy
+    yield _relabelled(copy)
+    yield _disjoint_union(catalog.fix_fs012(), copy)
+    for _, cat, _, _ in open_sites():
+        yield cat
+
+
+def test_the_cone_index_reads_a_separating_and_a_coseparating_set():
+    """The set whose hom sets the cone test reads separates (cones) and
+    coseparates (cocones), checked by definition, and the index reads only
+    its objects; for finite sets these are {1} and {2}."""
+    for cat in _kernel_categories():
+        for side, index in enumerate(cat._cone_index):
+            assert _tells_apart(cat, side, index.sep), (cat.name, side, index.sep)
+            assert all(q0 in index.sep for rows in index.multi.values() for q0, _ in rows), cat.name
+    fs = catalog.finset_skeleton([0, 1, 2, 3])
+    copy, _, _ = catalog.table_copy([(), (0,), (1,), (0, 1), (2, 3)])
+    assert [side.sep for side in fs._cone_index] == [{"n1"}, {"n2"}]
+    both = _disjoint_union(catalog.fix_fs012(), copy)
+    assert [side.sep for side in both._cone_index] == [{(0, "n1"), (1, "S0")}, {(0, "n2"), (1, "S0_1")}]
+    # a set with no point separates nothing, one with at most one point coseparates nothing
+    assert _tells_apart(fs, 0, {"n2"}) and not _tells_apart(fs, 0, {"n0"})
+    assert _tells_apart(fs, 1, {"n3"}) and not _tells_apart(fs, 1, {"n0", "n1"})
+
+
+
+def test_cone_kernel_matches_the_oracle_where_the_separating_set_has_two_objects():
+    copy, _, _ = catalog.table_copy([(), (0,), (1,), (0, 1), (2, 3)])
+    _check_cones(_disjoint_union(catalog.fix_fs012(), copy))
+
+
+_SEPARATING_SETS = """
+from finsite import catalog
+cats = [catalog.fix_fs012(), catalog.finset_skeleton([0, 1, 2, 3]), catalog.fix_v()[0]]
+cats.append(catalog.table_copy([(), (0,), (1,), (0, 1), (2, 3)])[0])
+for cat in cats:
+    print([[x for x in cat.objects if x in side.sep] for side in cat._cone_index])
+"""
+
+
+def test_the_separating_sets_do_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(finsite.__file__))
+    outs = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _SEPARATING_SETS], env=env, capture_output=True, text=True, check=True
+        )
+        outs.add(run.stdout)
+    assert outs == {"[['n1'], ['n2']]\n[['n1'], ['n2']]\n[[], []]\n[['S0'], ['S0_1']]\n"}

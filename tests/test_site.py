@@ -426,6 +426,27 @@ def test_dense_image_of_finset_sub_skeletons_matches_the_sums_oracle():
                 assert rep.counterexample["object"] in big.objects
 
 
+def test_dense_image_witness_is_the_smallest_family_of_image_legs():
+    """The witness at each object is, of every coproduct family into the
+    source of its morphism whose legs start at images, the one with the
+    fewest legs, ties broken by the reprs of its legs."""
+    sizes = [0, 1, 2, 3]
+    big = catalog.finset_skeleton(sizes)
+    for T in (indiscrete_topology(big), discrete_topology(big)):
+        for r in range(1, len(sizes) + 1):
+            for S in itertools.combinations(sizes, r):
+                small = catalog.finset_skeleton(S)
+                incl = FunctorData(small, big, {x: x for x in small.objects}, {m: m for m in small.morphisms()})
+                rep = has_dense_image(incl, T)
+                for w in rep.witness["objects"].values() if rep.ok else ():
+                    fams = [
+                        sorted(fam, key=repr)
+                        for fam in big.coproduct_families(big.src(w["morphism"]))
+                        if all(big.src(m) in small.objects for m in fam)
+                    ]
+                    assert w["family"] == min(fams, key=lambda legs: (len(legs), list(map(repr, legs)))), S
+
+
 def test_finset_topology_order_and_uni():
     surj = FinSetTopology("surjections")
     isos = FinSetTopology("isos")
