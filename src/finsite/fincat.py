@@ -45,7 +45,8 @@ TableCategory alone also answers the two sieve questions that
 universality, locality and continuity ask: into(x), the morphisms with
 target x, and through(f), the sieve f generates with a witness factor for
 each member; and coproduct_families(x), the coproduct cocones into x that
-the extensive topology covers by, and smallest_coproduct_family(x,
+the extensive topology covers by (or only their prefix-minimal ones, which
+is_superextensive reads where T is closed under supersets), and smallest_coproduct_family(x,
 sources), the one a dense image needs.  FinSetCat has none of these: its hom
 sets are enumerated lazily, and no caller asks these questions of the
 ambient.
@@ -463,12 +464,15 @@ class TableCategory:
         counts = self._coproduct_counts(tuple(self.src(leg) for leg in legs))
         return self._fits(1, apex, counts) and self._injective(1, apex, legs)
 
-    def coproduct_families(self, x):
+    def coproduct_families(self, x, prefix_minimal=False):
         """Every set of morphisms into x that are the legs of a coproduct
         cocone, that is, every subset of into(x) that is_coproduct_cocone
-        accepts."""
+        accepts.  Given prefix_minimal, only those no proper prefix of whose
+        legs, in repr order, is one: every coproduct family contains the
+        first prefix of its own legs that is, so every coproduct family
+        contains one of these."""
         ms, out = sorted(self._into[x], key=repr), set()
-        self._families(x, ms, len(ms), out.add)
+        self._families(x, ms, len(ms), out.add, prefix_minimal)
         return out
 
     def smallest_coproduct_family(self, x, sources):
@@ -485,11 +489,12 @@ class TableCategory:
                 break
         return sorted(found[0], key=repr) if found else None
 
-    def _families(self, x, ms, most, keep):
+    def _families(self, x, ms, most, keep, stop=False):
         """Call keep on each coproduct family into x of at most `most` legs
         drawn from the morphisms ms, as the frozenset of its legs, in
         lexicographic order of their positions in ms; return whether a
-        branch was cut for reaching `most` legs.
+        branch was cut for reaching `most` legs.  Given stop, a branch whose
+        legs are a family is not grown further.
 
         Legs are chosen one at a time in ms order, carrying the cocone
         counts prod_i |hom(src_i, Q)| for every object Q, which must end
@@ -509,6 +514,8 @@ class TableCategory:
         def grow(start, legs, counts, room):
             if counts == want and self._injective(1, x, legs):
                 keep(frozenset(legs))
+                if stop:
+                    return
             for j in range(start, len(rows)):
                 m, row = rows[j]
                 nxt = tuple(map(mul, counts, row))

@@ -63,9 +63,11 @@ class Pretopology:
     sheaf_families(x) is what the traditional sheaf condition reads.
     Membership is not monotone in general, but it is at an object that is
     superset_closed(x): there validate_pretopology's axioms 2 and 3 read the
-    minimal families too.  is_singletonizable, singletonize,
-    is_superextensive and the covering clause of continuity_sufficient read
-    every family."""
+    minimal families too, and is_superextensive reads only the
+    prefix-minimal coproduct families.  is_singletonizable reads no family
+    where the category has an initial object and every binary coproduct.
+    singletonize, _pairwise_pullbacks and the covering clause of
+    continuity_sufficient read every family."""
 
     def __init__(self, cat, families, name=""):
         self.cat = cat
@@ -134,7 +136,8 @@ class Pretopology:
     @functools.cached_property
     def _pairwise_pullbacks(self):
         """Condition (1) of sheaf_families.  Two members of x's families
-        without a pullback fail it only if some family holds both."""
+        without a pullback fail it only if some family holds both, so every
+        family is read (the sieve-level route is ROADMAP item 4)."""
         for x, fams in self.families.items():
             members = sorted(self.members[x], key=repr)
             for i, a in enumerate(members):
@@ -459,13 +462,26 @@ def _induced(T, x, fam):
 
 
 def is_singletonizable(T) -> bool:
-    return all(_induced(T, x, fam) is not None for x in T.cat.objects for fam in T.families[x])
+    """Whether every family of T has an induced map (_induced).  A category
+    with an initial object and a coproduct of every two objects, an object
+    with itself included, has every finite coproduct, as A1 + ... + An =
+    (A1 + ... + An-1) + An (the dual of the finite-products fact in Mac
+    Lane, CWM); then every family has one, and with it its induced map, and
+    T is not read.  Otherwise every family is."""
+    cat = T.cat
+    objs = cat.objects
+    if cat.coproduct(()) is not None and all(
+        cat.coproduct((a, b)) is not None for i, a in enumerate(objs) for b in objs[i:]
+    ):
+        return True
+    return all(_induced(T, x, fam) is not None for x in objs for fam in T.families[x])
 
 
 def singletonize(T):
     """The singleton topology of the maps T's families induce.  A family
     without an induced map is named as the first such family of the first
-    object that has one, in covering_families order."""
+    object that has one, in covering_families order.  Every family is read
+    (the sieve-level route is ROADMAP item 4)."""
     cat = T.cat
     rep = is_extensive(cat)
     if not rep.ok:
@@ -514,14 +530,17 @@ def is_local(T) -> bool:
 
 
 def is_superextensive(T) -> bool:
+    """Whether every coproduct family is a family of T.  Every coproduct
+    family contains a prefix-minimal one (coproduct_families), so at an
+    object that is superset_closed only those are read; at any other object
+    every coproduct family is."""
     if isinstance(T, FinSetTopology):
         return T.kind in ("surjections", "all")
     cat = T.cat
-    for x, fams in _extensive_families(cat).items():
-        for fam in fams:
-            if not T.has_family(x, fam):
-                return False
-    return True
+    return all(
+        cat.coproduct_families(x, prefix_minimal=T.superset_closed(x)) <= T.families[x]
+        for x in cat.objects
+    )
 
 
 def restrict_topology(T, incl: FunctorData):
@@ -587,7 +606,9 @@ def is_continuous(F: FunctorData, T1, T2) -> CheckReport:
 
 def continuity_sufficient(F: FunctorData, T1, T2) -> CheckReport:
     """The stronger criterion: coverings map to coverings, universal
-    morphisms stay universal, and their fibre products are preserved."""
+    morphisms stay universal, and their fibre products are preserved.  The
+    covering clause reads every family of T1 (the sieve-level route is
+    ROADMAP item 4)."""
     _functor_sites(F, T1, T2)
     src, tgt = F.source, F.target
 

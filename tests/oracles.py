@@ -3,13 +3,15 @@ two-point discrete space, the fibre product of finite sets, the
 traditional sheaf condition on a finite space (for its open covers or
 for any families of opens) and on any site by finsite's former loop over
 all families, the three pretopology axioms (by their definition, and by
-finsite's former loop over all families), the minimal sets of a family of
-sets and whether a family of sets is closed under supersets, natural
-transformations between finite presheaves and between anafunctors of
-finite groupoids, the groupoid laws, the right-action laws, the bibundle
-laws, the coproduct families of a poset of opens and of a skeleton of
-finite sets, dense images between skeletons of finite sets, and the
-limits and colimits of an explicit-table category by its cones.
+finsite's former loop over all families), singletonizable and
+superextensive sites (by finsite's former loops over all families), the
+minimal sets of a family of sets and whether a family of sets is closed
+under supersets, natural transformations between finite presheaves and
+between anafunctors of finite groupoids, the groupoid laws, the
+right-action laws, the bibundle laws, the coproduct families of a poset
+of opens and of a skeleton of finite sets, dense images between
+skeletons of finite sets, and the limits and colimits of an
+explicit-table category by its cones.
 
 Deliberately separate from the main code path: the poset is rebuilt from
 raw subset data, morphisms are (src, tgt) pairs, and every universal
@@ -18,13 +20,16 @@ of mediating morphisms), not by the bijection method the package uses.
 Finite-set functions are plain dicts or tuples of values.  The sheaf and
 naturality oracles build the full product of candidates and filter it by
 the definition; pretopology_axioms gathers the composites of axiom 2 one
-member at a time, every choice kept as the set it gives.  Three oracles
+member at a time, every choice kept as the set it gives.  Five oracles
 are the exception.  The cone oracle is finsite's cone kernel as it was
 before the kernel indexed its tables, counting every cone at every
 object, and pins which apex and which legs finsite returns.
 all_families_sheaf and all_families_pretopology are finsite's sheaf and
 pretopology checks as they were before they read minimal families, and
-take pullbacks from the category they are given.
+take pullbacks from the category they are given; likewise
+all_families_singletonizable and all_families_superextensive are
+finsite's checks as they were before they stopped reading every family,
+and take coproducts from the category they are given.
 """
 
 from itertools import combinations, product as iproduct
@@ -294,6 +299,34 @@ def all_families_sheaf(P, T):
             if len(set(image)) != len(image) or set(image) != set(matching):
                 return members
     return None
+
+
+def all_families_singletonizable(T):
+    """finsite's is_singletonizable as it was before it asked for binary
+    coproducts: whether every family of every object has the coproduct of
+    its members' sources and the map that coproduct induces into the
+    object, the empty family the one map out of an initial object.  T is
+    finsite's Pretopology, read through its families and its category's
+    coproduct, from_coproduct and hom."""
+    cat = T.cat
+    for x in cat.objects:
+        for fam in T.families[x]:
+            members = tuple(sorted(fam, key=repr))
+            co = cat.coproduct(tuple(cat.src(m) for m in members))
+            if co is None:
+                return False
+            if members and cat.from_coproduct(co, members) is None:
+                return False
+            if not members and len(cat.hom(co.apex, x)) != 1:
+                return False
+    return True
+
+
+def all_families_superextensive(T):
+    """finsite's is_superextensive as it was before it read prefix-minimal
+    coproduct families: whether every coproduct family into every object,
+    as the category's coproduct_families lists them, is a family of T."""
+    return all(T.cat.coproduct_families(x) <= T.families[x] for x in T.cat.objects)
 
 
 def minimal_sets(sets):

@@ -781,6 +781,41 @@ def test_decoder_shares_ids_by_value_and_arrays_by_items():
     assert got[3] is not got[4]
 
 
+def test_families_of_arrays_ints_and_bools_parse_as_before():
+    """Each member of a family is the object decode gives for it, so [1],
+    1 and true stay a tuple, an int and a bool, next to a string."""
+
+    def reprs(fams):
+        return sorted(sorted(map(repr, fam)) for fam in fams)
+
+    for fs in ([["a"], ["a", "b"], []], [[[1]]], [[1]], [[True]], [["a", [1, "a"]], [True, "b"]]):
+        wire = json.loads(json.dumps(fs))
+        decode = cli._decoder()
+        got = cli._families(wire, decode)
+        assert reprs(got) == reprs({frozenset(map(_recursive_decode, fam)) for fam in wire}), fs
+        assert {id(m) for fam in got for m in fam} == {id(decode(m)) for fam in wire for m in fam}, fs
+
+
+def test_a_family_written_as_a_string_is_malformed(tmp_path, capsys):
+    doc = _one_char_doc()
+    doc["topologies"]["T"]["families"][0][1] = ["1", "1"]
+    path = tmp_path / "string-family.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed topology 'T': ") and "a family must be a JSON array" in err
+
+
+def test_topology_members_are_the_category_ids(bundle_path):
+    """Every member of a parsed topology is the very string object its
+    category's morphism table holds."""
+    doc = cli.load_bundle(bundle_path)
+    assert doc.topologies
+    for T in doc.topologies.values():
+        ids = {id(m) for m in T.cat.morphisms()}
+        assert all(id(m) in ids for fams in T.families.values() for fam in fams for m in fam), T.name
+
+
 def test_presheaves_on_ints_and_bools_round_trip():
     """Values [0, 1] and [false, true] in one bundle stay ints and bools."""
     cat = TableCategory(["x"], {"1x": ("x", "x")}, {"x": "1x"}, {("1x", "1x"): "1x"}, name="ONE")

@@ -16,8 +16,10 @@ from finsite.fincat import (
     FinSetCat,
     FunctorData,
     SetMap,
+    TableCategory,
     identity_functor,
     is_effective_epi,
+    is_extensive,
     is_universal,
     universally_effective_epis,
 )
@@ -370,6 +372,62 @@ def test_classification_predicates(v, fs012):
     assert is_subcanonical(T_ext)
     assert is_superextensive(T_ext)
     assert not is_superextensive(indiscrete_topology(fs012))
+
+
+@functools.cache
+def _classification_sites():
+    """The topologies the singletonizable and superextensive checks are
+    compared with their oracles on, keyed by (site, topology):
+    - on the open sites of spaces.open_sites, FIX-S and the discrete
+      2-point space: T_op; the topology of T_op's minimal families alone,
+      which is not closed under supersets; and T_op without the families
+      of the top open, which is trivially closed there;
+    - on the skeletons of {0..2} and {0..3}: the families of at most two
+      members, some of which have no coproduct there (n2 + n2);
+    - on FIX-V without its empty open, which has every binary coproduct
+      (join) but no initial object: the empty family at every object;
+    - on every one of these sites: T_indis, T_dis and T_can, and T_ext
+      where the category is extensive."""
+    tops, cats = {}, {}
+    opens = [(label, cat, T) for label, cat, T, _ in open_sites()]
+    opens += [("FIX-S", *catalog.fix_s()), ("discrete-2", *catalog.open_poset(subsets([0, 1])))]
+    for label, cat, T in opens:
+        cats[label] = cat
+        tops[label, "T_op"] = T
+        minimal = {x: [cov.members for cov in T.minimal_families(x)] for x in cat.objects}
+        tops[label, "minimal"] = Pretopology(cat, minimal, name="minimal")
+        no_top = {x: T.families[x] for x in cat.objects[:-1]}
+        tops[label, "no top"] = Pretopology(cat, no_top, name="no top")
+    for k in (2, 3):
+        cat = cats[f"skeleton of {k}"] = catalog.finset_skeleton(range(k + 1))
+        pairs = {x: [s for n in range(3) for s in itertools.combinations(cat.into(x), n)] for x in cat.objects}
+        tops[f"skeleton of {k}", "pairs"] = Pretopology(cat, pairs, name="pairs")
+    big, _ = catalog.fix_v()
+    keep = ("oU", "oV", "oX")
+    mor = {m: ab for m, ab in big._mor.items() if ab[0] in keep and ab[1] in keep}
+    comp = {gf: h for gf, h in big._comp.items() if gf[0] in mor and gf[1] in mor}
+    cat = cats["FIX-V without oE"] = TableCategory(keep, mor, {x: big.identity(x) for x in keep}, comp)
+    tops["FIX-V without oE", "empty"] = Pretopology(cat, {x: [()] for x in keep}, name="empty")
+    for label, cat in cats.items():
+        for T in (indiscrete_topology(cat), discrete_topology(cat), canonical_topology(cat)):
+            tops[label, T.name] = T
+        if is_extensive(cat).ok:
+            tops[label, "T_ext"] = extensive_topology(cat)
+    return tops
+
+
+def test_singletonizable_matches_the_loop_over_all_families():
+    for key, T in _classification_sites().items():
+        assert is_singletonizable(T) == oracles.all_families_singletonizable(T), key
+
+
+def test_superextensive_matches_the_loop_over_all_coproduct_families():
+    tops = _classification_sites()
+    for key, T in tops.items():
+        assert is_superextensive(T) == oracles.all_families_superextensive(T), key
+    # every prefix-minimal coproduct family of the discrete 2-point space is
+    # a minimal open cover, so only closure under supersets tells this apart
+    assert not is_superextensive(tops["discrete-2", "minimal"])
 
 
 def test_restrict_topology_to_skeleton():
