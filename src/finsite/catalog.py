@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .fincat import FinSetCat, FunctorData, SetMap, TableCategory
+from .fincat import FinSetCat, FunctorData, SetMap, TableCategory, _generated
 from .site import Pretopology
 
 _FINSET = FinSetCat()
@@ -53,12 +53,9 @@ def open_poset(opens, names=None):
                 morphisms[mid] = (names[a], names[b])
                 if a == b:
                     identity[names[a]] = mid
-    comp = {}
-    for f, (a, b) in morphisms.items():
-        for g, (b2, c) in morphisms.items():
-            if b2 == b:
-                comp[(g, f)] = f"{a}_to_{c}"
-    cat = TableCategory(objects, morphisms, identity, comp, name="open-poset")
+    cat = _generated(
+        objects, morphisms, identity, lambda g, f: f"{morphisms[f][0]}_to_{morphisms[g][1]}", "open-poset"
+    )
 
     fams = {x: set() for x in objects}
     for x in objects:
@@ -131,16 +128,11 @@ def finset_skeleton(sizes):
                 graphs[mid] = values
                 if a == b and values == tuple(range(a)):
                     identity[f"n{a}"] = mid
-    comp = {}
-    for f, (sa, sb) in morphisms.items():
-        for g, (sb2, sc) in morphisms.items():
-            if sb2 != sb:
-                continue
-            a = int(sa[1:])
-            c = int(sc[1:])
-            gf = tuple(graphs[g][graphs[f][i]] for i in range(a))
-            comp[(g, f)] = _fn_id(a, c, gf)
-    return TableCategory(objects, morphisms, identity, comp, name=f"finset-skeleton{sizes}")
+
+    def composite(g, f):
+        return _fn_id(len(graphs[f]), int(morphisms[g][1][1:]), tuple(graphs[g][i] for i in graphs[f]))
+
+    return _generated(objects, morphisms, identity, composite, f"finset-skeleton{sizes}")
 
 
 def fix_fs012():
@@ -188,13 +180,9 @@ def table_copy(sets, names=None):
                 if _FINSET.is_identity(f):
                     identity[names[a]] = mid
     mor_of_map = {v: k for k, v in maps.items()}
-    comp = {}
-    for f, (sa, sb) in morphisms.items():
-        for g, (sb2, sc) in morphisms.items():
-            if sb2 != sb:
-                continue
-            comp[(g, f)] = mor_of_map[maps[g].after(maps[f])]
-    cat = TableCategory(objects, morphisms, identity, comp, name="table-copy")
+    cat = _generated(
+        objects, morphisms, identity, lambda g, f: mor_of_map[maps[g].after(maps[f])], "table-copy"
+    )
     cat.set_of_obj = seen
     cat.map_of_mor = maps
     return cat, {s: names[s] for s in sets}, mor_of_map

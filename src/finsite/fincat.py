@@ -14,8 +14,8 @@ meta-facts about finite sets rather than by enumeration.
 Both backends implement src, tgt, identity, compose, hom, is_identity,
 is_iso, is_epi, pullback, into_pullback, product (a
 PullbackSquare with no cospan, so into_pullback mediates into it),
-coproduct, from_coproduct, coequalizer, is_cone_pullback,
-is_cocone_coequalizer and has_all_pullbacks.  Generic checks
+coproduct, coequalizer, is_cone_pullback, is_cocone_coequalizer and
+has_all_pullbacks.  Generic checks
 (is_effective_epi here, the fibre products of internal) call only these
 and run unchanged on either backend.  The six FinSetTopology branches left
 in site (is_locally_split, uni_class, universal_completion, is_coarser,
@@ -47,9 +47,16 @@ target x, and through(f), the sieve f generates with a witness factor for
 each member; and coproduct_families(x), the coproduct cocones into x that
 the extensive topology covers by (or only their prefix-minimal ones, which
 is_superextensive reads where T is closed under supersets), and smallest_coproduct_family(x,
-sources), the one a dense image needs.  FinSetCat has none of these: its hom
-sets are enumerated lazily, and no caller asks these questions of the
-ambient.
+sources), the one a dense image needs; and from_coproduct, the mediator out
+of a coproduct.  FinSetCat has none of these: its hom sets are enumerated
+lazily, and no caller asks these questions of the ambient.
+
+Every derived table category (catalog's poset, finite-set and table-copy
+fixtures, sheaf's presheaf fragment, the slice category F/y) is built by
+_generated, which applies a composition rule at each composable pair.  F/y
+is defined here once: _slice_objects and _slice_constraints are its objects
+and morphisms, read by slice_category and, as a limit diagram, by sheaf's
+right Kan extension (Mac Lane, CWM X.3).
 """
 
 from __future__ import annotations
@@ -792,15 +799,6 @@ class FinSetCat:
         )
         return CoproductCocone(apex, injections)
 
-    def from_coproduct(self, cocone, legs):
-        legs = tuple(legs)
-        tgt = legs[0].tgt if legs else frozenset()
-        mapping = {}
-        for inj, leg in zip(cocone.injections, legs):
-            for x in inj.src:
-                mapping[inj(x)] = leg(x)
-        return SetMap(cocone.apex, tgt, mapping)
-
     def coequalizer(self, f, g):
         if f.src != g.src or f.tgt != g.tgt:
             raise ValueError("coequalizer needs a parallel pair")
@@ -891,24 +889,20 @@ def is_effective_epi(cat, f) -> bool:
 
 
 def universally_effective_epis(cat) -> frozenset:
-    """Greatest fixed point: universal effective epis all of whose pullbacks
-    stay in the class.  Effectiveness is tested before universality: it
-    pulls back one kernel pair where universality pulls back along every
-    morphism into the target, and the conjunction is the same either way."""
-    current = {
-        f for f in cat.morphisms() if is_effective_epi(cat, f) and is_universal(cat, f)
-    }
-    changed = True
-    while changed:
-        changed = False
-        for f in list(current):
-            for g in cat.into(cat.tgt(f)):
-                sq = cat.pullback(f, g)
-                if sq is None or sq.to_right not in current:
-                    current.discard(f)
-                    changed = True
-                    break
-    return frozenset(current)
+    """The universal effective epis all of whose pullbacks are universal
+    effective epis, in one pass: the f in C0, the universal effective epis,
+    whose legs pullback(f, g).to_right all lie in C0.  This class C1 is the
+    greatest inside C0 closed under pullback.  Any such class lies in C1,
+    and C1 is closed: for f in C1, the pullback along h of its leg along g
+    is, by the pasting lemma, a pullback of f along g.h, so an iso over the
+    base away from that leg, which is in C0; and such an iso changes
+    neither effectiveness nor which pullbacks exist.  Effectiveness is
+    tested before universality: it pulls back one kernel pair where
+    universality pulls back along every morphism into the target."""
+    c0 = {f for f in cat.morphisms() if is_effective_epi(cat, f) and is_universal(cat, f)}
+    return frozenset(
+        f for f in c0 if all(cat.pullback(f, g).to_right in c0 for g in cat.into(cat.tgt(f)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1120,32 +1114,61 @@ def is_extensive(cat) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Slice categories
+# Derived table categories
 # ---------------------------------------------------------------------------
 
 
-def slice_category(F: FunctorData, y):
-    """The category F/y of pairs (x, psi: F(x) -> y), with its projection."""
+def _generated(objects, morphisms, identity, compose, name):
+    """The TableCategory whose composition table holds compose(g, f) at
+    every composable pair: f in morphisms order, then g among the morphisms
+    out of tgt f, in morphisms order.  morphisms maps each id to its
+    (src, tgt); compose(g, f) names the composite g after f."""
+    out = {}
+    for m, (a, _) in morphisms.items():
+        out.setdefault(a, []).append(m)
+    comp = {(g, f): compose(g, f) for f, (_, b) in morphisms.items() for g in out.get(b, ())}
+    return TableCategory(objects, morphisms, identity, comp, name=name)
+
+
+def _slice_objects(F: FunctorData, y):
+    out = []
+    for x in F.source.objects:
+        for psi in F.target.hom(F.on_obj(x), y):
+            out.append((x, psi))
+    out.sort(key=repr)
+    return out
+
+
+def _slice_constraints(F: FunctorData, slice_objs):
+    """Triples (i, j, f) meaning res_P[f](s[j]) == s[i]."""
     src, tgt = F.source, F.target
-    objects = []
-    for x in src.objects:
-        for psi in tgt.hom(F.on_obj(x), y):
-            objects.append((x, psi))
-    morphisms = {}
-    identity = {}
-    for (x1, p1) in objects:
-        for (x2, p2) in objects:
+    idx = {o: k for k, o in enumerate(slice_objs)}
+    cons = []
+    for (x1, p1) in slice_objs:
+        for (x2, p2) in slice_objs:
             for f in src.hom(x1, x2):
                 if tgt.compose(p2, F.on_mor(f)) == p1:
-                    morphisms[((x1, p1), (x2, p2), f)] = ((x1, p1), (x2, p2))
-    for o in objects:
-        identity[o] = (o, o, src.identity(o[0]))
-    comp = {}
-    for m1, (a1, b1) in morphisms.items():
-        for m2, (a2, b2) in morphisms.items():
-            if a2 == b1:
-                comp[(m2, m1)] = (a1, b2, src.compose(m2[2], m1[2]))
-    cat = TableCategory(objects, morphisms, identity, comp, name=f"{F.name}/{y!r}")
+                    cons.append((idx[(x1, p1)], idx[(x2, p2)], f))
+    return cons
+
+
+def slice_category(F: FunctorData, y):
+    """The category F/y of pairs (x, psi: F(x) -> y), with its projection.
+    Its objects are _slice_objects(F, y) and its morphisms the triples
+    (o1, o2, f) of _slice_constraints, the data the right Kan extension of
+    sheaf reads."""
+    src = F.source
+    objects = _slice_objects(F, y)
+    morphisms = {
+        (objects[i], objects[j], f): (objects[i], objects[j])
+        for i, j, f in _slice_constraints(F, objects)
+    }
+    identity = {o: (o, o, src.identity(o[0])) for o in objects}
+
+    def composite(m2, m1):
+        return m1[0], m2[1], src.compose(m2[2], m1[2])
+
+    cat = _generated(objects, morphisms, identity, composite, f"{F.name}/{y!r}")
     projection = FunctorData(
         cat,
         src,

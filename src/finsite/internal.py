@@ -92,16 +92,17 @@ def _composable(amb, g, f):
 def _generators(G, C, s, t):
     """A list S of X1's points that generates X1 under comp, whose table C
     holds every composable pair, G.X2 being a fibre product of (s, t).  A
-    point the closure of S so far does not reach joins S, in point order;
-    the closure grows by right-multiplying through C and lags one generator
-    behind, so a single point, as in a table ambient, is read at no pair.
+    point the closure of S so far does not reach joins S, in repr order of
+    the points, so S does not depend on the hash seed; the closure grows
+    by right-multiplying through C and lags one generator behind, so a
+    single point, as in a table ambient, is read at no pair.
 
     Light's associativity test (Clifford & Preston, The Algebraic Theory of
     Semigroups I, 1.2): the k with (g h) k = g (h k) for all composable g, h
     are closed under comp by that equation alone, so associativity holds at
     every k once it holds at every k in S."""
     S, reached, todo, by_target = [], set(), [], {}
-    for k in G.ambient.points(G.X1):
+    for k in sorted(G.ambient.points(G.X1), key=repr):
         while todo:
             x = todo.pop()
             if x not in reached:
@@ -114,10 +115,10 @@ def _generators(G, C, s, t):
     return S
 
 
-def validate_groupoid(G, check_universality=True) -> CheckReport:
+def validate_groupoid(G) -> CheckReport:
     """The groupoid laws of G._laws, then the universality of s and t."""
     report, amb = G._laws[0], G.ambient
-    if report and check_universality and not (is_universal(amb, G.s) and is_universal(amb, G.t)):
+    if report and not (is_universal(amb, G.s) and is_universal(amb, G.t)):
         return CheckReport(False, "validate_groupoid", counterexample={"axiom": "source-target-universal"})
     return report
 

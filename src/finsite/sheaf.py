@@ -1,6 +1,11 @@
 """Presheaves as finite data: extensivity, descent, sheaf conditions,
 right Kan extension, the pullback/pushforward adjunction, and the Yoneda
 embedding into a finite presheaf-category fragment.
+
+The right Kan extension along F at y is the limit of P over the slice
+category F/y, read from fincat's _slice_objects and _slice_constraints, the
+data fincat.slice_category builds F/y from; the presheaf fragment is built
+by fincat._generated like every derived table category.
 """
 
 from __future__ import annotations
@@ -11,13 +16,13 @@ from typing import Any, Optional
 from .fincat import (
     CheckReport,
     FunctorData,
-    TableCategory,
     inverts_coproducts,
     is_extensive,
-    is_full,
-    is_faithful,
     preserves_coproducts,
     _existing_binary_coproducts,
+    _generated,
+    _slice_constraints,
+    _slice_objects,
 )
 from . import site as _site
 
@@ -379,28 +384,6 @@ def pullback_morphism(F: FunctorData, phi: PresheafMorphism) -> PresheafMorphism
     )
 
 
-def _slice_objects(F: FunctorData, y):
-    out = []
-    for x in F.source.objects:
-        for psi in F.target.hom(F.on_obj(x), y):
-            out.append((x, psi))
-    out.sort(key=repr)
-    return out
-
-
-def _slice_constraints(F: FunctorData, slice_objs):
-    """Triples (i, j, f) meaning res_P[f](s[j]) == s[i]."""
-    src, tgt = F.source, F.target
-    idx = {o: k for k, o in enumerate(slice_objs)}
-    cons = []
-    for (x1, p1) in slice_objs:
-        for (x2, p2) in slice_objs:
-            for f in src.hom(x1, x2):
-                if tgt.compose(p2, F.on_mor(f)) == p1:
-                    cons.append((idx[(x1, p1)], idx[(x2, p2)], f))
-    return cons
-
-
 def _kan_families(F: FunctorData, P: Presheaf, y):
     slice_objs = _slice_objects(F, y)
     domains = [P.values[x] for (x, _) in slice_objs]
@@ -589,14 +572,11 @@ def presheaf_fragment(presheaves):
                     v == k for comp in comps.values() for k, v in comp.items()
                 ):
                     identity[a] = mid
-    comp_table = {}
-    for f, (a, b) in morphisms.items():
-        for g, (b2, c) in morphisms.items():
-            if b2 != b:
-                continue
-            gf = compose_presheaf_morphisms(decode[g], decode[f])
-            comp_table[(g, f)] = (a, c, _freeze_components(gf.components))
-    cat = TableCategory(objects, morphisms, identity, comp_table, name="psh-fragment")
+
+    def composite(g, f):
+        return f[0], g[1], _freeze_components(compose_presheaf_morphisms(decode[g], decode[f]).components)
+
+    cat = _generated(objects, morphisms, identity, composite, "psh-fragment")
     return cat, named, decode
 
 

@@ -329,6 +329,35 @@ def test_extensivity_verdicts(fix_v, fs012):
     assert is_extensive(FS).ok
 
 
+def _monoid(table, unit):
+    """The one-object category "*" whose morphisms are the names in table,
+    composed by it, with the given identity row."""
+    return TableCategory(["*"], {m: ("*", "*") for pair in table for m in pair}, {"*": unit}, table)
+
+
+# e after e is e: with its identity row "1" the two-element monoid {1, e}
+IDEMPOTENT = {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"}
+
+
+def test_validate_category_names_a_broken_identity_law():
+    """With e, not 1, as the identity row of {1, e}, 1 after e is e, not 1."""
+    assert validate_category(_monoid(IDEMPOTENT, "1")).ok
+    assert validate_category(_monoid(IDEMPOTENT, "e")).counterexample == {"identity_law": "1"}
+
+
+def test_validate_functor_names_a_broken_identity_and_composite():
+    """The one-point category into {1, e} sending its identity to e breaks
+    the identity law; {1, e} into Z/2 sending e to the generator s keeps
+    identities but sends e = e.e to s, where s.s = 1."""
+    point = catalog.finset_skeleton([1])
+    monoid = _monoid(IDEMPOTENT, "1")
+    F = FunctorData(point, monoid, {"n1": "*"}, {"n1>n1:0": "e"})
+    assert validate_functor(F).counterexample == {"identity": "n1"}
+    z2 = _monoid({("1", "1"): "1", ("1", "s"): "s", ("s", "1"): "s", ("s", "s"): "1"}, "1")
+    F = FunctorData(monoid, z2, {"*": "*"}, {"1": "1", "e": "s"})
+    assert validate_functor(F).counterexample == {"composition": ("e", "e")}
+
+
 def test_slice_category_of_skeleton_inclusion():
     small, big, incl = catalog.skeleton_inclusion()
     sl, proj = slice_category(incl, "n2")

@@ -2,9 +2,13 @@ import collections
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import finsite
 import oracles
 from finsite import catalog, cli, internal
 from finsite.fincat import FinSetCat, PullbackSquare, SetMap
@@ -256,6 +260,39 @@ def test_z2_bundle_with_relabelled_designated_fibre_product(gpds):
     assert internal.validate_principal_bundle(relabelled).ok
     sh = internal.shear_map(relabelled)
     assert sh.tgt == pb.apex and sh.is_bijective()
+
+
+def test_principal_bundle_names_invariance_and_designated_fibre_product(gpds):
+    """FIX-Z2BUNDLE's action projected by the identity of its carrier is not
+    invariant: x acted on by 1 is x + 1.  Over the point, with the action's
+    domain named as P x_X P through its left leg twice, the designated
+    square is no fibre product."""
+    B = gpds["FIX-Z2BUNDLE"]
+    two = B.action.carrier
+    over_itself = internal.Bundle(B.gpd, B.action, two, FS.identity(two))
+    assert internal.validate_principal_bundle(over_itself).counterexample == {"axiom": "invariance"}
+    d = B.action.dom
+    named = dataclasses.replace(B, designated_pb=PullbackSquare(d.apex, d.to_left, d.to_left, B.p, B.p))
+    assert internal.validate_principal_bundle(named).counterexample == {
+        "axiom": "designated-fibre-product"
+    }
+
+
+def test_bibundle_whose_actions_do_not_commute_fails_actions_commute():
+    """Z/2 acts on Z/3 on the left by x -> -x, and Z/3 on the right by
+    translation, both anchored at the point.  Each action is lawful and the
+    right one is principal, but (g x) h = -x + h differs from g (x h) = -x - h."""
+    G, H = catalog.cyclic_groupoid(2), catalog.cyclic_groupoid(3)
+    Z3 = H.X1
+    point = SetMap(Z3, G.X0, {x: "*" for x in Z3})
+    ldom, rdom = FS.pullback(G.s, point), FS.pullback(point, H.t)
+    negate = SetMap(ldom.apex, Z3, {(g, x): -x % 3 if g else x for g, x in ldom.apex})
+    translate = SetMap(rdom.apex, Z3, {(x, h): (x + h) % 3 for x, h in rdom.apex})
+    left = internal.LeftAction(G, Z3, point, negate, ldom)
+    P = internal.Bibundle(Z3, left, internal.RightAction(H, Z3, point, translate, rdom))
+    assert internal.validate_action(internal.left_action_as_right(left)).ok
+    assert internal.validate_principal_bundle(internal.right_bundle(P)).ok
+    assert internal.validate_bibundle(P).counterexample == {"axiom": "actions-commute"}
 
 
 def test_groupoid_as_bundle(gpds):
@@ -661,6 +698,28 @@ def test_generators_generate(gpds):
         assert len(_generators(G)) == 2
 
 
+_GENERATORS_OF_PAIR6 = """
+from finsite import catalog, internal
+from finsite.fincat import FinSetCat
+G = catalog.pair_groupoid([f"p{k}" for k in range(6)])
+print(internal._generators(G, FinSetCat().operation(G.X2, G.comp), G.s, G.t))
+"""
+
+
+def test_generators_do_not_depend_on_the_hash_seed():
+    """The pair groupoid on six string points, whose arrows hash by the
+    seed, gets one generating set under two hash seeds."""
+    src = os.path.dirname(os.path.dirname(finsite.__file__))
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _GENERATORS_OF_PAIR6], env=env, capture_output=True, text=True, check=True
+        )
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_action_of_a_non_associative_groupoid_fails_groupoid():
     """Z/n with the composites at (1, 2) and (1, 3) swapped, acting on Z/n by
     plain addition, is associative at every h in the generating set {0, 1}
@@ -755,13 +814,13 @@ def test_map_groupoid_into_table(gpds):
     sets = [triv1.X0, triv1.X1, triv1.X2.apex]
     amb = TableAmbient(sets)
     img = internal.map_groupoid(amb, triv1)
-    assert internal.validate_groupoid(img, check_universality=False).ok
+    assert internal.validate_groupoid(img).ok
 
     disc = _disc2()
     assert internal.validate_groupoid(disc).ok
     amb2 = TableAmbient([disc.X0, disc.X2.apex])
     img2 = internal.map_groupoid(amb2, disc)
-    assert internal.validate_groupoid(img2, check_universality=False).ok
+    assert internal.validate_groupoid(img2).ok
 
 
 def _disc2():
@@ -792,7 +851,7 @@ def test_broken_groupoid_fails_the_same_axiom_in_a_table(field, key, value, axio
     broken = _with(disc, **{field: SetMap(f.src, f.tgt, {**f.mapping, key: value})})
     assert internal.validate_groupoid(broken).counterexample == {"axiom": axiom}
     img = internal.map_groupoid(TableAmbient([disc.X0, disc.X2.apex]), broken)
-    assert internal.validate_groupoid(img, check_universality=False).counterexample == {"axiom": axiom}
+    assert internal.validate_groupoid(img).counterexample == {"axiom": axiom}
 
 
 def test_table_groupoid_without_triple_fibre_product_fails_x3(gpds):
@@ -800,4 +859,23 @@ def test_table_groupoid_without_triple_fibre_product_fails_x3(gpds):
     does not exist."""
     z2 = gpds["FIX-Z2GPD"]
     img = internal.map_groupoid(TableAmbient([z2.X0, z2.X1, z2.X2.apex]), z2)
-    assert internal.validate_groupoid(img, check_universality=False).counterexample == {"axiom": "X3"}
+    assert internal.validate_groupoid(img).counterexample == {"axiom": "X3"}
+
+
+def test_table_bundle_whose_projection_has_no_kernel_pair_fails_universality(gpds):
+    """The trivial group acting trivially on P = {0, 1} over the point, in a
+    table copy of its five carriers (the point, X1, X2, P and the action's
+    domain P x X1): the action's laws and invariance hold, but P x P has
+    four elements, so the projection has no pullback along itself there."""
+    triv = gpds["FIX-TRIV1"]
+    P = frozenset({0, 1})
+    anchor = SetMap(P, triv.X0, {x: "*" for x in P})
+    dom = FS.pullback(anchor, triv.t)
+    act = SetMap(dom.apex, P, {(x, h): x for x, h in dom.apex})
+    amb = TableAmbient([triv.X0, triv.X1, triv.X2.apex, P, dom.apex])
+    G = internal.map_groupoid(amb, triv)
+    square = PullbackSquare(amb.on_obj(dom.apex), *map(amb.on_mor, (dom.to_left, dom.to_right, dom.f, dom.g)))
+    action = internal.RightAction(G, amb.on_obj(P), amb.on_mor(anchor), amb.on_mor(act), square)
+    B = internal.Bundle(G, action, G.X0, amb.on_mor(anchor))
+    assert internal.validate_groupoid(G).ok
+    assert internal.validate_principal_bundle(B).counterexample == {"axiom": "projection-universal"}

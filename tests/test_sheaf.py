@@ -6,6 +6,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from spaces import finite_spaces, restrict
+from test_fincat import IDEMPOTENT, _monoid
 
 from finsite import catalog, sheaf
 from finsite.fincat import FunctorData, identity_functor, is_full, is_faithful, preserves_coproducts
@@ -102,6 +103,19 @@ def test_sheaf_verdicts(v, fs012):
     for x in fs012.objects:
         assert sheaf.is_sheaf(sheaf.representable(fs012, x), T_ext).ok
     assert not sheaf.is_sheaf(catalog.k2(fs012), T_ext).ok
+
+
+def test_validate_presheaf_names_a_broken_identity_and_composite():
+    """On the one-point category, restriction along the identity swaps two
+    elements; on the monoid {1, e} with e.e = e, restriction along e swaps
+    them, so along e.e it is not the swap applied twice."""
+    point = catalog.finset_skeleton([1])
+    swap = {"a": "b", "b": "a"}
+    F = sheaf.Presheaf(point, {"n1": ("a", "b")}, {"n1>n1:0": swap})
+    assert sheaf.validate_presheaf(F).counterexample == {"identity": "n1"}
+    monoid = _monoid(IDEMPOTENT, "1")
+    F = sheaf.Presheaf(monoid, {"*": ("a", "b")}, {"1": {"a": "a", "b": "b"}, "e": swap})
+    assert sheaf.validate_presheaf(F).counterexample == {"functoriality": ("e", "e")}
 
 
 def test_constant_presheaf_traditional_but_never_a_sheaf(fs012):

@@ -196,6 +196,27 @@ def test_continuity_counterexamples_do_not_depend_on_the_hash_seed(v):
     assert outs[0].splitlines()[0] == repr({"clause": "image", "morphism": first})
 
 
+def test_continuity_sufficient_names_the_covering_and_universal_clauses():
+    """On the chain of opens {} < {0}, the identity functor from the
+    open-cover site to the indiscrete one loses the empty cover of the empty
+    open.  Sent into FIX-FS012 as n2 -> n1, the chain keeps its iso covers,
+    but the inclusion of {} in {0}, universal in the chain, goes to a map
+    n2 -> n1 without a kernel pair: n2 x_n1 n2 has four points."""
+    chain, T_op = catalog.open_poset([frozenset(), frozenset({0})])
+    T_indis = indiscrete_topology(chain)
+    report = continuity_sufficient(identity_functor(chain), T_op, T_indis)
+    assert report.counterexample == {"clause": "covering", "family": ()}
+    fs012 = catalog.fix_fs012()
+    F = FunctorData(
+        chain,
+        fs012,
+        {"o": "n2", "o0": "n1"},
+        {"o_to_o": "n2>n2:0,1", "o0_to_o0": "n1>n1:0", "o_to_o0": "n2>n1:0,0"},
+    )
+    report = continuity_sufficient(F, T_indis, indiscrete_topology(fs012))
+    assert report.counterexample == {"clause": "universal", "morphism": "o_to_o0"}
+
+
 def test_find_refinement(v):
     cat, T_op = v
     fam = CoveringFamily("oX", ("oU_to_oX", "oV_to_oX"))
@@ -459,6 +480,17 @@ def test_dense_image_verdicts(v, fs012):
     r = has_dense_image(j, indiscrete_topology(fs012))
     assert r.ok is False
     assert r.counterexample["object"] in ("n1", "n2")
+
+
+def test_dense_image_names_a_functor_that_is_not_full_or_not_faithful():
+    """The point sent to n2 of FIX-FS012 misses three of n2's four
+    endomorphisms; the set n2 with its four maps, collapsed to the point,
+    identifies them."""
+    point, fs012, fs2 = catalog.finset_skeleton([1]), catalog.fix_fs012(), catalog.finset_skeleton([2])
+    F = FunctorData(point, fs012, {"n1": "n2"}, {"n1>n1:0": "n2>n2:0,1"})
+    assert has_dense_image(F, indiscrete_topology(fs012)).counterexample == {"clause": "full"}
+    F = FunctorData(fs2, point, {"n2": "n1"}, dict.fromkeys(fs2.morphisms(), "n1>n1:0"))
+    assert has_dense_image(F, indiscrete_topology(point)).counterexample == {"clause": "faithful"}
 
 
 def test_dense_image_of_finset_sub_skeletons_matches_the_sums_oracle():
@@ -816,6 +848,27 @@ def test_a_read_family_whose_iso_member_has_no_pullback_is_reported(monkeypatch)
         "member": "o01_to_o01",
         "along": "o01_to_o01",
     }
+
+
+def test_sheaf_families_are_every_family_where_a_minimal_one_does_not_pull_back():
+    """In the cospan a -> x <- b, where a and b have no meet, x is covered by
+    {a -> x}, {b -> x} and {a -> x, id_x}.  Every family has its pairwise
+    pullbacks, but the minimal family {b -> x} has none along a -> x, so
+    x's sheaf families are all three of its families."""
+    V = TableCategory(
+        ["a", "b", "x"],
+        {"1a": ("a", "a"), "1b": ("b", "b"), "1x": ("x", "x"), "ax": ("a", "x"), "bx": ("b", "x")},
+        {"a": "1a", "b": "1b", "x": "1x"},
+        {
+            ("1a", "1a"): "1a", ("1b", "1b"): "1b", ("1x", "1x"): "1x",
+            ("ax", "1a"): "ax", ("bx", "1b"): "bx", ("1x", "ax"): "ax", ("1x", "bx"): "bx",
+        },
+    )
+    x_families = {frozenset({"ax"}), frozenset({"bx"}), frozenset({"ax", "1x"})}
+    T = Pretopology(V, {"a": {frozenset({"1a"})}, "b": {frozenset({"1b"})}, "x": x_families})
+    assert V.pullback("ax", "bx") is None
+    assert len(T.minimal_families("x")) == 2
+    assert T.sheaf_families("x") == T.covering_families("x")
 
 
 def test_a_member_of_an_unread_family_without_a_pullback_is_reported():
