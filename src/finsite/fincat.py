@@ -701,7 +701,10 @@ class FinSetCat:
 
     Objects are frozensets, morphisms are SetMap values.  Limits and
     colimits are constructed directly; every morphism is universal here,
-    and epi is the same as surjective.
+    and epi is the same as surjective.  A pullback cone is decided as the
+    table kernel decides it, by the size of the fibre product, counted
+    from the fibres of the cospan without listing it, and injectivity
+    into it.
     """
 
     backend = "finite-sets-ambient"
@@ -832,13 +835,28 @@ class FinSetCat:
         return SetMap(co.apex, apex, {c: q(next(iter(c))) for c in co.apex}).is_bijective()
 
     def is_cone_pullback(self, f, g, apex, p, q):
-        """Whether (apex, p, q) is a terminal cone over the cospan (f, g): z ->
-        (p(z), q(z)) is a bijection onto the pair-set fibre product."""
-        if f.after(p) != g.after(q) or p.src != apex:
+        """Whether (apex, p, q) is a terminal cone over the cospan (f, g) of
+        f: A -> X and g: B -> X, decided by counting as TableCategory does,
+        in O(|A| + |B| + |apex|), with neither the fibre product nor a
+        composite map built.  The cone is terminal iff z -> (p(z), q(z)) is a
+        bijection onto the pair-set fibre product F.  If the cone commutes,
+        f(p z) = g(q z), every image lies in F; if the map is moreover
+        injective and |apex| = |F| = sum over x of |f^-1 x| |g^-1 x|, its
+        images fill F.  So: the size, then injectivity, then commuting at
+        each image, which is commuting at each z once the map is injective."""
+        if p.tgt != f.src or q.tgt != g.src:
+            raise ValueError("not composable")
+        if p.src != apex or q.src != apex or f.tgt != g.tgt:
+            return False
+        fm, gm = f.mapping, g.mapping
+        fibre = {}
+        for x in gm.values():
+            fibre[x] = fibre.get(x, 0) + 1
+        if sum(fibre.get(x, 0) for x in fm.values()) != len(apex):
             return False
         qm = q.mapping
-        images = {(x, qm[z]) for z, x in p.mapping.items()}
-        return len(images) == len(apex) and images == set(self.pairs(f, g))
+        images = {(a, qm[z]) for z, a in p.mapping.items()}
+        return len(images) == len(apex) and all(fm[a] == gm[b] for a, b in images)
 
     def has_all_pullbacks(self):
         return True

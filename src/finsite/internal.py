@@ -15,7 +15,14 @@ apex's point over each pair, never by unpacking its apex elements as pairs.
 Each law compares two lists of table reads, both read in full first, so a
 pair that does not factor raises wherever it is, as composite maps do.
 Constructors do unpack the squares they build themselves with amb.pullback,
-whose apex FinSetCat documents as the pair set.
+whose apex FinSetCat documents as the pair set.  A groupoid's table of
+comp on X2 is built once (InternalGroupoid._comp_table) and read by its
+laws, its actions and the constructors over it.
+
+Principality builds no P x_X P: the shear map (pr1, act) is an
+isomorphism onto a chosen fibre product iff the action's domain with legs
+(pr1, act) is itself a pullback of (p, p), one amb.is_cone_pullback,
+which FinSetCat decides by counting.
 
 Associativity is read at the points (w, k) of X3 = X2 x_{G0} X1 with k in a
 set S of X1's points that generates X1 under comp (Light's test,
@@ -59,6 +66,12 @@ class InternalGroupoid:
         """_groupoid_laws(self), computed once: the parts are fixed after
         construction."""
         return _groupoid_laws(self)
+
+    @functools.cached_property
+    def _comp_table(self):
+        """The operation table of comp on X2, built once and read by the
+        laws, the actions and the constructors over this groupoid."""
+        return self.ambient.operation(self.X2, self.comp)
 
     @functools.cached_property
     def _opposite(self):
@@ -144,7 +157,7 @@ def _groupoid_laws(G):
         return fail("comp-endpoints")
     s_pr2 = amb.compose(G.s, G.X2.to_right)
     s, t, i, comp, inv, pr1, pr2 = map(amb.at, (G.s, G.t, G.i, G.comp, G.inv, G.X2.to_left, G.X2.to_right))
-    C = amb.operation(G.X2, G.comp)
+    C = G._comp_table
     X0, X1 = amb.points(G.X0), amb.points(G.X1)
     S = _generators(G, C, s, t)
     X3 = amb.pairs(s_pr2, G.t, S)
@@ -256,7 +269,7 @@ def refine_groupoid(G, pi) -> InternalGroupoid:
     if not isinstance(amb, FinSetCat):
         raise ValueError("refinement groupoids are constructed in the finite-sets ambient")
     Y = pi.src
-    C = amb.operation(G.X2, G.comp)
+    C = G._comp_table
     A = amb.pullback(pi, G.t)
     B = amb.pullback(amb.compose(G.s, A.to_right), pi)
     arrows = B.apex  # elements ((y1, g), y2) with pi(y1) = t(g), s(g) = pi(y2)
@@ -347,7 +360,7 @@ def validate_action(a: RightAction) -> CheckReport:
     D = amb.pairs(amb.compose(G.s, a.dom.to_right), G.t, S)
     if D is None:
         return fail("associativity-square")
-    A, C = amb.operation(a.dom, a.act), amb.operation(G.X2, G.comp)
+    A, C = amb.operation(a.dom, a.act), G._comp_table
     if [A[act(e), h] for e, h in D] != [A[pr1(e), C[pr2(e), h]] for e, h in D]:
         return fail("associativity-square")
     # at the points x of the carrier, x 1_{anchor(x)} against x
@@ -389,6 +402,18 @@ def shear_map(B: Bundle):
 
 
 def validate_principal_bundle(B: Bundle) -> CheckReport:
+    """The action, then the projection: its endpoints, invariance,
+    universality, the designated fibre product if any, and principality.
+
+    B is principal when the shear map (pr1, act) into the chosen P x_X P is
+    an isomorphism, that is when the cone (dom, pr1, act) over (p, p) is
+    itself a pullback: the shear map is the mediator from that cone into a
+    pullback, and a cone is terminal iff its mediator into a terminal one is
+    an isomorphism.  So principality is one amb.is_cone_pullback, with no
+    P x_X P built.  That fibre product always exists once universality has
+    held, so no domain failure remains to report: without designated_pb a
+    universal p has its kernel pair, and with it invariance makes the legs
+    (pr1, act) factor through the designated square, checked a pullback."""
     G = B.gpd
     amb = G.ambient
 
@@ -409,11 +434,8 @@ def validate_principal_bundle(B: Bundle) -> CheckReport:
         d = B.designated_pb
         if not amb.is_cone_pullback(B.p, B.p, d.apex, d.to_left, d.to_right):
             return fail("designated-fibre-product")
-    try:
-        sh = shear_map(B)
-    except ValueError:
-        return fail("shear-domain")
-    if not amb.is_iso(sh):
+    dom = B.action.dom
+    if not amb.is_cone_pullback(B.p, B.p, dom.apex, dom.to_left, B.action.act):
         return fail("shear-not-iso")
     return CheckReport(True, "validate_principal_bundle")
 
@@ -582,7 +604,7 @@ def bibundle_from_functor(F: InternalFunctor) -> Bibundle:
     carrier = tb.action.carrier
     left_anchor = tb.p  # pr1: P -> G0
     ldom = amb.pullback(G.s, left_anchor)  # pairs (g, (a, h)) with s(g) = a
-    comp = amb.operation(H.X2, H.comp)
+    comp = H._comp_table
     lact = SetMap(
         ldom.apex,
         carrier,
@@ -652,7 +674,7 @@ def anafunctor_transformations(A1: Anafunctor, A2: Anafunctor):
     F1_1(m1) . eta_z2 == eta_z1 . F1_2(m2) as soon as both components are set."""
     G = A1.gpd_src
     H = A1.gpd_tgt
-    comp = H.ambient.operation(H.X2, H.comp)
+    comp = H._comp_table
     Z = G.ambient.pullback(A1.pi, A2.pi).apex  # pairs (y, y')
     F0_1, F1_1 = A1.functor.F0, A1.functor.F1
     F0_2, F1_2 = A2.functor.F0, A2.functor.F1

@@ -418,8 +418,8 @@ def _draw_function(data, dom, cod):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_finset_pullback_matches_oracle(data):
+@given(st.data(), st.randoms(use_true_random=False))
+def test_finset_pullback_matches_oracle(data, rnd):
     sizes = st.integers(0, 5)
     X = frozenset(range(data.draw(sizes)))
     A = frozenset(range(data.draw(sizes if X else st.just(0))))
@@ -434,13 +434,7 @@ def test_finset_pullback_matches_oracle(data):
     assert (sq.to_right.src, sq.to_right.tgt, sq.to_right.mapping) == (apex, B, {z: z[1] for z in apex})
 
     assert FS.is_cone_pullback(f, g, sq.apex, sq.to_left, sq.to_right)
-    if apex:
-        pairs = sorted(apex, key=repr)
-        pairs.append(data.draw(st.sampled_from(pairs)))
-        cone = frozenset(range(len(pairs)))
-        p = SetMap(cone, A, {i: a for i, (a, _) in enumerate(pairs)})
-        q = SetMap(cone, B, {i: b for i, (_, b) in enumerate(pairs)})
-        assert not FS.is_cone_pullback(f, g, cone, p, q)
+    _check_counted_cone_test(f, g, rnd)
 
     Z = frozenset(range(data.draw(st.integers(0, 4) if apex else st.just(0))))
     ud = _draw_function(data, Z, apex)
@@ -456,6 +450,72 @@ def test_finset_pullback_matches_oracle(data):
     else:
         with pytest.raises(ValueError):
             FS.into_pullback(sq, a, b)
+
+
+def _pair_cone(pairs, A, B):
+    """The cone on 0 .. len(pairs) - 1 whose legs read off the given pairs."""
+    apex = frozenset(range(len(pairs)))
+    p = SetMap(apex, A, {k: a for k, (a, _) in enumerate(pairs)})
+    q = SetMap(apex, B, {k: b for k, (_, b) in enumerate(pairs)})
+    return apex, p, q
+
+
+def _check_counted_cone_test(f, g, rnd):
+    """FinSetCat.is_cone_pullback, which counts, against the pair-set
+    definition: (apex, p, q) is a pullback of (f, g) iff z -> (p z, q z) is
+    a bijection onto oracles.finset_pullback.  The cones: the fibre product
+    in a random order; without one pair; with one pair repeated; of the
+    right size with one pair repeated in place of another; of the right size
+    and injective with one pair that f and g do not agree on.  Then the
+    edge cases on the true cone: legs out of different apexes, a wrong
+    apex, larger or of the right size, and a wrong target of g are no pullback, and a leg that does not
+    compose with f or g raises."""
+    A, B = f.src, g.src
+    pullback = finset_pullback(f.mapping, A, g.mapping, B)
+    F = sorted(pullback, key=repr)
+    rnd.shuffle(F)
+    outside = sorted(set(iproduct(A, B)) - pullback, key=repr)
+    cones = {"relabelled": F}
+    if F:
+        cones["strict subset"] = F[1:]
+        cones["duplicated pair"] = F + [rnd.choice(F)]
+    if len(F) >= 2:
+        cones["duplicated pair, right size"] = F[1:] + [rnd.choice(F[1:])]
+    if F and outside:
+        cones["not commuting, right size"] = F[1:] + [rnd.choice(outside)]
+    for name, pairs in cones.items():
+        apex, p, q = _pair_cone(pairs, A, B)
+        images = {(p(z), q(z)) for z in apex}
+        want = len(images) == len(apex) and images == pullback
+        assert want == (name == "relabelled"), name
+        assert FS.is_cone_pullback(f, g, apex, p, q) == want, name
+
+    apex, p, q = _pair_cone(F, A, B)
+    assert not FS.is_cone_pullback(f, g, apex | {"extra"}, p, q)
+    if apex:
+        assert not FS.is_cone_pullback(f, g, frozenset((z, "other") for z in apex), p, q)
+    if B:
+        wide = SetMap(apex | {"extra"}, B, {**q.mapping, "extra": min(B, key=repr)})
+        assert not FS.is_cone_pullback(f, g, apex, p, wide)
+    off = SetMap(B, g.tgt | {"extra"}, g.mapping)
+    assert not FS.is_cone_pullback(f, off, apex, p, q)
+    for leg in ("p", "q"):
+        legs = {"p": p, "q": q}
+        legs[leg] = SetMap(apex, legs[leg].tgt | {"extra"}, legs[leg].mapping)
+        with pytest.raises(ValueError, match="^not composable$"):
+            FS.is_cone_pullback(f, g, apex, legs["p"], legs["q"])
+
+
+def test_counted_cone_test_on_a_cospan_with_every_kind_of_cone():
+    """A cospan whose fibre product has four pairs and misses five of A x B,
+    so every cone of _check_counted_cone_test is built."""
+    import random
+
+    X, A, B = frozenset({0, 1}), frozenset({0, 1, 2}), frozenset("abc")
+    f = SetMap(A, X, {0: 0, 1: 0, 2: 1})
+    g = SetMap(B, X, {"a": 0, "b": 1, "c": 1})
+    for seed in range(5):
+        _check_counted_cone_test(f, g, random.Random(seed))
 
 
 def test_setmap_errors_name_the_first_offending_element():

@@ -149,21 +149,7 @@ def test_pair_groupoid_with_identity_inverse_fails_inverse_endpoints():
 
 
 def test_trivial_z4_action_on_a_point_fails_shear():
-    point, carrier = frozenset({"*"}), frozenset({"p"})
-    z4 = internal.make_groupoid(
-        FS,
-        X0=point,
-        X1=frozenset(range(4)),
-        s=lambda g: "*",
-        t=lambda g: "*",
-        i=lambda x: 0,
-        comp=lambda g, h: (g + h) % 4,
-        inv=lambda g: -g % 4,
-    )
-    anchor = SetMap(carrier, point, {"p": "*"})
-    dom = FS.pullback(anchor, z4.t)
-    action = internal.RightAction(z4, carrier, anchor, SetMap(dom.apex, carrier, {e: "p" for e in dom.apex}), dom)
-    B = internal.Bundle(z4, action, point, anchor)
+    B = _cyclic_action(4, {"p"}, lambda x, g: x)
     assert internal.validate_principal_bundle(B).counterexample == {"axiom": "shear-not-iso"}
 
 
@@ -862,20 +848,129 @@ def test_table_groupoid_without_triple_fibre_product_fails_x3(gpds):
     assert internal.validate_groupoid(img).counterexample == {"axiom": "X3"}
 
 
-def test_table_bundle_whose_projection_has_no_kernel_pair_fails_universality(gpds):
-    """The trivial group acting trivially on P = {0, 1} over the point, in a
-    table copy of its five carriers (the point, X1, X2, P and the action's
-    domain P x X1): the action's laws and invariance hold, but P x P has
-    four elements, so the projection has no pullback along itself there."""
-    triv = gpds["FIX-TRIV1"]
-    P = frozenset({0, 1})
-    anchor = SetMap(P, triv.X0, {x: "*" for x in P})
+def _table_trivial_action(triv, P):
+    """The trivial group triv acting on P over the point, in a table copy
+    of its five carriers (the point, X1, X2, P and the action's domain
+    P x X1), and that table copy."""
+    anchor = SetMap(P, triv.X0, dict.fromkeys(P, "*"))
     dom = FS.pullback(anchor, triv.t)
     act = SetMap(dom.apex, P, {(x, h): x for x, h in dom.apex})
     amb = TableAmbient([triv.X0, triv.X1, triv.X2.apex, P, dom.apex])
     G = internal.map_groupoid(amb, triv)
     square = PullbackSquare(amb.on_obj(dom.apex), *map(amb.on_mor, (dom.to_left, dom.to_right, dom.f, dom.g)))
-    action = internal.RightAction(G, amb.on_obj(P), amb.on_mor(anchor), amb.on_mor(act), square)
-    B = internal.Bundle(G, action, G.X0, amb.on_mor(anchor))
+    return amb, internal.RightAction(G, amb.on_obj(P), amb.on_mor(anchor), amb.on_mor(act), square)
+
+
+def test_table_bundle_whose_projection_has_no_kernel_pair_fails_universality(gpds):
+    """The trivial group acting trivially on P = {0, 1} over the point, in a
+    table copy of its five carriers (the point, X1, X2, P and the action's
+    domain P x X1): the action's laws and invariance hold, but P x P has
+    four elements, so the projection has no pullback along itself there."""
+    amb, action = _table_trivial_action(gpds["FIX-TRIV1"], frozenset({0, 1}))
+    G = action.gpd
+    B = internal.Bundle(G, action, G.X0, action.anchor)
     assert internal.validate_groupoid(G).ok
     assert internal.validate_principal_bundle(B).counterexample == {"axiom": "projection-universal"}
+
+
+def test_table_bundle_reports_its_axioms_in_order(gpds):
+    """The trivial group acting on P = {p, q}, in a table copy of its five
+    carriers: with the wrong base, with the projection to the point (whose
+    kernel pair, of four elements, is missing) and with the identity of P,
+    each beside a designated square (P, id, swap) that is no fibre product,
+    the bundle fails projection-endpoints, then projection-universal, then
+    designated-fibre-product; without that square it is principal.  A
+    groupoid's arrows act on P by its unit law alone, so invariance cannot
+    fail, and a table copy of finite sets has no non-principal bundle: one
+    that is not free has an isotropy group G, whose X3 has |G|^3 >= 8
+    elements (8^8 endomaps), and a universal projection with a fibre of two
+    points pulls back along the constant map from the largest carrier to a
+    carrier twice as large.  Both axioms fail in finite sets, in the tests
+    above."""
+    P = frozenset({"p", "q"})
+    amb, action = _table_trivial_action(gpds["FIX-TRIV1"], P)
+    G = action.gpd
+    ident, swap = (amb.on_mor(SetMap(P, P, m)) for m in ({"p": "p", "q": "q"}, {"p": "q", "q": "p"}))
+    off = PullbackSquare(amb.on_obj(P), ident, swap, ident, ident)
+    cases = [
+        (G.X0, ident, off, "projection-endpoints"),
+        (G.X0, action.anchor, off, "projection-universal"),
+        (amb.on_obj(P), ident, off, "designated-fibre-product"),
+        (amb.on_obj(P), ident, None, None),
+    ]
+    for base, p, designated, axiom in cases:
+        report = internal.validate_principal_bundle(internal.Bundle(G, action, base, p, designated))
+        assert (report.counterexample or {}).get("axiom") == axiom
+
+
+def _shear_route(B):
+    """validate_principal_bundle's counterexample as it read principality
+    before the cone test: the shear map into the chosen P x_X P, then
+    is_iso.  Every axiom before principality is read as it was."""
+    report = internal.validate_principal_bundle(B)
+    if not (report.ok or report.counterexample == {"axiom": "shear-not-iso"}):
+        return report.counterexample
+    try:
+        sh = internal.shear_map(B)
+    except ValueError:
+        return {"axiom": "shear-domain"}
+    return None if B.gpd.ambient.is_iso(sh) else {"axiom": "shear-not-iso"}
+
+
+def _cyclic_action(n, carrier, act):
+    """Z/n acting on carrier over the point by act(x, g)."""
+    G = catalog.cyclic_groupoid(n)
+    carrier = frozenset(carrier)
+    anchor = SetMap(carrier, G.X0, dict.fromkeys(carrier, "*"))
+    dom = FS.pullback(anchor, G.t)
+    action = internal.RightAction(G, carrier, anchor, SetMap(dom.apex, carrier, {e: act(*e) for e in dom.apex}), dom)
+    return internal.Bundle(G, action, G.X0, anchor)
+
+
+def _bundle_fixtures(gpds):
+    """The bundles the tests of this module build, each with a name: the
+    catalog's and their variants, the right bundles of bibundles, the
+    bundles of pair groupoids and Z/n, non-free actions of Z/n (Z/n on a
+    point, Z/4 on Z/2), a free action that is not transitive on its fibre
+    (Z/2 on two copies of itself), and the table bundles."""
+    B = gpds["FIX-Z2BUNDLE"]
+    pair2 = gpds["FIX-PAIR2"]
+    two = B.action.carrier
+    d = B.action.dom
+    yield "FIX-Z2BUNDLE", B
+    yield "relabelled designated", dataclasses.replace(B, designated_pb=_relabel(FS.pullback(B.p, B.p))[0])
+    yield "relabelled action", dataclasses.replace(B, action=_relabelled_action(B.action))
+    yield "over itself", internal.Bundle(B.gpd, B.action, two, FS.identity(two))
+    yield "named", dataclasses.replace(B, designated_pb=PullbackSquare(d.apex, d.to_left, d.to_left, B.p, B.p))
+    psi = SetMap(frozenset("uvw"), pair2.X0, {"u": 0, "v": 1, "w": 0})
+    yield "trivial bundle", internal.trivial_bundle(pair2, psi)
+    for name in ("FIX-PAIR2", "FIX-Z2GPD", "FIX-TRIV1"):
+        yield f"groupoid_as_bundle({name})", internal.groupoid_as_bundle(gpds[name])
+    for n in (3, 6):
+        yield f"pair{n}", internal.groupoid_as_bundle(catalog.pair_groupoid(range(n)))
+    for F in all_internal_functors(pair2, gpds["FIX-Z2GPD"]):
+        yield "right bundle", internal.right_bundle(internal.bibundle_from_functor(F))
+    for n in (1, 2, 4, 6):
+        trivial = _cyclic_action(n, {"p"}, lambda x, g: x)
+        yield f"Z/{n} on a point", trivial
+        yield f"Z/{n} on a point, designated", dataclasses.replace(trivial, designated_pb=FS.pullback(trivial.p, trivial.p))
+        yield f"Z/{n} regular", _cyclic_action(n, range(n), lambda x, g: (x + g) % n)
+    yield "Z/4 on Z/2", _cyclic_action(4, range(2), lambda x, g: (x + g) % 2)
+    yield "Z/2 on two copies", _cyclic_action(2, [(c, x) for c in "ab" for x in range(2)], lambda x, g: (x[0], x[1] ^ g))
+    P = frozenset({0, 1})
+    amb, action = _table_trivial_action(gpds["FIX-TRIV1"], P)
+    yield "table, over the point", internal.Bundle(action.gpd, action, action.gpd.X0, action.anchor)
+    yield "table, over itself", internal.Bundle(action.gpd, action, amb.on_obj(P), amb.on_mor(FS.identity(P)))
+
+
+def test_principality_as_a_cone_test_agrees_with_the_shear_map(gpds):
+    """On every bundle fixture, the cone test gives the verdict and the
+    counterexample that the shear map and is_iso gave, non-free and
+    non-transitive actions failing shear-not-iso."""
+    axioms = collections.Counter()
+    for name, B in _bundle_fixtures(gpds):
+        report = internal.validate_principal_bundle(B)
+        assert report.counterexample == _shear_route(B), name
+        axioms[(report.counterexample or {}).get("axiom")] += 1
+    assert axioms["shear-not-iso"] == 8
+    assert set(axioms) == {None, "shear-not-iso", "invariance", "designated-fibre-product", "projection-universal"}
