@@ -54,9 +54,10 @@ lazily, and no caller asks these questions of the ambient.
 Every derived table category (catalog's poset, finite-set and table-copy
 fixtures, sheaf's presheaf fragment, the slice category F/y) is built by
 _generated, which applies a composition rule at each composable pair.  F/y
-is defined here once: _slice_objects and _slice_constraints are its objects
-and morphisms, read by slice_category and, as a limit diagram, by sheaf's
-right Kan extension (Mac Lane, CWM X.3).
+is built here once per functor and object: the record F._slices[y] (a
+_Slice) holds its objects, their positions and its morphisms, read by
+slice_category and, as a limit diagram, by sheaf's right Kan extension, its
+unit, counit and pushforward, and the Yoneda check (Mac Lane, CWM X.3).
 """
 
 from __future__ import annotations
@@ -965,6 +966,11 @@ class FunctorData:
     def on_mor(self, f):
         return self.mor_map[f]
 
+    @cached_property
+    def _slices(self):
+        """The slice categories F/y, each built once (_Slices)."""
+        return _Slices(self)
+
 
 def identity_functor(cat, name="id"):
     return FunctorData(
@@ -1148,39 +1154,48 @@ def _generated(objects, morphisms, identity, compose, name):
     return TableCategory(objects, morphisms, identity, comp, name=name)
 
 
-def _slice_objects(F: FunctorData, y):
-    out = []
-    for x in F.source.objects:
-        for psi in F.target.hom(F.on_obj(x), y):
-            out.append((x, psi))
-    out.sort(key=repr)
-    return out
+class _Slice(NamedTuple):
+    """The record of F/y: its objects (x, psi: F(x) -> y) in repr order,
+    their positions, and its morphisms as triples (i, j, f), f: x_i -> x_j
+    with psi_j . F(f) = psi_i, ordered by i, j and hom order; in a limit of
+    P over F/y, (i, j, f) reads res_P[f](s[j]) == s[i]."""
+
+    objects: tuple
+    index: dict
+    constraints: tuple
 
 
-def _slice_constraints(F: FunctorData, slice_objs):
-    """Triples (i, j, f) meaning res_P[f](s[j]) == s[i]."""
-    src, tgt = F.source, F.target
-    idx = {o: k for k, o in enumerate(slice_objs)}
-    cons = []
-    for (x1, p1) in slice_objs:
-        for (x2, p2) in slice_objs:
-            for f in src.hom(x1, x2):
-                if tgt.compose(p2, F.on_mor(f)) == p1:
-                    cons.append((idx[(x1, p1)], idx[(x2, p2)], f))
-    return cons
+class _Slices(dict):
+    """FunctorData._slices: y -> the _Slice F/y, built on first use and kept;
+    the functor's tables never change."""
+
+    __slots__ = ("_F",)
+
+    def __init__(self, F):
+        self._F = F
+
+    def __missing__(self, y):
+        F = self._F
+        src, tgt = F.source, F.target
+        objects = tuple(sorted(((x, psi) for x in src.objects for psi in tgt.hom(F.on_obj(x), y)), key=repr))
+        constraints = tuple(
+            (i, j, f)
+            for i, (x1, p1) in enumerate(objects)
+            for j, (x2, p2) in enumerate(objects)
+            for f in src.hom(x1, x2)
+            if tgt.compose(p2, F.on_mor(f)) == p1
+        )
+        value = self[y] = _Slice(objects, {o: k for k, o in enumerate(objects)}, constraints)
+        return value
 
 
 def slice_category(F: FunctorData, y):
     """The category F/y of pairs (x, psi: F(x) -> y), with its projection.
-    Its objects are _slice_objects(F, y) and its morphisms the triples
-    (o1, o2, f) of _slice_constraints, the data the right Kan extension of
-    sheaf reads."""
+    Its objects and morphisms are those of the record F._slices[y], which
+    sheaf's right Kan extension reads as a limit diagram."""
     src = F.source
-    objects = _slice_objects(F, y)
-    morphisms = {
-        (objects[i], objects[j], f): (objects[i], objects[j])
-        for i, j, f in _slice_constraints(F, objects)
-    }
+    objects, _, constraints = F._slices[y]
+    morphisms = {(objects[i], objects[j], f): (objects[i], objects[j]) for i, j, f in constraints}
     identity = {o: (o, o, src.identity(o[0])) for o in objects}
 
     def composite(m2, m1):

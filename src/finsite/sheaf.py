@@ -3,9 +3,10 @@ right Kan extension, the pullback/pushforward adjunction, and the Yoneda
 embedding into a finite presheaf-category fragment.
 
 The right Kan extension along F at y is the limit of P over the slice
-category F/y, read from fincat's _slice_objects and _slice_constraints, the
-data fincat.slice_category builds F/y from; the presheaf fragment is built
-by fincat._generated like every derived table category.
+category F/y.  The extension, its unit, counit and pushforward, and the
+Yoneda check index fincat's one record of F/y, F._slices[y], from which
+fincat.slice_category also builds F/y; the presheaf fragment is built by
+fincat._generated like every derived table category.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .fincat import (
     preserves_coproducts,
     _existing_binary_coproducts,
     _generated,
-    _slice_constraints,
-    _slice_objects,
 )
 from . import site as _site
 
@@ -384,31 +383,25 @@ def pullback_morphism(F: FunctorData, phi: PresheafMorphism) -> PresheafMorphism
     )
 
 
-def _kan_families(F: FunctorData, P: Presheaf, y):
-    slice_objs = _slice_objects(F, y)
-    domains = [P.values[x] for (x, _) in slice_objs]
-    ident = [{v: v for v in d} for d in domains]
-    by_last = {}
-    for (i, j, f) in _slice_constraints(F, slice_objs):
-        by_last.setdefault(max(i, j), []).append((j, P.restriction[f], i, ident[i]))
-    return slice_objs, list(_join(domains, by_last))
-
-
 def right_kan_extension(F: FunctorData, P: Presheaf) -> Presheaf:
+    """(F_* P)(y) is the set of families over F/y, one value of P per slice
+    object in the record's order, that satisfy every slice constraint."""
     _site._same_cat(P, F.source, f"the source of functor {F.name!r}")
     tgt = F.target
-    slices = {}
     values = {}
     for y in tgt.objects:
-        slice_objs, fams = _kan_families(F, P, y)
-        slices[y] = {o: k for k, o in enumerate(slice_objs)}
-        values[y] = tuple(sorted(fams, key=repr))
+        sl = F._slices[y]
+        domains = [P.values[x] for (x, _) in sl.objects]
+        ident = [{v: v for v in d} for d in domains]
+        by_last = {}
+        for (i, j, f) in sl.constraints:
+            by_last.setdefault(max(i, j), []).append((j, P.restriction[f], i, ident[i]))
+        values[y] = tuple(sorted(_join(domains, by_last), key=repr))
     restriction = {}
     for g in tgt.morphisms():
         y1, y2 = tgt.src(g), tgt.tgt(g)
-        idx2 = slices[y2]
-        # slices[y1] iterates its slice objects in _slice_objects' repr order
-        at = [idx2[(x, tgt.compose(g, phi))] for (x, phi) in slices[y1]]
+        idx2 = F._slices[y2].index
+        at = [idx2[(x, tgt.compose(g, phi))] for (x, phi) in F._slices[y1].objects]
         # each image is the element of values[y1] itself, so equal families are one object
         canon = {fam: fam for fam in values[y1]}
         restriction[g] = {fam: canon.get(image := tuple(fam[k] for k in at), image) for fam in values[y2]}
@@ -421,11 +414,8 @@ def pushforward_morphism(F: FunctorData, phi: PresheafMorphism) -> PresheafMorph
     tgt = F.target
     comps = {}
     for y in tgt.objects:
-        slice_objs = _slice_objects(F, y)
-        comp = {}
-        for fam in src_ext.values[y]:
-            comp[fam] = tuple(phi.at(o[0], v) for o, v in zip(slice_objs, fam))
-        comps[y] = comp
+        objects = F._slices[y].objects
+        comps[y] = {fam: tuple(phi.at(x, v) for (x, _), v in zip(objects, fam)) for fam in src_ext.values[y]}
     return PresheafMorphism(src_ext, tgt_ext, comps)
 
 
@@ -437,8 +427,7 @@ def counit(F: FunctorData, P: Presheaf) -> PresheafMorphism:
     comps = {}
     for x in src_cat.objects:
         fx = F.on_obj(x)
-        slice_objs = _slice_objects(F, fx)
-        k = slice_objs.index((x, tgt_cat.identity(fx)))
+        k = F._slices[fx].index[(x, tgt_cat.identity(fx))]
         comps[x] = {fam: fam[k] for fam in back.values[x]}
     return PresheafMorphism(back, P, comps)
 
@@ -450,11 +439,8 @@ def unit(F: FunctorData, Q: Presheaf) -> PresheafMorphism:
     tgt = F.target
     comps = {}
     for y in tgt.objects:
-        slice_objs = _slice_objects(F, y)
-        comp = {}
-        for q in Q.values[y]:
-            comp[q] = tuple(Q.res(psi, q) for (x, psi) in slice_objs)
-        comps[y] = comp
+        objects = F._slices[y].objects
+        comps[y] = {q: tuple(Q.res(psi, q) for (_, psi) in objects) for q in Q.values[y]}
     return PresheafMorphism(Q, ext, comps)
 
 
@@ -585,21 +571,19 @@ def yoneda_embedding(cat, extras=()):
     reps = {x: representable(cat, x, name=f"Yo_{x}") for x in cat.objects}
     fragment, named, decode = presheaf_fragment(list(reps.values()) + list(extras))
     obj_map = {x: reps[x].name for x in cat.objects}
-    mor_map = {}
-    for m in cat.morphisms():
-        a, b = cat.src(m), cat.tgt(m)
-        comps = {
-            y: {h: cat.compose(m, h) for h in reps[a].values[y]} for y in cat.objects
-        }
-        mor_map[m] = (reps[a].name, reps[b].name, _freeze_components(comps))
+    # Yo(m), m: a -> b, is the element m of Yo_b(a)
+    mor_map = {
+        m: _yoneda_element_morphism(cat, reps, reps[cat.tgt(m)], cat.src(m), m) for m in cat.morphisms()
+    }
     yo = FunctorData(cat, fragment, obj_map, mor_map, name="Yo")
     return yo, fragment, named, decode
 
 
 def _yoneda_element_morphism(cat, reps, G: Presheaf, y, g):
-    """The presheaf morphism Yo_y -> G matching the element g of G(y)."""
+    """The fragment's id of the presheaf morphism Yo_y -> G matching the
+    element g of G(y): h |-> G(h)(g)."""
     comps = {z: {h: G.res(h, g) for h in reps[y].values[z]} for z in cat.objects}
-    return comps
+    return reps[y].name, G.name, _freeze_components(comps)
 
 
 def yoneda_continuity_report(cat, T, extras=()) -> CheckReport:
@@ -619,14 +603,9 @@ def yoneda_continuity_report(cat, T, extras=()) -> CheckReport:
             return fail(clause="continuity", morphism=f)
     report["continuity_checked"] = len(uni)
     if T.is_singleton():
-        for x in cat.objects:
-            images = [yo.on_mor(pi) for pi in cat.into(x) if pi in uni]
-            for mid in fragment.into(yo.on_obj(x)):
-                if not is_pre_covering(decode[mid], T).ok:
-                    continue
-                sieve = fragment.through(mid)
-                if not any(im in sieve for im in images):
-                    return fail(clause="cocontinuity", object=x)
+        failure, _ = _site._lifting_failure(yo, uni, lambda mid: is_pre_covering(decode[mid], T).ok)
+        if failure is not None:
+            return fail(clause="cocontinuity", object=failure["object"])
         report["cocontinuity"] = True
     # Yoneda extension: (Yo_* F)(G) is Hom(G, F) for sampled F among extras
     for F in extras:
@@ -634,20 +613,15 @@ def yoneda_continuity_report(cat, T, extras=()) -> CheckReport:
         for gname in fragment.objects:
             G = named[gname]
             homs = presheaf_homs(G, F)
-            fams = ext.values[gname]
-            slice_objs = _slice_objects(yo, gname)
-            idx = {o: k for k, o in enumerate(slice_objs)}
+            index = yo._slices[gname].index
+            # the slice position of each element morphism Yo_y -> G
+            at = {
+                y: {g: index[(y, _yoneda_element_morphism(cat, reps, G, y, g))] for g in G.values[y]}
+                for y in cat.objects
+            }
             seen = set()
-            for fam in fams:
-                comps = {}
-                for y in cat.objects:
-                    comp = {}
-                    for g in G.values[y]:
-                        mid = (f"Yo_{y}", gname, _freeze_components(
-                            _yoneda_element_morphism(cat, reps, G, y, g)
-                        ))
-                        comp[g] = fam[idx[(y, mid)]]
-                    comps[y] = comp
+            for fam in ext.values[gname]:
+                comps = {y: {g: fam[k] for g, k in at[y].items()} for y in cat.objects}
                 frozen = _freeze_components(comps)
                 if frozen in seen:
                     return fail(clause="extension-injective", at=gname)

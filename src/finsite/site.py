@@ -630,25 +630,33 @@ def continuity_sufficient(F: FunctorData, T1, T2) -> CheckReport:
     return CheckReport(True, "continuity_sufficient")
 
 
+def _lifting_failure(F: FunctorData, lifts, covers):
+    """Cocontinuity's lifting loop: for each source object x and each
+    target morphism pi into F(x) with covers(pi), whether the sieve pi
+    generates holds F(l) for some l in lifts with target x.  Returns the
+    first failure as {"object": x, "morphism": pi}, or None, and the
+    number of pi that lift."""
+    src, tgt = F.source, F.target
+    lifted = 0
+    for x in src.objects:
+        images = [F.on_mor(l) for l in src.into(x) if l in lifts]
+        for pi in tgt.into(F.on_obj(x)):
+            if not covers(pi):
+                continue
+            sieve = tgt.through(pi)
+            if not any(im in sieve for im in images):
+                return {"object": x, "morphism": pi}, lifted
+            lifted += 1
+    return None, lifted
+
+
 def is_cocontinuous(F: FunctorData, T1, T2) -> CheckReport:
     """Every Uni(T2) morphism pi into an image object F(x) lifts: the sieve
     pi generates holds F(pi1) for some Uni(T1) morphism pi1 into x."""
     _functor_sites(F, T1, T2)
-    src, tgt = F.source, F.target
-    uni2 = uni_class(T2)
-    uni1 = uni_class(T1)
-    lifts = 0
-    for x in src.objects:
-        images = [F.on_mor(pi1) for pi1 in src.into(x) if pi1 in uni1]
-        for pi in tgt.into(F.on_obj(x)):
-            if pi not in uni2:
-                continue
-            sieve = tgt.through(pi)
-            if not any(im in sieve for im in images):
-                return CheckReport(
-                    False, "is_cocontinuous", counterexample={"object": x, "morphism": pi}
-                )
-            lifts += 1
+    failure, lifts = _lifting_failure(F, uni_class(T1), uni_class(T2).__contains__)
+    if failure is not None:
+        return CheckReport(False, "is_cocontinuous", counterexample=failure)
     return CheckReport(True, "is_cocontinuous", witness={"lifts": lifts})
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from spaces import finite_spaces, restrict
 from test_fincat import IDEMPOTENT, _monoid
 
-from finsite import catalog, sheaf
-from finsite.fincat import FunctorData, identity_functor, is_full, is_faithful, preserves_coproducts
+from finsite import catalog, fincat, sheaf
+from finsite.fincat import FunctorData, TableCategory, identity_functor, is_full, is_faithful, preserves_coproducts
 from finsite.site import (
     Pretopology,
     canonical_topology,
@@ -228,9 +229,10 @@ def test_kan_extension_along_skeleton_inclusion():
 def test_kan_families_ignore_redundant_identity_constraints():
     small, big, incl = catalog.skeleton_inclusion()
     rep = sheaf.pullback_presheaf(incl, sheaf.representable(big, "n2"))
+    ext = sheaf.right_kan_extension(incl, rep)
     for y in big.objects:
-        slice_objs, fams = sheaf._kan_families(incl, rep, y)
-        cons = sheaf._slice_constraints(incl, slice_objs)
+        fams = ext.values[y]
+        slice_objs, _, cons = incl._slices[y]
         generating = [c for c in cons if not small.is_identity(c[2])]
         surviving = [
             fam
@@ -238,6 +240,24 @@ def test_kan_families_ignore_redundant_identity_constraints():
             if all(rep.res(f, fam[j]) == fam[i] for (i, j, f) in generating)
         ]
         assert sorted(map(repr, fams)) == sorted(map(repr, surviving))
+
+
+def test_adjunction_builds_each_slice_once(monkeypatch):
+    """Both triangle identities read F/y in the extensions, the unit, the
+    counit and the pushforward; the record of each is built once and kept
+    on the functor."""
+    small, big, incl = catalog.skeleton_inclusion()
+    builds = collections.Counter()
+    build = fincat._Slices.__missing__
+
+    def counted(slices, y):
+        builds[y] += 1
+        return build(slices, y)
+
+    monkeypatch.setattr(fincat._Slices, "__missing__", counted)
+    Q = sheaf.representable(big, "n2")
+    assert sheaf.verify_adjunction(incl, [sheaf.pullback_presheaf(incl, Q)], [Q]).ok
+    assert builds == {y: 1 for y in big.objects}
 
 
 def test_kan_extension_along_poset_inclusion(v):
@@ -304,6 +324,7 @@ def test_yoneda_continuity_fix_v(v):
     k1 = catalog.constant_presheaf(cat, ("a",), name="K")
     r = sheaf.yoneda_continuity_report(cat, indiscrete_topology(cat), extras=(k1,))
     assert r.ok, r.counterexample
+    assert r.witness == {"continuity_checked": 4, "cocontinuity": True, "extension(K1)": True}
 
 
 def test_yoneda_continuity_fs012(fs012):
@@ -390,6 +411,38 @@ def test_sheaf_condition_and_homs_match_oracles(space, data):
 
     assert len(set(images(got))) == len(got)
     assert set(images(got)) == set(images(want))
+
+
+def _basis_inclusion(cat, by_name):
+    """The full subcategory of a poset of opens on the distinct minimal open
+    neighbourhoods U_p, with its inclusion."""
+    points = frozenset().union(*by_name.values())
+    basis = {frozenset.intersection(*(U for U in by_name.values() if p in U)) for p in points}
+    keep = [x for x in cat.objects if by_name[x] in basis]
+    morphisms = {m: ends for m, ends in cat._mor.items() if ends[0] in keep and ends[1] in keep}
+    comp = {k: v for k, v in cat._comp.items() if k[0] in morphisms and k[1] in morphisms}
+    B = TableCategory(keep, morphisms, {x: cat.identity(x) for x in keep}, comp, name="basis")
+    return FunctorData(B, cat, {x: x for x in keep}, {m: m for m in morphisms}, name="i")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(finite_spaces())
+def test_comparison_lemma_on_the_basis_of_minimal_neighbourhoods(space):
+    """SGA 4 III.4 on a finite space: the minimal open neighbourhoods form a
+    dense full subcategory B of the opens, with inclusion i.  A presheaf Q
+    on the opens is a sheaf iff its unit Q -> i_* i^* Q is an iso; i_* P is
+    a sheaf for every P on B; and, i being full and faithful, the counit
+    i^* i_* P -> P is an iso.  Q is the sections presheaf, its subpresheaf
+    and the constant K2, which is no sheaf (K2 of the empty open has two
+    elements); P is i^* Q."""
+    opens, full, sub = space
+    T, by_name, presheaves = _finsite_site(opens, [full, sub])
+    i = _basis_inclusion(T.cat, by_name)
+    for k, Q in enumerate([*presheaves, catalog.k2(T.cat)]):
+        assert sheaf.is_traditional_sheaf(Q, T).ok == sheaf.is_presheaf_iso(sheaf.unit(i, Q)), k
+        P = sheaf.pullback_presheaf(i, Q)
+        assert sheaf.is_traditional_sheaf(sheaf.right_kan_extension(i, P), T).ok, k
+        assert sheaf.is_presheaf_iso(sheaf.counit(i, P)), k
 
 
 def _branches(T):

@@ -464,7 +464,13 @@ def test_skeleton_inclusion_site_functor_properties():
     T1 = indiscrete_topology(small)
     T2 = indiscrete_topology(big)
     assert is_continuous(incl, T1, T2).ok
-    assert is_cocontinuous(incl, T1, T2).ok
+    assert is_cocontinuous(incl, T1, T2).witness == {"lifts": 2}
+    # n0 -> n1 is in Uni of the discrete topology; the sieve it generates
+    # holds no isomorphism, and the indiscrete source lifts only those
+    assert is_cocontinuous(incl, T1, discrete_topology(big)).counterexample == {
+        "object": "n1",
+        "morphism": "n0>n1:",
+    }
     assert has_dense_image(incl, T2).ok
     assert continuity_sufficient(incl, T1, T2).ok
 
