@@ -153,15 +153,16 @@ def skeleton_inclusion():
     return small, big, incl
 
 
-def table_copy(sets, names=None):
-    """An explicit-table full subcategory of finite sets on the given carriers.
+def table_copy(sets):
+    """An explicit-table full subcategory of finite sets on the given carriers,
+    the carrier s named "S" followed by the sorted reprs of its elements
+    joined by "_".
 
     Returns (cat, obj_of_set, mor_of_map) where mor_of_map translates a
     SetMap between listed carriers into a table morphism id.
     """
     sets = list(dict.fromkeys(frozenset(s) for s in sets))
-    if names is None:
-        names = {s: "S" + "_".join(sorted(map(repr, s))) for s in sets}
+    names = {s: "S" + "_".join(sorted(map(repr, s))) for s in sets}
     seen = {}
     for s in sets:
         if names[s] in seen:

@@ -57,7 +57,7 @@ _generated, which applies a composition rule at each composable pair.  F/y
 is built here once per functor and object: the record F._slices[y] (a
 _Slice) holds its objects, their positions and its morphisms, read by
 slice_category and, as a limit diagram, by sheaf's right Kan extension, its
-unit, counit and pushforward, and the Yoneda check (Mac Lane, CWM X.3).
+unit and counit, verify_adjunction and the Yoneda check (Mac Lane, CWM X.3).
 """
 
 from __future__ import annotations

@@ -186,6 +186,9 @@ class FinSetTopology:
     kind 'all':         singleton coverings by arbitrary maps (discrete,
                         since every map of finite sets is universal).
 
+    No kind is superextensive: the coproduct families {0} -> {0, 1} <- {1}
+    and the empty family into the empty set are not singletons.
+
     A finite-sets topology is built as FinSetTopology(kind): the table
     constructors (indiscrete_topology, discrete_topology, canonical_topology,
     singletonize) take explicit tables only.
@@ -533,9 +536,9 @@ def is_superextensive(T) -> bool:
     """Whether every coproduct family is a family of T.  Every coproduct
     family contains a prefix-minimal one (coproduct_families), so at an
     object that is superset_closed only those are read; at any other object
-    every coproduct family is."""
+    every coproduct family is.  No FinSetTopology is superextensive."""
     if isinstance(T, FinSetTopology):
-        return T.kind in ("surjections", "all")
+        return False  # its families are singletons; the empty family into {} is a coproduct family
     cat = T.cat
     return all(
         cat.coproduct_families(x, prefix_minimal=T.superset_closed(x)) <= T.families[x]
@@ -568,13 +571,13 @@ def restrict_topology(T, incl: FunctorData):
 
 
 def _fibre_product_failure(F: FunctorData, f):
-    """The first cospan (f, g) whose pullback is missing in the source of F
-    or is not sent to a fibre product, as a counterexample; None if none."""
+    """The first cospan (f, g), f universal in the source of F, whose
+    pullback is not sent to a fibre product, as a counterexample; None if
+    none."""
     src, tgt = F.source, F.target
     for g in src.into(src.tgt(f)):
+        # callers pass a universal f, so is_universal has found this pullback
         sq = src.pullback(f, g)
-        if sq is None:
-            return {"clause": "source-pullback", "cospan": (f, g)}
         if not tgt.is_cone_pullback(
             F.on_mor(f),
             F.on_mor(g),

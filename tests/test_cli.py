@@ -51,6 +51,14 @@ def test_section_not_an_object_exit_two(tmp_path, capsys, doc, section):
     assert repr(section) in err and "Traceback" not in err
 
 
+def test_top_level_array_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    assert cli.main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == "top-level document must be a JSON object\n"
+
+
 def test_validate_broken_bundle_exit_one(bundle_path, tmp_path, capsys):
     doc = json.loads(Path(bundle_path).read_text())
     # break associativity: declare swap composed with itself to be the swap
@@ -104,6 +112,8 @@ def test_check_morphism_args(bundle_path, capsys):
         "--args", "FIX-V:oU_to_oX", "T_op",
     ]) == 1
     capsys.readouterr()
+    assert cli.main(["check", bundle_path, "--op", "is_universal", "--args", "FIX-V:oX_to_oU"]) == 2
+    assert capsys.readouterr().err == "unknown morphism 'oX_to_oU' in category 'FIX-V'\n"
 
 
 def test_check_extensivity_mode(bundle_path, capsys):

@@ -105,6 +105,29 @@ def test_mistyped_unit_and_inverse_keep_the_composite_outcomes(gpds):
     assert internal.validate_groupoid(off).counterexample == {"axiom": "unit-section"}
 
 
+def test_mistyped_target_and_composition_fail_their_endpoints(gpds):
+    """A target map, or a comp, into a set wider than X0, or than X1, has
+    the wrong endpoints."""
+    G = gpds["FIX-PAIR2"]
+    off = _with(G, t=SetMap(G.X1, G.X0 | {"extra"}, G.t.mapping))
+    assert internal.validate_groupoid(off).counterexample == {"axiom": "target-endpoints"}
+    off = _with(G, comp=SetMap(G.X2.apex, G.X1 | {"extra"}, G.comp.mapping))
+    assert internal.validate_groupoid(off).counterexample == {"axiom": "comp-endpoints"}
+
+
+def test_action_on_a_wrong_domain_or_into_a_wrong_carrier_fails(gpds):
+    """FIX-PAIR2 acting on its arrows validates; over the fibre product of
+    (anchor, s) in place of (anchor, t) it fails domain, and with its act
+    into a set wider than the carrier it fails act-endpoints."""
+    G = gpds["FIX-PAIR2"]
+    a = internal.groupoid_as_bundle(G).action
+    assert internal.validate_action(a).ok
+    off = dataclasses.replace(a, dom=FS.pullback(a.anchor, G.s))
+    assert internal.validate_action(off).counterexample == {"axiom": "domain"}
+    off = dataclasses.replace(a, act=SetMap(a.dom.apex, a.carrier | {"extra"}, a.act.mapping))
+    assert internal.validate_action(off).counterexample == {"axiom": "act-endpoints"}
+
+
 def test_action_over_a_groupoid_with_misplaced_composites_fails_groupoid():
     """An action whose groupoid's comp breaks the endpoints of its factors
     fails with the groupoid's own law, before its associativity square reads

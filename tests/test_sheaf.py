@@ -260,6 +260,50 @@ def test_adjunction_builds_each_slice_once(monkeypatch):
     assert builds == {y: 1 for y in big.objects}
 
 
+def test_adjunction_reads_the_unit_and_counit_it_builds(monkeypatch):
+    """The triangle identities are read on the components of the unit and
+    counit: one sample pair on skeleton_inclusion() extends a presheaf
+    twice for Q (unit and counit) and three times for P (F_*P, unit and
+    counit), where lifting them to whole presheaf morphisms took 7."""
+    small, big, incl = catalog.skeleton_inclusion()
+    calls = []
+    extend = sheaf.right_kan_extension
+
+    def counted(F, P):
+        calls.append(P.name)
+        return extend(F, P)
+
+    monkeypatch.setattr(sheaf, "right_kan_extension", counted)
+    Q = sheaf.representable(big, "n2")
+    assert sheaf.verify_adjunction(incl, [sheaf.pullback_presheaf(incl, Q)], [Q]).ok
+    assert len(calls) <= 5, calls
+
+
+def test_adjunction_names_the_triangle_a_shifted_counit_breaks(monkeypatch):
+    """A counit that reads the slot after (x, id) breaks the first triangle
+    on a target sample and, with no target sample, the second on a source
+    sample."""
+    small, big, incl = catalog.skeleton_inclusion()
+    counit = sheaf.counit
+
+    def shifted(F, P):
+        eps = counit(F, P)
+        comps = {}
+        for x in F.source.objects:
+            fx = F.on_obj(x)
+            k = F._slices[fx].index[(x, F.target.identity(fx))]
+            comps[x] = {fam: fam[(k + 1) % len(fam)] for fam in eps.src.values[x]}
+        return sheaf.PresheafMorphism(eps.src, P, comps)
+
+    monkeypatch.setattr(sheaf, "counit", shifted)
+    Q = sheaf.representable(big, "n2")
+    P = sheaf.pullback_presheaf(incl, Q)
+    report = sheaf.verify_adjunction(incl, [P], [Q])
+    assert report.counterexample == {"triangle": "counit.F*unit", "sample": "Yo_n2"}
+    report = sheaf.verify_adjunction(incl, [P], [])
+    assert report.counterexample == {"triangle": "F_*counit.unit", "sample": P.name}
+
+
 def test_kan_extension_along_poset_inclusion(v):
     cat, T_op, shv = v
     sub, incl = catalog.fix_b()

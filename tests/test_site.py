@@ -217,6 +217,36 @@ def test_continuity_sufficient_names_the_covering_and_universal_clauses():
     assert report.counterexample == {"clause": "universal", "morphism": "o_to_o0"}
 
 
+def test_continuity_names_the_image_and_fibre_product_clauses(v, fs012):
+    """The identity of FIX-FS012 from its discrete to its indiscrete
+    topology sends the universal n0 -> n1 to a map that is not an iso.
+    FIX-V -> FIX-S gluing oU and oV into oA sends their pullback oE over oX
+    to oE, which is not the pullback oA of oA -> oX with itself."""
+    idf = identity_functor(fs012)
+    report = is_continuous(idf, discrete_topology(fs012), indiscrete_topology(fs012))
+    assert report.counterexample == {"clause": "image", "morphism": "n0>n1:"}
+    cat, _ = v
+    chain, _ = catalog.fix_s()
+    on_obj = {"oE": "oE", "oU": "oA", "oV": "oA", "oX": "oX"}
+    F = FunctorData(
+        cat, chain, on_obj, {m: f"{on_obj[cat.src(m)]}_to_{on_obj[cat.tgt(m)]}" for m in cat.morphisms()}
+    )
+    report = is_continuous(F, discrete_topology(cat), discrete_topology(chain))
+    assert report.counterexample == {"clause": "fibre-product", "cospan": ("oU_to_oX", "oV_to_oX")}
+
+
+def test_continuity_sufficient_skips_morphisms_that_are_not_universal(fs012):
+    """FIX-FS012 has three maps without a pullback along some map into their
+    target (n2 -> n1 and the two constant endomaps of n2); the sufficient
+    criterion asks nothing of them, so the identity functor passes under
+    T_can."""
+    assert sorted(f for f in fs012.morphisms() if not is_universal(fs012, f)) == [
+        "n2>n1:0,0", "n2>n2:0,0", "n2>n2:1,1"
+    ]
+    T_can = canonical_topology(fs012)
+    assert continuity_sufficient(identity_functor(fs012), T_can, T_can).ok
+
+
 def test_find_refinement(v):
     cat, T_op = v
     fam = CoveringFamily("oX", ("oU_to_oX", "oV_to_oX"))
@@ -343,13 +373,44 @@ def _finset_fragment():
     return sets, [f for a in sets for b in sets for f in FS.hom(a, b)]
 
 
+def _local_by_definition(T, maps, uni):
+    """is_local's definition on the cospans (pi, g) of the given maps: pi is
+    in uni whenever g is and so is the leg FS.pullback(pi, g).to_right,
+    which uni_contains judges, since the pullback's apex is no given set."""
+    return all(
+        pi in uni or g not in uni or not uni_contains(T, FS.pullback(pi, g).to_right)
+        for pi in maps
+        for g in maps
+        if g.tgt == pi.tgt
+    )
+
+
+def _superextensive_by_definition(T):
+    """is_superextensive's definition on the coproduct cocones into {0..n-1},
+    n <= 3, with legs out of the sets {0..m-1}, m <= 3: each is a family of
+    T, that is a singleton {c} that T covers."""
+    def leg(values, n):
+        return SetMap(frozenset(range(len(values))), frozenset(range(n)), dict(enumerate(values)))
+
+    return all(
+        len(fam) == 1 and T.covers(leg(*fam, n))
+        for n in range(4)
+        for fam in oracles.finset_coproduct_families(range(4), n)
+    )
+
+
 def test_finset_topology_branches_match_brute_force_on_small_sets():
     """On the maps between the sets {0..k}, k <= 3: f is locally split in
     FinSetTopology(kind) iff some map c: U -> tgt(f) of that kind equals
     f . s for some s: U -> src(f), U in the fragment; each witness factors;
     universal_completion keeps the Uni class; and is_coarser is inclusion
     of the Uni classes.  Every map of finite sets is universal, so the Uni
-    class of a kind is its locally split maps."""
+    class of a kind is its locally split maps.  is_local and
+    is_superextensive agree with their definitions on the fragment
+    (_local_by_definition with that Uni class, _superextensive_by_definition):
+    no kind is superextensive, as the empty family into the empty set is a
+    coproduct family and no singleton, and neither is the singleton-surjection
+    topology of a table copy of the sets {}, {0}, {1}, {0, 1}."""
     sets, maps = _finset_fragment()
     of_kind = {
         "surjections": lambda img, tgt, n: img == tgt,
@@ -380,8 +441,14 @@ def test_finset_topology_branches_match_brute_force_on_small_sets():
         assert uni[kind] == split, kind
         done = universal_completion(T)
         assert frozenset(f for f in maps if uni_contains(done, f)) == uni[kind], kind
+        assert is_local(T) == _local_by_definition(T, maps, uni[kind]), kind
+        assert _superextensive_by_definition(T) is False, kind
+        assert is_superextensive(T) is False, kind
     for k1, k2 in itertools.product(FinSetTopology.KINDS, repeat=2):
         assert is_coarser(FinSetTopology(k1), FinSetTopology(k2)) == (uni[k1] <= uni[k2]), (k1, k2)
+    cat, _, _ = catalog.table_copy([(), (0,), (1,), (0, 1)])
+    surj = {x: {frozenset({m}) for m in cat.into(x) if cat.map_of_mor[m].is_surjective()} for x in cat.objects}
+    assert not is_superextensive(Pretopology(cat, surj))
 
 
 def test_classification_predicates(v, fs012):
@@ -558,8 +625,11 @@ def test_finset_topology_order_and_uni():
     assert not uni_contains(surj, inj)
     assert uni_contains(alltop, inj)
     assert universal_completion(isos).kind == "surjections"
-    assert is_local(surj) and is_superextensive(surj)
-    assert not is_superextensive(isos)
+    _, maps = _finset_fragment()
+    for T in (surj, isos, alltop):
+        uni = {f for f in maps if uni_contains(T, f)}
+        assert is_local(T) == _local_by_definition(T, maps, uni), T
+        assert is_superextensive(T) == _superextensive_by_definition(T), T
 
 
 def test_uni_class_refuses_intensional_backend():
