@@ -5,8 +5,14 @@ explicit tables, so limits and colimits are decided by counting cones and
 every classification is decidable.  The counts, and the composites that
 test a candidate cone, are read from an index built lazily and cached on
 the category: per morphism the table of its composites with each hom set
-and their fibres, per object its hom-count signature.  Caching is sound
-because the tables are immutable after construction.  FinSetCat is the
+and their fibres, per object its hom-count signature.  A second lazy
+index, per object x, holds the orbits of into(x) under precomposition with
+isos, {f.a : a an iso into src f}, and one representative of each:
+is_universal, universally_effective_epis and site's uni_class and is_local
+classify one representative per orbit, since a pullback is unique up to
+iso (Mac Lane, CWM III.4), so f.a is universal, or has a pullback along
+g.b, iff f is, or has one along g.  Caching is sound because the tables
+are immutable after construction.  FinSetCat is the
 ambient category of extensional finite sets; its limits are constructed
 directly and classifications like "every morphism is universal" hold as
 meta-facts about finite sets rather than by enumeration.
@@ -134,8 +140,10 @@ class TableCategory:
     validate_category checks the laws: the identity laws and associativity.
 
     The tables are immutable after construction: hom sets are built once,
-    the cone index on first use, and pullbacks and universality are
-    memoized per category.
+    the cone index and the orbits of into(x) under precomposition with
+    isos (_orbits) on first use, and pullbacks and universality are
+    memoized per category, universality for a whole orbit at once, as no
+    verdict changes when a morphism is precomposed with an iso.
     """
 
     backend = "explicit-table"
@@ -186,6 +194,7 @@ class TableCategory:
         self._into = {x: tuple(ms) for x, ms in into.items()}
         self._hom = {key: tuple(sorted(ms, key=repr)) for key, ms in hom.items()}
         self._isos = None
+        self._orbit_tables = {}
         self._pullbacks = {}
         self._universal = {}
         self._composite_tables = ({}, {})
@@ -236,10 +245,11 @@ class TableCategory:
         return self._identity[self.src(f)] == f
 
     def _inverse(self, f):
-        """The two-sided inverse of f, or None."""
-        a, b = self._mor[f]
-        for g in self.hom(b, a):
-            if self.compose(g, f) == self.identity(a) and self.compose(f, g) == self.identity(b):
+        """The two-sided inverse of f, or None, read off the tables."""
+        (a, b), comp = self._mor[f], self._comp
+        ida, idb = self._identity[a], self._identity[b]
+        for g in self._hom.get((b, a), ()):
+            if comp[g, f] == ida and comp[f, g] == idb:
                 return g
         return None
 
@@ -254,8 +264,49 @@ class TableCategory:
 
     def isos(self):
         if self._isos is None:
-            self._isos = frozenset(f for f in self._mor if self.is_iso(f))
+            self._isos = frozenset(f for f in self._mor if self._inverse(f) is not None)
         return self._isos
+
+    # -- orbits under precomposition with isos ---------------------------
+    #
+    # Composing the legs of a pullback of (f, g) with a^-1 and b^-1 gives
+    # one of (f.a, g.b), a, b isos, so the classifications read one
+    # representative per orbit (the module docstring).
+
+    @cached_property
+    def _isos_into(self):
+        """Per object a, the isos into a other than id_a: empty where the
+        only isos are identities."""
+        isos_into = {}
+        for a in self.isos():
+            if not self.is_identity(a):
+                isos_into.setdefault(self._mor[a][1], []).append(a)
+        return isos_into
+
+    def _orbits(self, x):
+        """The orbits of into(x): the representatives, the first member of
+        each orbit in table order, and a dict from each member of an orbit
+        with more than one member to that orbit, a frozenset.  Built for x
+        on first use; where the only isos are identities, every orbit is one
+        morphism and nothing is built."""
+        t = self._orbit_tables.get(x)
+        if t is None:
+            isos_into = self._isos_into
+            if not isos_into:
+                return self._into[x], {}
+            comp, reps, orbit = self._comp, [], {}
+            for f in self._into[x]:
+                if f not in orbit:
+                    reps.append(f)
+                    o = frozenset([f, *[comp[f, a] for a in isos_into.get(self._mor[f][0], ())]])
+                    if len(o) > 1:
+                        orbit.update(dict.fromkeys(o, o))
+            t = self._orbit_tables[x] = tuple(reps), orbit
+        return t
+
+    def _orbit(self, f):
+        """The orbit of f: f.a for every iso a into src f."""
+        return self._orbits(self._mor[f][1])[1].get(f, (f,))
 
     # -- limits / colimits by counted cones ------------------------------
     #
@@ -891,11 +942,21 @@ def validate_category(cat) -> CheckReport:
 
 
 def is_universal(cat, f) -> bool:
-    """Whether the pullback of f along every morphism with the same target exists."""
+    """Whether the pullback of f along every morphism with the same target
+    exists.  On a TableCategory, g ranges over one representative per orbit
+    of into(tgt f) under precomposition with isos (TableCategory._orbits),
+    as (f, g.b) has a pullback iff (f, g) has; the orbit of the identity,
+    the isos, is skipped, as a pullback along an iso always exists.  The
+    verdict is stored for f's whole orbit at once, as it is the verdict of
+    each f.a."""
     if cat.has_all_pullbacks():
         return True
     if f not in cat._universal:
-        cat._universal[f] = all(cat.pullback(f, g) is not None for g in cat.into(cat.tgt(f)))
+        isos = cat.isos()
+        verdict = all(
+            cat.pullback(f, g) is not None for g in cat._orbits(cat.tgt(f))[0] if g not in isos
+        )
+        cat._universal.update(dict.fromkeys(cat._orbit(f), verdict))
     return cat._universal[f]
 
 
@@ -917,11 +978,24 @@ def universally_effective_epis(cat) -> frozenset:
     base away from that leg, which is in C0; and such an iso changes
     neither effectiveness nor which pullbacks exist.  Effectiveness is
     tested before universality: it pulls back one kernel pair where
-    universality pulls back along every morphism into the target."""
-    c0 = {f for f in cat.morphisms() if is_effective_epi(cat, f) and is_universal(cat, f)}
-    return frozenset(
-        f for f in c0 if all(cat.pullback(f, g).to_right in c0 for g in cat.into(cat.tgt(f)))
-    )
+    universality pulls back along every morphism into the target.
+
+    Both classes are read once per orbit under precomposition with isos
+    (TableCategory._orbits), f and g alike.  Effective epis and universal
+    morphisms are closed under composing with isos on either side, so C0
+    is too; the leg of (f.a, g.b) is the leg of (f, g) composed with isos
+    on both sides, so it lies in C0 iff that of (f, g) does."""
+    c0, c1 = set(), set()
+    for x in cat.objects:
+        for f in cat._orbits(x)[0]:
+            if is_effective_epi(cat, f) and is_universal(cat, f):
+                c0.update(cat._orbit(f))
+    for x in cat.objects:
+        reps = cat._orbits(x)[0]
+        for f in reps:
+            if f in c0 and all(cat.pullback(f, g).to_right in c0 for g in reps):
+                c1.update(cat._orbit(f))
+    return frozenset(c1)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ class Pretopology:
     prefix-minimal coproduct families.  is_singletonizable reads no family
     where the category has an initial object and every binary coproduct.
     singletonize, _pairwise_pullbacks and the covering clause of
-    continuity_sufficient read every family."""
+    continuity_sufficient read every family.  uni_class builds Uni(T) once
+    per topology."""
 
     def __init__(self, cat, families, name=""):
         self.cat = cat
@@ -84,6 +85,7 @@ class Pretopology:
                 raise ValueError(f"family member {min(stray, key=repr)!r} is not a morphism into {x!r}")
             self.families[x], self.members[x] = fams, members
         self._covering, self._minimal, self._sheaf, self._closed = {}, {}, {}, {}
+        self._uni = None
 
     def covering_families(self, x):
         """The families of x as CoveringFamily values, members and families
@@ -372,10 +374,24 @@ def is_locally_split(T, f) -> Optional[SplitWitness]:
 
 def uni_class(T) -> frozenset:
     """The universal T-locally split morphisms of an explicit-table site:
-    the morphisms uni_contains accepts."""
+    the morphisms uni_contains accepts, built once per topology.  It asks
+    uni_contains of one representative per orbit under precomposition with
+    isos (TableCategory._orbits) and takes in its whole orbit.  This holds
+    for every T, a pretopology or not: through(f.a) is the sieve through(f),
+    since a is an iso, so f.a is T-locally split iff f is, and universal
+    iff f is (is_universal)."""
     if isinstance(T, FinSetTopology):
         raise ValueError("intensional topologies classify membership, use uni_contains")
-    return frozenset(f for f in T.cat.morphisms() if uni_contains(T, f))
+    if T._uni is None:
+        cat = T.cat
+        T._uni = frozenset(
+            h
+            for x in cat.objects
+            for f in cat._orbits(x)[0]
+            if uni_contains(T, f)
+            for h in cat._orbit(f)
+        )
+    return T._uni
 
 
 def uni_contains(T, f) -> bool:
@@ -513,22 +529,27 @@ def is_local(T) -> bool:
     """In every pullback square whose pulled-back leg and base leg are in
     Uni(T), the original morphism is in Uni(T) as well.  A cospan (pi, g)
     with pi in Uni(T) or g not in it satisfies this whatever its pullback
-    is, so only the others are pulled back."""
+    is, so only the others are pulled back.  pi ranges over one
+    representative per orbit under precomposition with isos
+    (TableCategory._orbits): a pullback of (pi.a, g) is one of (pi, g)
+    with the same right leg up to an iso of its apex, and Uni(T) is closed
+    under precomposition with isos (uni_class), for every T."""
     if isinstance(T, FinSetTopology):
         # pullbacks of maps of finite sets along surjections of finite sets
         # are surjective, and everything is universal
         return True
     cat = T.cat
     uni = uni_class(T)
-    for pi in cat.morphisms():
-        if pi in uni:
-            continue
-        for g in cat.into(cat.tgt(pi)):
-            if g not in uni:
+    for x in cat.objects:
+        for pi in cat._orbits(x)[0]:
+            if pi in uni:
                 continue
-            sq = cat.pullback(pi, g)
-            if sq is not None and sq.to_right in uni:
-                return False
+            for g in cat.into(x):
+                if g not in uni:
+                    continue
+                sq = cat.pullback(pi, g)
+                if sq is not None and sq.to_right in uni:
+                    return False
     return True
 
 

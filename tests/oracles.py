@@ -10,8 +10,9 @@ under supersets, natural transformations between finite presheaves and
 between anafunctors of finite groupoids, the groupoid laws, the
 right-action laws, the bibundle laws, the coproduct families of a poset
 of opens and of a skeleton of finite sets, dense images between
-skeletons of finite sets, and the limits and colimits of an
-explicit-table category by its cones.
+skeletons of finite sets, the limits and colimits of an explicit-table
+category by its cones, and universality, Uni(T), locality and the
+universally effective epis read on every morphism and every cospan.
 
 Deliberately separate from the main code path: the poset is rebuilt from
 raw subset data, morphisms are (src, tgt) pairs, and every universal
@@ -20,7 +21,7 @@ of mediating morphisms), not by the bijection method the package uses.
 Finite-set functions are plain dicts or tuples of values.  The sheaf and
 naturality oracles build the full product of candidates and filter it by
 the definition; pretopology_axioms gathers the composites of axiom 2 one
-member at a time, every choice kept as the set it gives.  Five oracles
+member at a time, every choice kept as the set it gives.  Nine oracles
 are the exception.  The cone oracle is finsite's cone kernel as it was
 before the kernel indexed its tables, counting every cone at every
 object, and pins which apex and which legs finsite returns.
@@ -29,7 +30,10 @@ pretopology checks as they were before they read minimal families, and
 take pullbacks from the category they are given; likewise
 all_families_singletonizable and all_families_superextensive are
 finsite's checks as they were before they stopped reading every family,
-and take coproducts from the category they are given.
+and take coproducts from the category they are given.  The four unreduced
+classifiers are finsite's as they were before they read one morphism per
+orbit under precomposition with isos, and take pullbacks from the
+category they are given.
 """
 
 from itertools import combinations, product as iproduct
@@ -675,3 +679,62 @@ def pretopology_axioms(cat, families, pullbacks=None):
                 if frozenset(pulled) not in families[mor[g][0]]:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Classification without the orbit index: finsite's is_universal, uni_class,
+# is_local and universally_effective_epis as they were before they read one
+# morphism per orbit under precomposition with isos.  Each reads every
+# morphism and every cospan, and takes pullbacks, kernel pairs and
+# coequalizers from the finsite TableCategory it is given, but keeps no
+# verdict on it.  T is a finsite Pretopology on such a category.
+# ---------------------------------------------------------------------------
+
+
+def unreduced_is_universal(cat, f):
+    """Whether the pullback of f along every morphism into tgt f exists."""
+    return all(cat.pullback(f, g) is not None for g in cat.into(cat.tgt(f)))
+
+
+def unreduced_uni_class(T):
+    """The universal morphisms f for which some family of tgt f lies inside
+    the sieve f generates."""
+    cat = T.cat
+
+    def locally_split(f):
+        sieve = cat.through(f)
+        return any(all(m in sieve for m in fam) for fam in T.families[cat.tgt(f)])
+
+    return frozenset(f for f in cat.morphisms() if locally_split(f) and unreduced_is_universal(cat, f))
+
+
+def unreduced_is_local(T):
+    """No cospan (pi, g) with pi outside Uni(T) and g inside it has a
+    pullback whose leg to src g is in Uni(T)."""
+    cat = T.cat
+    uni = unreduced_uni_class(T)
+    for pi in cat.morphisms():
+        if pi in uni:
+            continue
+        for g in cat.into(cat.tgt(pi)):
+            if g not in uni:
+                continue
+            sq = cat.pullback(pi, g)
+            if sq is not None and sq.to_right in uni:
+                return False
+    return True
+
+
+def unreduced_universally_effective_epis(cat):
+    """C0, the universal effective epis (the kernel pair exists and f
+    coequalizes it), and of it the f whose pullbacks along every morphism
+    into tgt f have their leg to src g in C0."""
+
+    def effective(f):
+        kp = cat.pullback(f, f)
+        return kp is not None and cat.is_cocone_coequalizer(kp.to_left, kp.to_right, cat.tgt(f), f)
+
+    c0 = {f for f in cat.morphisms() if effective(f) and unreduced_is_universal(cat, f)}
+    return frozenset(
+        f for f in c0 if all(cat.pullback(f, g).to_right in c0 for g in cat.into(cat.tgt(f)))
+    )

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -635,6 +636,98 @@ def test_finset_topology_order_and_uni():
 def test_uni_class_refuses_intensional_backend():
     with pytest.raises(ValueError):
         uni_class(FinSetTopology("surjections"))
+
+
+def _table_fixtures():
+    """The table categories tier-1 builds from the catalog, each with the
+    topologies it carries: the open posets with their open covers, FIX-B,
+    the finite-set skeletons, and table copies whose isomorphic carriers
+    are distinct objects.  Last, two of these with their morphism tables
+    in reverse order, so that the first morphism of an orbit, in table
+    order, is not the identity or the leg the cone kernel picks."""
+    for _, cat, T, _ in open_sites():
+        yield cat, [T]
+    cat, T = catalog.fix_s()
+    yield cat, [T]
+    yield catalog.fix_b()[0], []
+    for sizes in ([0, 1], [0, 1, 2], [0, 1, 2, 3]):
+        yield catalog.finset_skeleton(sizes), []
+    for sets in ([(0, 1), (2, 3), (0,)], [(), (0,), (1,), (0, 1), (2, 3)]):
+        yield catalog.table_copy(sets)[0], []
+    for cat in (catalog.finset_skeleton([0, 1, 2, 3]), catalog.table_copy([(0, 1), (2, 3), (0,)])[0]):
+        mor = dict(reversed(cat._mor.items()))
+        yield TableCategory(cat.objects, mor, cat._identity, cat._comp, name=f"reversed {cat.name}"), []
+
+
+def test_classification_matches_the_unreduced_oracles_on_table_fixtures():
+    """universally_effective_epis, uni_class, is_local and is_universal,
+    which read one morphism per orbit under precomposition with isos, give
+    the verdicts of the loops over every morphism and cospan, on each
+    fixture with its own topologies and the indiscrete, discrete, canonical
+    and (where the category is extensive) extensive ones."""
+    for cat, topologies in _table_fixtures():
+        assert universally_effective_epis(cat) == oracles.unreduced_universally_effective_epis(cat), cat.name
+        topologies = [canonical_topology(cat), indiscrete_topology(cat), discrete_topology(cat), *topologies]
+        if is_extensive(cat).ok:
+            topologies.append(extensive_topology(cat))
+        for T in topologies:
+            assert uni_class(T) == oracles.unreduced_uni_class(T), (cat.name, T.name)
+            assert is_local(T) == oracles.unreduced_is_local(T), (cat.name, T.name)
+        for f in cat.morphisms():
+            assert is_universal(cat, f) == oracles.unreduced_is_universal(cat, f), (cat.name, f)
+
+
+def test_uni_class_and_is_local_match_the_unreduced_oracles_on_random_families():
+    """200 seeded random families on the skeleton of {0..3}, most of them no
+    pretopology: each object gets up to three random sets of at most three
+    morphisms into it, and half the time the singletons of its isos."""
+    cat = catalog.finset_skeleton([0, 1, 2, 3])
+    rng, isos, verdicts = random.Random(0), cat.isos(), set()
+    for k in range(200):
+        fams = {}
+        for x in cat.objects:
+            into = cat.into(x)
+            fams[x] = [rng.sample(into, rng.randint(0, min(3, len(into)))) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.5:
+                fams[x] += [[e] for e in into if e in isos]
+        T = Pretopology(cat, fams, name=f"random-{k}")
+        assert uni_class(T) == oracles.unreduced_uni_class(T), fams
+        verdicts.add(is_local(T))
+        assert is_local(T) == oracles.unreduced_is_local(T), fams
+    assert verdicts == {True, False}
+
+
+def test_is_local_of_the_canonical_topology_reads_one_morphism_per_orbit(monkeypatch):
+    """canonical_topology and is_local on the skeleton of {0..3} make at most
+    half the 882 TableCategory.pullback calls (memo hits included) that
+    reading every morphism and every cospan made."""
+    calls = []
+    pullback = TableCategory.pullback
+
+    def counted(cat, f, g):
+        calls.append((f, g))
+        return pullback(cat, f, g)
+
+    monkeypatch.setattr(TableCategory, "pullback", counted)
+    assert is_local(canonical_topology(catalog.finset_skeleton([0, 1, 2, 3])))
+    assert len(calls) <= 882 // 2
+
+
+def test_uni_class_is_built_once_per_topology(monkeypatch):
+    """A second uni_class(T) asks uni_contains nothing: the class is kept on T."""
+    calls = []
+    contains = site.uni_contains
+
+    def counted(T, f):
+        calls.append(f)
+        return contains(T, f)
+
+    monkeypatch.setattr(site, "uni_contains", counted)
+    T = discrete_topology(catalog.fix_fs012())
+    first = uni_class(T)
+    assert calls
+    calls.clear()
+    assert uni_class(T) == first and not calls
 
 
 def test_minimal_families_are_the_antichain_of_the_families():
