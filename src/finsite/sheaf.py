@@ -146,21 +146,11 @@ def is_extensive_presheaf(F: Presheaf, mode: str = "literal") -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def descent_set(F: Presheaf, pi) -> tuple:
-    """The elements of F(src pi) on which the two legs of pi's kernel pair agree."""
-    cat = F.cat
-    kp = cat.pullback(pi, pi)
-    if kp is None:
-        raise ValueError("the double fibre product does not exist")
-    return tuple(
-        a for a in F.values[cat.src(pi)] if F.res(kp.to_left, a) == F.res(kp.to_right, a)
-    )
-
-
 def satisfies_descent(F: Presheaf, pi) -> bool:
-    elements = descent_set(F, pi)
-    image = [F.res(pi, a) for a in F.values[F.cat.tgt(pi)]]
-    return len(set(image)) == len(image) and set(image) == set(elements)
+    """Descent along pi is the sheaf condition for the singleton family
+    {pi}: restriction along pi is a bijection onto the elements of
+    F(src pi) on which the two legs of pi's kernel pair agree."""
+    return _is_sheaf_for(F, F.cat.tgt(pi), (pi,))
 
 
 def is_sheaf(F: Presheaf, T, mode: str = "literal") -> CheckReport:
@@ -213,13 +203,32 @@ def _join(domains, by_last):
             its.append(iter(domains[k]))
 
 
+def _is_sheaf_for(F: Presheaf, x, members) -> bool:
+    """Whether restriction is a bijection from F(x) onto the matching
+    families of {m_i: u_i -> x}: the (s_i) in the product of the F(u_i)
+    that agree on every pairwise fibre product u_i x_x u_j, i <= j.  _join
+    enumerates the matching families with one variable per member, so a
+    partial family that already disagrees is never extended.  Raises
+    ValueError when a pairwise fibre product is missing."""
+    cat = F.cat
+    by_last = {}
+    for i, mi in enumerate(members):
+        for j, mj in enumerate(members[i:], i):
+            sq = cat.pullback(mi, mj)
+            if sq is None:
+                raise ValueError(f"pairwise fibre product missing for {mi!r}, {mj!r}")
+            by_last.setdefault(j, []).append(
+                (i, F.restriction[sq.to_left], j, F.restriction[sq.to_right])
+            )
+    matching = set(_join([F.values[cat.src(m)] for m in members], by_last))
+    image = [tuple(F.res(m, s) for m in members) for s in F.values[x]]
+    return len(set(image)) == len(image) and set(image) == matching
+
+
 def is_traditional_sheaf(F: Presheaf, T) -> CheckReport:
-    """Whether, for every covering {m_i: u_i -> x} of T, restriction is a
-    bijection from F(x) onto the matching families: the (s_i) in the
-    product of the F(u_i) that agree on every pairwise fibre product
-    u_i x_x u_j, i <= j.  _join enumerates the matching families with one
-    variable per member, so a partial family that already disagrees is never
-    extended.  The counterexample names the first covering that fails.
+    """Whether F is a sheaf for every covering {m_i: u_i -> x} of T
+    (_is_sheaf_for).  The counterexample names the first covering that
+    fails.
 
     At x only T.sheaf_families(x) is read: the minimal families of x when
     (1) every family of T has its pairwise pullbacks and (2) each minimal
@@ -237,29 +246,13 @@ def is_traditional_sheaf(F: Presheaf, T) -> CheckReport:
     all families; only the counterexample, its object and family, may
     differ."""
     _site._same_cat(T, F.cat, f"presheaf {F.name!r}")
-    cat = F.cat
-    for x in cat.objects:
+    for x in F.cat.objects:
         for cov in T.sheaf_families(x):
-            members = cov.members
-            by_last = {}
-            for i, mi in enumerate(members):
-                for j, mj in enumerate(members):
-                    if i <= j:
-                        sq = cat.pullback(mi, mj)
-                        if sq is None:
-                            raise ValueError(
-                                f"pairwise fibre product missing for {mi!r}, {mj!r}"
-                            )
-                        by_last.setdefault(j, []).append(
-                            (i, F.restriction[sq.to_left], j, F.restriction[sq.to_right])
-                        )
-            matching = set(_join([F.values[cat.src(m)] for m in members], by_last))
-            image = [tuple(F.res(m, s) for m in members) for s in F.values[x]]
-            if len(set(image)) != len(image) or set(image) != matching:
+            if not _is_sheaf_for(F, x, cov.members):
                 return CheckReport(
                     False,
                     "is_traditional_sheaf",
-                    counterexample={"object": x, "family": members},
+                    counterexample={"object": x, "family": cov.members},
                 )
     return CheckReport(True, "is_traditional_sheaf")
 
@@ -268,9 +261,11 @@ def comparison_sheaf_report(F: Presheaf, T, mode: str = "literal") -> CheckRepor
     """The three sheaf conditions and the implications between them that
     the detected hypotheses support."""
     cat = F.cat
-    i_sheaf = is_sheaf(F, T, mode).ok
+    sheaf_report = is_sheaf(F, T, mode)
+    i_sheaf = sheaf_report.ok
     trad = is_traditional_sheaf(F, T).ok
-    ext = is_extensive_presheaf(F, mode).ok
+    # is_sheaf checks extensivity before descent
+    ext = i_sheaf or "extensivity" not in sheaf_report.counterexample
     ii = ext and trad
     hyp_extensive = is_extensive(cat).ok
     hyp_superext = _site.is_superextensive(T)
@@ -589,7 +584,7 @@ def yoneda_continuity_report(cat, T, extras=()) -> CheckReport:
         ext = right_kan_extension(yo, F)
         for gname in fragment.objects:
             G = named[gname]
-            homs = presheaf_homs(G, F)
+            homs = [decode[m].components for m in fragment.hom(gname, F.name)]
             index = yo._slices[gname].index
             # the slice position of each element morphism Yo_y -> G
             at = {

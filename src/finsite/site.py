@@ -507,11 +507,10 @@ def singletonize(T):
         raise ValueError(f"singletonize needs an extensive category: {rep.counterexample}")
     fams = {x: set() for x in cat.objects}
     for x in cat.objects:
-        for fam in T.families[x]:
-            induced = _induced(T, x, fam)
+        for cov in T.covering_families(x):
+            induced = _induced(T, x, cov.members)
             if induced is None:
-                bad = next(c for c in T.covering_families(x) if _induced(T, x, c.members) is None)
-                raise ValueError(f"covering family without coproduct: {bad.members}")
+                raise ValueError(f"covering family without coproduct: {cov.members}")
             fams[x].add(frozenset({induced}))
     return Pretopology(cat, fams, name=f"Sing({T.name})")
 

@@ -2,17 +2,18 @@
 two-point discrete space, the fibre product of finite sets, the
 traditional sheaf condition on a finite space (for its open covers or
 for any families of opens) and on any site by finsite's former loop over
-all families, the three pretopology axioms (by their definition, and by
-finsite's former loop over all families), singletonizable and
-superextensive sites (by finsite's former loops over all families), the
-minimal sets of a family of sets and whether a family of sets is closed
-under supersets, natural transformations between finite presheaves and
-between anafunctors of finite groupoids, the groupoid laws, the
-right-action laws, the bibundle laws, the coproduct families of a poset
-of opens and of a skeleton of finite sets, dense images between
-skeletons of finite sets, the limits and colimits of an explicit-table
-category by its cones, and universality, Uni(T), locality and the
-universally effective epis read on every morphism and every cospan.
+all families, descent along a morphism by its kernel pair, the three
+pretopology axioms (by their definition, and by finsite's former loop
+over all families), singletonizable and superextensive sites (by
+finsite's former loops over all families), the minimal sets of a family
+of sets and whether a family of sets is closed under supersets, natural
+transformations between finite presheaves and between anafunctors of
+finite groupoids, the groupoid laws, the right-action laws, the bibundle
+laws, the coproduct families of a poset of opens and of a skeleton of
+finite sets, dense images between skeletons of finite sets, the limits
+and colimits of an explicit-table category by its cones, and
+universality, Uni(T), locality and the universally effective epis read
+on every morphism and every cospan.
 
 Deliberately separate from the main code path: the poset is rebuilt from
 raw subset data, morphisms are (src, tgt) pairs, and every universal
@@ -21,13 +22,16 @@ of mediating morphisms), not by the bijection method the package uses.
 Finite-set functions are plain dicts or tuples of values.  The sheaf and
 naturality oracles build the full product of candidates and filter it by
 the definition; pretopology_axioms gathers the composites of axiom 2 one
-member at a time, every choice kept as the set it gives.  Nine oracles
+member at a time, every choice kept as the set it gives.  Ten oracles
 are the exception.  The cone oracle is finsite's cone kernel as it was
 before the kernel indexed its tables, counting every cone at every
 object, and pins which apex and which legs finsite returns.
 all_families_sheaf and all_families_pretopology are finsite's sheaf and
 pretopology checks as they were before they read minimal families, and
-take pullbacks from the category they are given; likewise
+take pullbacks from the category they are given; kernel_pair_descent is
+finsite's descent check as it was before descent became the sheaf
+condition on a singleton family, and takes the kernel pair from the
+category it is given; likewise
 all_families_singletonizable and all_families_superextensive are
 finsite's checks as they were before they stopped reading every family,
 and take coproducts from the category they are given.  The four unreduced
@@ -303,6 +307,21 @@ def all_families_sheaf(P, T):
             if len(set(image)) != len(image) or set(image) != set(matching):
                 return members
     return None
+
+
+def kernel_pair_descent(P, pi):
+    """finsite's descent check as it was before it became the sheaf
+    condition on the singleton family {pi}: whether restriction along pi is
+    a bijection from P(tgt pi) onto the elements of P(src pi) on which the
+    two legs of pi's kernel pair agree.  The kernel pair is the category's
+    pullback of pi along itself; raises ValueError if it has none."""
+    cat = P.cat
+    kp = cat.pullback(pi, pi)
+    if kp is None:
+        raise ValueError("the double fibre product does not exist")
+    elements = {a for a in P.values[cat.src(pi)] if P.res(kp.to_left, a) == P.res(kp.to_right, a)}
+    image = [P.res(pi, a) for a in P.values[cat.tgt(pi)]]
+    return len(set(image)) == len(image) and set(image) == elements
 
 
 def all_families_singletonizable(T):

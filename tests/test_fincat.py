@@ -21,6 +21,7 @@ from finsite.fincat import (
     PullbackSquare,
     SetMap,
     TableCategory,
+    _generated,
     compose_functors,
     coproduct_is_disjoint_stable,
     identity_functor,
@@ -327,6 +328,47 @@ def test_extensivity_verdicts(fix_v, fs012):
     assert not is_extensive(fix_v).ok
     assert is_extensive(fs012).ok
     assert is_extensive(FS).ok
+
+
+def _generated_subcategory(cat, objects, generators):
+    """The subcategory of cat on the given objects whose morphisms are the
+    generators and their identities, closed under composition."""
+    mors = set(generators) | {cat.identity(x) for x in objects}
+    while True:
+        new = {cat.compose(g, f) for f in mors for g in mors if cat.tgt(f) == cat.src(g)} - mors
+        if not new:
+            break
+        mors |= new
+    morphisms = {m: ends for m, ends in cat._mor.items() if m in mors}
+    return _generated(objects, morphisms, {x: cat.identity(x) for x in objects}, cat.compose, "generated")
+
+
+def test_extensivity_names_the_clause_a_coproduct_fails():
+    """Each category has an initial object and a disjoint binary coproduct
+    that fails one stability clause.  In the skeleton of {0, 1, 2, 4},
+    n1 + n1 = n2 and its injections have no pullback along n4 -> n2 (it
+    would have 3 elements).  On n1 and n2 with the generated maps, n1 is
+    initial and n1 + n1 = n1; its injections pull back along n2 -> n1 to n2
+    and n2, which have no coproduct.  On n0..n3 with the generated maps,
+    n1 + n1 = n2, and the map out of n2 that the pullbacks of its
+    injections along n3 -> n2 induce is no iso."""
+    big = catalog.finset_skeleton([0, 1, 2, 3])
+    cases = [
+        (catalog.finset_skeleton([0, 1, 2, 4]), {"coproduct": ("n1", "n1", "n2"), "pullback_along": "n4>n2:0,0,0,1"}),
+        (
+            _generated_subcategory(big, ["n1", "n2"], ["n1>n2:0", "n2>n1:0,0", "n2>n2:0,0"]),
+            {"coproduct": ("n1", "n1", "n1"), "decomposition_along": "n2>n1:0,0"},
+        ),
+        (
+            _generated_subcategory(
+                big, ["n0", "n1", "n2", "n3"], ["n0>n3:", "n1>n2:0", "n2>n3:0,2", "n3>n1:0,0,0", "n3>n2:1,0,0"]
+            ),
+            {"coproduct": ("n1", "n1", "n2"), "stability_along": "n3>n2:0,1,1"},
+        ),
+    ]
+    for cat, counterexample in cases:
+        assert is_extensive(cat).counterexample == counterexample
+    assert all(validate_category(cat).ok for cat, _ in cases[1:])
 
 
 def _monoid(table, unit):

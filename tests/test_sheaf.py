@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import re
 
 import oracles
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from spaces import finite_spaces, restrict
 from test_fincat import IDEMPOTENT, _monoid
+from test_site import _table_fixtures
 
 from finsite import catalog, fincat, sheaf
 from finsite.fincat import FunctorData, TableCategory, identity_functor, is_full, is_faithful, preserves_coproducts
@@ -96,6 +98,74 @@ def test_descent_basics(v):
     assert not sheaf.satisfies_descent(shv, "oE_to_oU")
 
 
+def _assert_descent_matches_the_oracle(P, topologies):
+    """satisfies_descent gives the kernel-pair oracle's verdict along every
+    morphism of P's category, and raises where the oracle does; is_sheaf's
+    verdict and counterexample under each topology, in both modes, are
+    extensivity's, then the oracle's along the members of Uni(T) in repr
+    order.  Returns the oracle's verdicts, None where it raises."""
+    verdicts = {}
+    for pi in P.cat.morphisms():
+        try:
+            verdicts[pi] = oracles.kernel_pair_descent(P, pi)
+        except ValueError:
+            verdicts[pi] = None
+            with pytest.raises(ValueError):
+                sheaf.satisfies_descent(P, pi)
+        else:
+            assert sheaf.satisfies_descent(P, pi) == verdicts[pi], (P.name, pi)
+    for T in topologies:
+        failing = [pi for pi in sorted(uni_class(T), key=repr) if not verdicts[pi]]
+        for mode in ("literal", "disjoint"):
+            ext = sheaf.is_extensive_presheaf(P, mode)
+            if ext.ok and failing and verdicts[failing[0]] is None:
+                with pytest.raises(ValueError):
+                    sheaf.is_sheaf(P, T, mode)
+                continue
+            if not ext.ok:
+                want = {"extensivity": ext.counterexample}
+            else:
+                want = {"descent": failing[0]} if failing else None
+            got = sheaf.is_sheaf(P, T, mode)
+            assert (got.ok, got.counterexample) == (want is None, want), (P.name, T.name, mode)
+    return verdicts
+
+
+def test_descent_matches_the_kernel_pair_oracle_on_table_fixtures(fs012):
+    """The table fixtures of the classification tests, each with its own
+    topologies and the canonical, indiscrete, discrete and (where the
+    category is extensive) extensive ones, on their representables, K2 and
+    the one-point K; among them FIX-FS012, whose Uni(T_dis) holds non-iso
+    morphisms.  The skeleton of {0, 1, 2, 4} adds kernel pairs whose two
+    legs differ: that of n2 -> n1 is n4."""
+    assert uni_class(discrete_topology(fs012)) - set(fs012.isos())
+    seen = set()
+    for cat, topologies in _table_fixtures():
+        topologies = [canonical_topology(cat), indiscrete_topology(cat), discrete_topology(cat), *topologies]
+        if fincat.is_extensive(cat).ok:
+            topologies.append(extensive_topology(cat))
+        for P in fs_presheaves(cat):
+            seen.update(_assert_descent_matches_the_oracle(P, topologies).values())
+    cat = catalog.finset_skeleton([0, 1, 2, 4])
+    for P in fs_presheaves(cat):
+        verdicts = _assert_descent_matches_the_oracle(P, [])
+        seen.update(verdicts.values())
+        assert verdicts["n2>n1:0,0"] is not None
+    assert seen == {True, False, None}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(finite_spaces())
+def test_descent_matches_the_kernel_pair_oracle_on_finite_spaces(space):
+    """The sections presheaf of a random finite space, its subpresheaf and
+    K2, under the open-cover topology and the discrete one, whose Uni holds
+    every inclusion of opens."""
+    opens, full, sub = space
+    T, _, presheaves = _finsite_site(opens, [full, sub])
+    for P in (*presheaves, catalog.k2(T.cat)):
+        _assert_descent_matches_the_oracle(P, [T, discrete_topology(T.cat)])
+
+
 def test_sheaf_verdicts(v, fs012):
     cat, T_op, shv = v
     assert sheaf.is_sheaf(shv, T_op, "disjoint").ok
@@ -117,6 +187,20 @@ def test_validate_presheaf_names_a_broken_identity_and_composite():
     monoid = _monoid(IDEMPOTENT, "1")
     F = sheaf.Presheaf(monoid, {"*": ("a", "b")}, {"1": {"a": "a", "b": "b"}, "e": swap})
     assert sheaf.validate_presheaf(F).counterexample == {"functoriality": ("e", "e")}
+
+
+def test_validate_presheaf_morphism_names_a_broken_component_and_square(v):
+    """The identity of SHV with one section over oU left out of its
+    component fails at that component; with the two sections over oU
+    swapped every component is a map, and the first square that fails is
+    that of oU_to_oX."""
+    cat, T_op, shv = v
+    ident = {x: {a: a for a in shv.values[x]} for x in cat.objects}
+    assert sheaf.validate_presheaf_morphism(sheaf.PresheafMorphism(shv, shv, ident)).ok
+    short = sheaf.PresheafMorphism(shv, shv, {**ident, "oU": {"u0": "u0"}})
+    assert sheaf.validate_presheaf_morphism(short).counterexample == {"component": "oU"}
+    swapped = sheaf.PresheafMorphism(shv, shv, {**ident, "oU": {"u0": "u1", "u1": "u0"}})
+    assert sheaf.validate_presheaf_morphism(swapped).counterexample == {"naturality": "oU_to_oX"}
 
 
 def test_constant_presheaf_traditional_but_never_a_sheaf(fs012):
@@ -549,7 +633,8 @@ def test_a_family_without_pairwise_pullbacks_raises_as_before(fs012):
     """FIX-FS012 with the families {id} and {id, c} of n1, c = n2>n1:0,0: {id}
     is the minimal one, and c has no pullback with itself (it would be a
     4-element set), so the check raises, as the loop over all families
-    does, rather than read {id} alone."""
+    does, rather than read {id} alone.  Descent along c, the sheaf
+    condition on {c}, raises with the same message."""
     c, ident = "n2>n1:0,0", fs012.identity("n1")
     T = Pretopology(fs012, {"n1": [{ident}, {ident, c}]})
     assert [cov.members for cov in T.minimal_families("n1")] == [(ident,)]
@@ -559,6 +644,8 @@ def test_a_family_without_pairwise_pullbacks_raises_as_before(fs012):
     with pytest.raises(ValueError) as want:
         oracles.all_families_sheaf(P, T)
     assert str(got.value) == str(want.value) == f"pairwise fibre product missing for {c!r}, {c!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(got.value))}$"):
+        sheaf.satisfies_descent(P, c)
 
 
 def test_sheaf_check_on_fs012_matches_the_loop_over_all_families(fs012):

@@ -521,10 +521,14 @@ def test_superextensive_matches_the_loop_over_all_coproduct_families():
 
 def test_restrict_topology_to_skeleton():
     small, big, incl = catalog.skeleton_inclusion()
-    T = restrict_topology(discrete_topology(big), incl)
+    T_dis = discrete_topology(big)
+    T = restrict_topology(T_dis, incl)
     assert validate_pretopology(T).ok
     members = {m for fams in T.families.values() for fam in fams for m in fam}
     assert members == {m for m in small.morphisms() if is_universal(small, m)}
+    # a family of n1 with a member out of n2, which the skeleton lacks, is skipped
+    fams = {x: {*f, frozenset({"n2>n1:0,0"})} if x == "n1" else f for x, f in T_dis.families.items()}
+    assert restrict_topology(Pretopology(big, fams), incl).families == T.families
 
 
 def test_skeleton_inclusion_site_functor_properties():
