@@ -55,7 +55,8 @@ the extensive topology covers by (or only their prefix-minimal ones, which
 is_superextensive reads where T is closed under supersets), and smallest_coproduct_family(x,
 sources), the one a dense image needs; and from_coproduct, the mediator out
 of a coproduct.  FinSetCat has none of these: its hom sets are enumerated
-lazily, and no caller asks these questions of the ambient.
+lazily, and no caller asks these questions of the ambient.  through(f),
+from_coproduct and into_pullback read their factors off the cone index.
 
 Every derived table category (catalog's poset, finite-set and table-copy
 fixtures, sheaf's presheaf fragment, the slice category F/y) is built by
@@ -143,7 +144,8 @@ class TableCategory:
     the cone index and the orbits of into(x) under precomposition with
     isos (_orbits) on first use, and pullbacks and universality are
     memoized per category, universality for a whole orbit at once, as no
-    verdict changes when a morphism is precomposed with an iso.
+    verdict changes when a morphism is precomposed with an iso.  through,
+    into_pullback and from_coproduct read factors off the cone index.
     """
 
     backend = "explicit-table"
@@ -233,13 +235,8 @@ class TableCategory:
 
     def through(self, f):
         """The sieve f generates, with witnesses: each composite f.rho maps
-        to its first factor rho in hom (repr) order."""
-        y, comp, hom = self.src(f), self._comp, self._hom
-        sieve = {}
-        for a in self.objects:
-            for rho in hom.get((a, y), ()):
-                sieve.setdefault(comp[(f, rho)], rho)
-        return sieve
+        to its first factor rho in hom (repr) order, in f's fibre at src rho."""
+        return {m: us[0] for fib, _ in self._fibres(f).values() for m, us in fib.items()}
 
     def is_identity(self, f):
         return self._identity[self.src(f)] == f
@@ -486,12 +483,16 @@ class TableCategory:
         return self._pullbacks[key]
 
     def into_pullback(self, square, a, b):
-        """The unique u with to_left.u = a and to_right.u = b; ValueError if none."""
-        z = self.src(a)
+        """The unique u with to_left.u = a and to_right.u = b, read off their
+        fibres; ValueError if none, or if the legs do not start at the apex."""
+        z, apex = self.src(a), square.apex
         if self.src(b) != z:
             raise ValueError("legs must share a source")
-        for u in self.hom(z, square.apex):
-            if self.compose(square.to_left, u) == a and self.compose(square.to_right, u) == b:
+        if self.src(square.to_left) != apex or self.src(square.to_right) != apex:
+            raise ValueError("the legs of the square do not start at its apex")
+        over_b = self._fibres(square.to_right)[z][0].get(b, ())
+        for u in self._fibres(square.to_left)[z][0].get(a, ()):
+            if u in over_b:
                 return u
         raise ValueError("mediating morphism into fibre product not found")
 
@@ -588,15 +589,14 @@ class TableCategory:
         return bool(cut)
 
     def from_coproduct(self, cocone, legs):
-        """The unique u with u . inj_i = legs[i], or None."""
+        """The unique u with u . inj_i = legs[i], one leg per injection, or
+        None, read off the tables of the injections' composites."""
         legs = tuple(legs)
         if not cocone.injections:
             raise ValueError("need a codomain for the empty cocone mediator")
         z = self.tgt(legs[0])
-        for u in self.hom(cocone.apex, z):
-            if all(self.compose(u, i) == leg for i, leg in zip(cocone.injections, legs)):
-                return u
-        return None
+        rows = zip(*[self._composites(1, i)[z] for i in cocone.injections])
+        return next((u for u, row in zip(self.hom(cocone.apex, z), rows) if row == legs), None)
 
     def coequalizer(self, f, g):
         if self._mor[f][0] != self._mor[g][0] or self._mor[f][1] != self._mor[g][1]:
@@ -953,7 +953,7 @@ def is_universal(cat, f) -> bool:
         return True
     if f not in cat._universal:
         isos = cat.isos()
-        verdict = all(
+        verdict = f in isos or all(
             cat.pullback(f, g) is not None for g in cat._orbits(cat.tgt(f))[0] if g not in isos
         )
         cat._universal.update(dict.fromkeys(cat._orbit(f), verdict))

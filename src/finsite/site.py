@@ -569,9 +569,7 @@ def is_superextensive(T) -> bool:
 def restrict_topology(T, incl: FunctorData):
     """Coverings of T lying in the subcategory whose members are universal there."""
     sub, amb = incl.source, incl.target
-    if len(set(incl.obj_map.values())) != len(incl.obj_map):
-        raise ValueError("restriction needs an inclusion functor")
-    if len(set(incl.mor_map.values())) != len(incl.mor_map):
+    if any(len(set(m.values())) != len(m) for m in (incl.obj_map, incl.mor_map)):
         raise ValueError("restriction needs an inclusion functor")
     mor_back = {v: k for k, v in incl.mor_map.items()}
     fams = {x: set() for x in sub.objects}

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -199,6 +200,53 @@ def test_into_and_through_match_their_definitions(name):
         assert cat.through(f) == expected, f
 
 
+@pytest.mark.parametrize("name", sorted(SIEVE_CATEGORIES))
+def test_table_mediators_match_their_definitions(name):
+    """into_pullback, on every square the cone kernel finds and every cone
+    (z, a, b) over it, read as (to_left.u, to_right.u) for the u in
+    hom(z, apex), which the cones are once no two u give one pair, is that
+    u; it raises for the first pair that is no cone, and for the square with
+    its apex replaced by another object.  from_coproduct, on every binary
+    coproduct cocone and every choice of legs, is the first u in
+    hom(apex, z) with u.inj_i = legs[i], or None; with the first injection
+    taken twice, legs that differ have no such u."""
+    cat = SIEVE_CATEGORIES[name]()
+    objs, c = cat.objects, cat.compose
+    for f in cat.morphisms():
+        for g in cat.into(cat.tgt(f)):
+            sq = cat.pullback(f, g)
+            if sq is None:
+                continue
+            for z in objs:
+                us = {(c(sq.to_left, u), c(sq.to_right, u)): u for u in cat.hom(z, sq.apex)}
+                assert len(us) == len(cat.hom(z, sq.apex))
+                for (a, b), u in us.items():
+                    assert cat.into_pullback(sq, a, b) == u, (f, g, a, b)
+            pairs = (ab for z in objs for ab in iproduct(cat.hom(z, cat.src(f)), cat.hom(z, cat.src(g))))
+            non_cone = next(((a, b) for a, b in pairs if c(f, a) != c(g, b)), None)
+            if non_cone is not None:
+                with pytest.raises(ValueError, match="not found"):
+                    cat.into_pullback(sq, *non_cone)
+            stray = next((o for o in objs if o != sq.apex), None)
+            if stray is not None:
+                with pytest.raises(ValueError, match="do not start at its apex"):
+                    cat.into_pullback(dataclasses.replace(sq, apex=stray), sq.to_left, sq.to_right)
+    for x, y in iproduct(objs, objs):
+        co = cat.coproduct((x, y))
+        if co is None:
+            continue
+        i, j = co.injections
+        for cocone in (co, dataclasses.replace(co, injections=(i, i))):
+            for z in objs:
+                for legs in iproduct(*[cat.hom(cat.src(k), z) for k in cocone.injections]):
+                    us = [
+                        u for u in cat.hom(co.apex, z)
+                        if all(c(u, k) == leg for k, leg in zip(cocone.injections, legs))
+                    ]
+                    assert cat.from_coproduct(cocone, legs) == (us[0] if us else None), (cocone, legs)
+                    assert len(us) == 1 or cocone is not co
+
+
 def test_epi_is_surjective_on_finite_sets():
     a, b = frozenset({0, 1, 2}), frozenset({0, 1})
     surj = SetMap(a, b, {0: 0, 1: 1, 2: 1})
@@ -289,6 +337,17 @@ def test_universal_matches_finite_set_oracle():
     assert len(expected) == 60 and sum(expected.values()) == 24
     for _ in range(2):  # the second pass reads the memo
         assert {m: is_universal(cat, m) for m in cat.morphisms()} == expected
+
+
+def test_is_universal_answers_an_iso_without_a_pullback():
+    """A pullback of an iso exists along every map, so on a fresh
+    finset_skeleton([0..4]) is_universal holds of each iso without a
+    pullback call."""
+    cat = catalog.finset_skeleton([0, 1, 2, 3, 4])
+    calls, pullback = [], cat.pullback
+    cat.pullback = lambda f, g: calls.append((f, g)) or pullback(f, g)
+    assert all(is_universal(cat, f) for f in sorted(cat.isos(), key=repr))
+    assert calls == []
 
 
 def test_cone_checks_reject_legs_off_the_apex(fix_v):

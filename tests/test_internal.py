@@ -89,6 +89,26 @@ def test_groupoid_verdicts_match_oracle_on_single_entry_mutations(gpds):
     }
 
 
+def test_groupoid_verdicts_match_oracle_on_every_inverse_map():
+    """validate_groupoid reads the left inverse law alone, as the laws read
+    before it imply the right one (_groupoid_laws); the oracle reads both.
+    Their verdicts agree on every inverse map of pair_groupoid(range(2)) and
+    of Z/4, and on every inverse map of pair_groupoid(range(3)) that varies
+    its first three arrows in repr order, and the first failing axiom is
+    pinned: one inverse map per groupoid has the right endpoints."""
+    first_failures = collections.Counter()
+    cases = [(catalog.pair_groupoid(range(2)), 4), (catalog.cyclic_groupoid(4), 4)]
+    for G, k in [*cases, (catalog.pair_groupoid(range(3)), 3)]:
+        arrows = sorted(G.X1, key=repr)
+        for values in itertools.product(arrows, repeat=k):
+            H = _with(G, inv=SetMap(G.X1, G.X1, {**G.inv.mapping, **dict(zip(arrows, values))}))
+            report = internal.validate_groupoid(H)
+            maps = (H.s, H.t, H.i, H.comp, H.inv)
+            assert bool(report) == oracles.groupoid_laws(H.X0, H.X1, *(m.mapping for m in maps)), values
+            first_failures[(report.counterexample or {"axiom": "none"})["axiom"]] += 1
+    assert first_failures == {"none": 3, "inverse-endpoints": 983, "left-inverse": 255}
+
+
 def test_mistyped_unit_and_inverse_keep_the_composite_outcomes(gpds):
     """Laws checked at points still reject maps that do not compose: a unit or
     inverse landing outside X1 cannot be composed with s, and a unit defined
@@ -106,9 +126,11 @@ def test_mistyped_unit_and_inverse_keep_the_composite_outcomes(gpds):
 
 
 def test_mistyped_target_and_composition_fail_their_endpoints(gpds):
-    """A target map, or a comp, into a set wider than X0, or than X1, has
-    the wrong endpoints."""
+    """A source or target map, or a comp, into a set wider than X0, or than
+    X1, has the wrong endpoints."""
     G = gpds["FIX-PAIR2"]
+    off = _with(G, s=SetMap(G.X1, G.X0 | {"extra"}, G.s.mapping))
+    assert internal.validate_groupoid(off).counterexample == {"axiom": "source-endpoints"}
     off = _with(G, t=SetMap(G.X1, G.X0 | {"extra"}, G.t.mapping))
     assert internal.validate_groupoid(off).counterexample == {"axiom": "target-endpoints"}
     off = _with(G, comp=SetMap(G.X2.apex, G.X1 | {"extra"}, G.comp.mapping))
@@ -327,6 +349,65 @@ def test_section_trivialization_round_trip(gpds):
         assert internal.validate_trivialization(B, triv, pi)
         back = internal.trivialization_to_section(B, triv, pi)
         assert back == sigma
+
+
+def test_bibundle_whose_right_anchor_is_not_left_invariant_fails():
+    """Z/2 acts on {0, 1, 2} on the left by x -> -x, anchored at the point,
+    and the pair groupoid on {0, 1, 2} on the right by x h = s(h), anchored
+    by the identity.  The left action is lawful and the right bundle is
+    principal, but the right anchor of 1 acted on by 1 is 2, not 1."""
+    G, H = catalog.cyclic_groupoid(2), catalog.pair_groupoid(range(3))
+    X = H.X0
+    point, ident = SetMap(X, G.X0, dict.fromkeys(X, "*")), FS.identity(X)
+    ldom, rdom = FS.pullback(G.s, point), FS.pullback(ident, H.t)
+    negate = SetMap(ldom.apex, X, {(g, x): -x % 3 if g else x for g, x in ldom.apex})
+    to_source = SetMap(rdom.apex, X, {(x, h): H.s(h) for x, h in rdom.apex})
+    left = internal.LeftAction(G, X, point, negate, ldom)
+    P = internal.Bibundle(X, left, internal.RightAction(H, X, ident, to_source, rdom))
+    assert internal.validate_action(internal.left_action_as_right(left)).ok
+    assert internal.validate_principal_bundle(internal.right_bundle(P)).ok
+    assert internal.validate_bibundle(P).counterexample == {"axiom": "right-anchor-left-invariant"}
+
+
+def test_bundle_whose_projection_misses_a_base_point_is_not_locally_trivial(gpds):
+    """FIX-Z2BUNDLE over the point and one more base point: its projection
+    is not surjective, so no surjection covering the base splits it."""
+    B = gpds["FIX-Z2BUNDLE"]
+    wide = B.base | {"extra"}
+    off = dataclasses.replace(B, base=wide, p=SetMap(B.action.carrier, wide, B.p.mapping))
+    assert internal.is_locally_trivial(off, T_SURJ).counterexample == {"projection": repr(off.p)}
+
+
+def test_pullback_bundle_acts_on_the_second_factor():
+    """The bundle of arrows of pair_groupoid(range(3)) and of Z/4 pulled back
+    along every map f from a 2-point set U: its carrier is the pair set
+    U x_{f,t} X1, projected to U, anchored by s of the second factor, and
+    acted on by (z, y) g = (z, y g); and it is principal."""
+    U = frozenset({"u", "v"})
+    for G in (catalog.pair_groupoid(range(3)), catalog.cyclic_groupoid(4)):
+        B = internal.groupoid_as_bundle(G)
+        for f in FS.hom(U, G.X0):
+            P = internal.pullback_bundle(f, B)
+            a = P.action
+            assert a.carrier == {(z, y) for z in U for y in G.X1 if f(z) == G.t(y)}
+            assert P.base == U and all(P.p(zy) == zy[0] and a.anchor(zy) == G.s(zy[1]) for zy in a.carrier)
+            assert a.dom.apex == {(zy, g) for zy in a.carrier for g in G.X1 if a.anchor(zy) == G.t(g)}
+            assert all(a.act(((z, y), g)) == (z, G.comp((y, g))) for (z, y), g in a.dom.apex)
+            assert internal.validate_principal_bundle(P).ok
+
+
+def test_pullback_bundle_in_a_table_ambient_is_principal():
+    """The bundle of arrows of the discrete groupoid on {a, b}, in a table
+    copy of finite sets, pulled back along a map from {0, 1, 2}: built
+    from the table's pullbacks and mediators, it is principal over
+    {0, 1, 2}, and its projection is an iso, as each point has one arrow."""
+    disc = _disc2()
+    U = frozenset({0, 1, 2})
+    amb = TableAmbient([disc.X0, disc.X2.apex, U])
+    B = internal.groupoid_as_bundle(internal.map_groupoid(amb, disc))
+    P = internal.pullback_bundle(amb.on_mor(SetMap(U, disc.X0, {0: "a", 1: "a", 2: "b"})), B)
+    assert internal.validate_principal_bundle(P).ok
+    assert P.base == amb.on_obj(U) and amb.target.is_iso(P.p)
 
 
 def all_internal_functors(G, H):
@@ -788,6 +869,43 @@ def test_right_bundle_reads_the_right_action_groupoid():
     B = internal.right_bundle(P)
     assert B.gpd is P.right.gpd
     assert B.base == P.left.gpd.X0
+
+
+def test_internal_functor_into_a_wider_set_fails_its_endpoints(gpds):
+    """The identity functor of FIX-PAIR2 validates; with F0 into a set wider
+    than X0 it fails F0-endpoints, and with F1 into one wider than X1,
+    F1-endpoints."""
+    G = gpds["FIX-PAIR2"]
+    F = internal.InternalFunctor(G, G, FS.identity(G.X0), FS.identity(G.X1))
+    assert internal.validate_internal_functor(F).ok
+    off = dataclasses.replace(F, F0=SetMap(G.X0, G.X0 | {"extra"}, F.F0.mapping))
+    assert internal.validate_internal_functor(off).counterexample == {"axiom": "F0-endpoints"}
+    off = dataclasses.replace(F, F1=SetMap(G.X1, G.X1 | {"extra"}, F.F1.mapping))
+    assert internal.validate_internal_functor(off).counterexample == {"axiom": "F1-endpoints"}
+
+
+def test_anafunctor_needs_pi_in_uni(gpds):
+    """The anafunctor of FIX-PAIR2's identity functor validates under the
+    surjections; with pi the empty map into G0 it fails pi-not-in-Uni.  A
+    bibundle whose left anchor misses a point, the discrete groupoid on
+    {a, b} acting on one point over a and the trivial group acting on the
+    right, validates, but has no anafunctor under the surjections."""
+    G = gpds["FIX-PAIR2"]
+    A = internal.anafunctor_from_functor(
+        internal.InternalFunctor(G, G, FS.identity(G.X0), FS.identity(G.X1))
+    )
+    assert internal.validate_anafunctor(A, T_SURJ).ok
+    off = dataclasses.replace(A, pi=SetMap(frozenset(), G.X0, {}))
+    assert internal.validate_anafunctor(off, T_SURJ).counterexample == {"axiom": "pi-not-in-Uni"}
+    D, H, X = _disc2(), gpds["FIX-TRIV1"], frozenset({"x"})
+    lanchor, ranchor = SetMap(X, D.X0, {"x": "a"}), SetMap(X, H.X0, {"x": "*"})
+    ldom, rdom = FS.pullback(D.s, lanchor), FS.pullback(ranchor, H.t)
+    left = internal.LeftAction(D, X, lanchor, SetMap(ldom.apex, X, dict.fromkeys(ldom.apex, "x")), ldom)
+    right = internal.RightAction(H, X, ranchor, SetMap(rdom.apex, X, dict.fromkeys(rdom.apex, "x")), rdom)
+    P = internal.Bibundle(X, left, right)
+    assert internal.validate_bibundle(P).ok
+    with pytest.raises(ValueError, match="not locally trivial"):
+        internal.anafunctor_from_bibundle(P, T_SURJ)
 
 
 def test_weakly_invertible_anafunctor(gpds):

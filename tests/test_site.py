@@ -222,7 +222,8 @@ def test_continuity_names_the_image_and_fibre_product_clauses(v, fs012):
     """The identity of FIX-FS012 from its discrete to its indiscrete
     topology sends the universal n0 -> n1 to a map that is not an iso.
     FIX-V -> FIX-S gluing oU and oV into oA sends their pullback oE over oX
-    to oE, which is not the pullback oA of oA -> oX with itself."""
+    to oE, which is not the pullback oA of oA -> oX with itself; the
+    sufficient criterion names that cospan too."""
     idf = identity_functor(fs012)
     report = is_continuous(idf, discrete_topology(fs012), indiscrete_topology(fs012))
     assert report.counterexample == {"clause": "image", "morphism": "n0>n1:"}
@@ -232,8 +233,11 @@ def test_continuity_names_the_image_and_fibre_product_clauses(v, fs012):
     F = FunctorData(
         cat, chain, on_obj, {m: f"{on_obj[cat.src(m)]}_to_{on_obj[cat.tgt(m)]}" for m in cat.morphisms()}
     )
-    report = is_continuous(F, discrete_topology(cat), discrete_topology(chain))
-    assert report.counterexample == {"clause": "fibre-product", "cospan": ("oU_to_oX", "oV_to_oX")}
+    for report in (
+        is_continuous(F, discrete_topology(cat), discrete_topology(chain)),
+        continuity_sufficient(F, discrete_topology(cat), discrete_topology(chain)),
+    ):
+        assert report.counterexample == {"clause": "fibre-product", "cospan": ("oU_to_oX", "oV_to_oX")}
 
 
 def test_continuity_sufficient_skips_morphisms_that_are_not_universal(fs012):
@@ -529,6 +533,22 @@ def test_restrict_topology_to_skeleton():
     # a family of n1 with a member out of n2, which the skeleton lacks, is skipped
     fams = {x: {*f, frozenset({"n2>n1:0,0"})} if x == "n1" else f for x, f in T_dis.families.items()}
     assert restrict_topology(Pretopology(big, fams), incl).families == T.families
+
+
+def test_restrict_topology_needs_an_inclusion():
+    """Restricting along a functor that is not injective on objects, or
+    along one that is on objects but not on morphisms, raises: collapsing
+    finset_skeleton([0, 1]) onto n1, and sending finset_skeleton([0, 2]) to
+    finset_skeleton([0, 1]) by n2 -> n1, which merges the four maps n2 -> n2."""
+    target = catalog.finset_skeleton([0, 1])
+    for source, on_obj in (
+        (catalog.finset_skeleton([0, 1]), {"n0": "n1", "n1": "n1"}),
+        (catalog.finset_skeleton([0, 2]), {"n0": "n0", "n2": "n1"}),
+    ):
+        on_mor = {m: target.hom(on_obj[source.src(m)], on_obj[source.tgt(m)])[0] for m in source.morphisms()}
+        F = FunctorData(source, target, on_obj, on_mor)
+        with pytest.raises(ValueError, match="restriction needs an inclusion functor"):
+            restrict_topology(discrete_topology(target), F)
 
 
 def test_skeleton_inclusion_site_functor_properties():
