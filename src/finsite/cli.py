@@ -12,9 +12,11 @@ compose(g, f) = gf, and elements are JSON scalars or arrays (arrays
 decode to tuples).  A keyed list with two rows for one key is malformed,
 and so is a string or object where a list of elements or of rows is
 required, or where a row is.
-Reports go to stdout as JSON with indent 2 and sorted keys; a human
-summary goes to stderr.  Exit codes: 0 verdict-true, 1 verdict-false,
-2 usage or parse error.
+Reports go to stdout as JSON with indent 2 and sorted keys, the bytes
+json.dumps(report, indent=2, sort_keys=True) gives, streamed in pieces
+by one walk of the report (`_write`) and never held as one string; a
+human summary goes to stderr.  Exit codes: 0 verdict-true,
+1 verdict-false, 2 usage or parse error.
 
 What does not depend on the request is paid for once per process, and
 each id once per document:
@@ -23,6 +25,9 @@ each id once per document:
   string and one per array text: equal strings decode to one object, and
   so do arrays with equal JSON text.  A string id costs one C-level call,
   the decoder's `share`, made inline by the parsers' loops.
+- One encoder per written structure (`_encoder`) encodes each container
+  once and reprs it at most once, so rows that share a value sort by keys
+  built from one repr of it.
 - The parser is built at import and parses one fixed command line of
   each command there (never sys.argv), so argparse's regular expressions
   are in `re`'s cache before a request process starts, forked or not.
@@ -36,7 +41,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 
 from . import catalog, internal, sheaf, site
@@ -62,9 +68,18 @@ def _encoder():
     """An encode function with a memo of its own, for one serialization:
     tuples and lists become lists, sets lists sorted by repr, other values
     stay as they are.  Each container is encoded once, keyed by its id, so
-    a value met many times becomes one shared list."""
+    a value met many times becomes one shared list.
+
+    The function's `rep` is repr(encode(v)), memoized by id for a
+    container, so a shared value is repr'd once per serialization however
+    many rows hold it.  A list's repr is its items' reprs joined by ", "
+    within brackets, so "[" + rep(k) + ", " + rep(v) + "]" is
+    repr([encode(k), encode(v)]) character for character: `_pairs` sorts
+    its rows by that key, and the order is the one sorting by the row's
+    repr gives."""
     memo = {}
-    alive = []  # every container encoded, so that no id is reused while the memo is
+    reps = {}
+    alive = []  # every container encoded, so that no id is reused while the memos are
     containers = (tuple, list, set, frozenset)
 
     def encode(v):
@@ -79,11 +94,16 @@ def _encoder():
             alive.append(v)
         return out
 
+    def rep(v):
+        if not isinstance(v, containers):
+            return repr(v)
+        text = reps.get(id(v))
+        if text is None:
+            text = reps[id(v)] = repr(encode(v))
+        return text
+
+    encode.rep = rep
     return encode
-
-
-def _encode(v):
-    return _encoder()(v)
 
 
 def _decoder():
@@ -116,8 +136,26 @@ def _decoder():
     return decode
 
 
-def _pairs(mapping, encode=_encode):
-    return sorted(([encode(k), encode(v)] for k, v in mapping.items()), key=repr)
+_first = itemgetter(0)
+
+
+def _pairs(mapping, encode):
+    """mapping's [key, value] rows, encoded with encode (`_encoder`), in
+    the order of their reprs, each sort key built from the memoized `rep`.
+    A string is its own encoding and is repr'd in place, without a call."""
+    rep = encode.rep
+    keyed = sorted(
+        (
+            (
+                "[" + (repr(k) if type(k) is str else rep(k)) + ", " + (repr(v) if type(v) is str else rep(v)) + "]",
+                k if type(k) is str else encode(k),
+                v if type(v) is str else encode(v),
+            )
+            for k, v in mapping.items()
+        ),
+        key=_first,
+    )
+    return [[k, v] for _, k, v in keyed]
 
 
 def _keyed(table, rows, what, decode, key=0):
@@ -131,14 +169,19 @@ def _keyed(table, rows, what, decode, key=0):
     return table
 
 
-def _unpairs(pairs, decode, what):
+def _table(pairs, decode, what):
+    """The dict that pairs, a list of rows already tested to be JSON arrays, gives."""
     share = decode.share
     table = {
         share(k, k) if type(k) is str else decode(k):
             share(v, v) if type(v) is str else decode(v)
-        for k, v in _rows(pairs, what)
+        for k, v in pairs
     }
     return _keyed(table, pairs, what, decode)
+
+
+def _unpairs(pairs, decode, what):
+    return _table(_rows(pairs, what), decode, what)
 
 
 @dataclass
@@ -271,6 +314,8 @@ def _array(v, what):
 
 
 _LIST = frozenset([list])
+_TWO = frozenset([2])
+_second = itemgetter(1)
 
 
 def _rows(rows, what):
@@ -282,6 +327,15 @@ def _rows(rows, what):
         bad = next(type(row) for row in rows if type(row) is not list)
         raise TypeError(f"{what} rows must be JSON arrays, not {bad.__name__}")
     return rows
+
+
+def _pair_lists(rows):
+    """Whether each of rows, a list of JSON arrays, is a [key, rows] pair
+    whose rows are a JSON array of JSON arrays, read in one scan at C speed."""
+    if not _TWO.issuperset(map(len, rows)):
+        return False
+    lists = list(map(_second, rows))
+    return _LIST.issuperset(map(type, lists)) and _LIST.issuperset(map(type, chain.from_iterable(lists)))
 
 
 def parse_category(sec, doc, name, decode) -> TableCategory:
@@ -347,8 +401,11 @@ def parse_presheaf(sec, doc, name, decode) -> sheaf.Presheaf:
         for x, vs in rows
     }
     res_rows = _rows(sec["restriction"], "restriction")
+    # every restriction map's rows are type-tested in one scan; only where
+    # that fails is each map tested on its own, which raises at the first fault
+    table = _table if _pair_lists(res_rows) else _unpairs
     restriction = {
-        share(m, m) if type(m) is str else decode(m): _unpairs(r, decode, "restriction map")
+        share(m, m) if type(m) is str else decode(m): table(r, decode, "restriction map")
         for m, r in res_rows
     }
     return sheaf.Presheaf(
@@ -527,37 +584,63 @@ def _json_key(k):
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _dumps(v, pad="\n"):
-    """json.dumps(v, indent=2, sort_keys=True), byte for byte, without the
-    pure-Python encoder that indent forces on the stdlib: containers are
-    joined here level by level (pad is the newline and indent before the
-    closing bracket), scalars go to the encoders json itself uses.  Each
-    level joins its children within one expression, so their list dies at
-    the join and no text is kept for reuse: the peak stays near twice the
-    output's size.  It raises TypeError where json.dumps does; v must hold
-    no cycle."""
+_STR = frozenset([str])
+
+
+def _write(v, write, pad="\n"):
+    """Write json.dumps(v, indent=2, sort_keys=True), byte for byte, in
+    pieces through write, without the pure-Python encoder that indent
+    forces on the stdlib: v is walked once, containers are written here
+    (pad is the newline and indent before the closing bracket) and scalars
+    go to the encoders json itself uses.  A list of strings alone, such as
+    a family of element ids, is joined at C level and written as one
+    piece; no larger text is built, so no copy of the whole output is
+    ever held.  It raises TypeError where json.dumps does, after writing
+    what comes before the value; v must hold no cycle."""
     if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if isinstance(v, (list, tuple)):
+        write(encode_basestring_ascii(v))
+    elif isinstance(v, (list, tuple)):
         if not v:
-            return "[]"
+            write("[]")
+            return
         inner = pad + "  "
-        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in v]) + pad + "]"
-    if isinstance(v, dict):
+        if _STR.issuperset(map(type, v)):
+            write("[" + inner + ("," + inner).join(map(encode_basestring_ascii, v)) + pad + "]")
+            return
+        sep = "[" + inner
+        for x in v:
+            write(sep)
+            _write(x, write, inner)
+            sep = "," + inner
+        write(pad + "]")
+    elif isinstance(v, dict):
         if not v:
-            return "{}"
+            write("{}")
+            return
         inner = pad + "  "
-        return "{" + inner + ("," + inner).join([
-            encode_basestring_ascii(_json_key(k)) + ": " + _dumps(x, inner)
-            for k, x in sorted(v.items())
-        ]) + pad + "}"
-    if type(v) is int:
-        return repr(v)
-    return json.dumps(v)
+        sep = "{" + inner
+        for k, x in sorted(v.items()):
+            write(sep + encode_basestring_ascii(_json_key(k)) + ": ")
+            _write(x, write, inner)
+            sep = "," + inner
+        write(pad + "}")
+    else:
+        write(repr(v) if type(v) is int else json.dumps(v))
+
+
+def _dumps(v):
+    """The text `_write` writes, as one string."""
+    out = []
+    _write(v, out.append)
+    return "".join(out)
 
 
 def _emit(report, human):
-    print(_dumps(report))
+    """The report to stdout, streamed as `_write` writes it and ended by a
+    newline, as print(_dumps(report)) would print it; then human to stderr."""
+    write = sys.stdout.write
+    _write(report, write)
+    write("\n")
     print(human, file=sys.stderr)
 
 
@@ -736,12 +819,9 @@ def cmd_laws(path=None) -> int:
     for name, fn in laws:
         started = time.monotonic()
         reports.append(_report(name, [], fn(), started))
-    print(_dumps(reports))
     failed = [r["check"] for r in reports if not r["verdict"]]
-    if failed:
-        print(f"{len(failed)}/{len(reports)} laws FAILED: {failed}", file=sys.stderr)
-    else:
-        print(f"all {len(reports)} laws hold", file=sys.stderr)
+    summary = f"{len(failed)}/{len(reports)} laws FAILED: {failed}" if failed else f"all {len(reports)} laws hold"
+    _emit(reports, summary)
     return 1 if failed else 0
 
 
@@ -755,9 +835,11 @@ def cmd_kan(path, functor, presheaf) -> int:
     F = _resolve(doc, "functor", functor)
     P = _resolve(doc, "presheaf", presheaf)
     ext = sheaf.right_kan_extension(F, P)
-    print(_dumps({"presheaves": {ext.name: serialize_presheaf(ext, _names(doc))}}))
     sizes = {str(x): len(ext.values[x]) for x in F.target.objects}
-    print(f"right Kan extension {ext.name}: value sizes {sizes}", file=sys.stderr)
+    _emit(
+        {"presheaves": {ext.name: serialize_presheaf(ext, _names(doc))}},
+        f"right Kan extension {ext.name}: value sizes {sizes}",
+    )
     return 0
 
 

@@ -17,7 +17,10 @@ pair that does not factor raises wherever it is, as composite maps do.
 The finite-sets constructors unpack the squares they build with
 amb.pullback, whose apex FinSetCat documents as the pair set;
 pullback_bundle, and trivial_bundle through it, build from mediators
-(amb.into_pullback) on either backend.  A groupoid's table of
+(amb.into_pullback) on either backend, and so do the trivializations:
+section_to_trivialization, trivialization_to_section and
+validate_trivialization compose maps and mediators, and compare
+composites.  A groupoid's table of
 comp on X2 is built once (InternalGroupoid._comp_table) and read by its
 laws, its actions and the constructors over it.
 
@@ -508,41 +511,45 @@ class Trivialization:
 
 
 def section_to_trivialization(B: Bundle, sigma, pi) -> Trivialization:
+    """The map (u, g) -> (u, sigma(u) g) from the trivial bundle over
+    psi = anchor . sigma into pi^* B, the mediator into U x_X P of
+    pr1 and act . (sigma . pr1, pr2)."""
     amb = B.gpd.ambient
-    G = B.gpd
-    psi = amb.compose(B.action.anchor, sigma)
-    I = trivial_bundle(G, psi)
+    a = B.action
+    c = amb.compose
+    psi = c(a.anchor, sigma)
+    Q = amb.pullback(psi, B.gpd.t)
     pulled = amb.pullback(pi, B.p)
-    act = amb.operation(B.action.dom, B.action.act)
-    phi = SetMap(
-        I.action.carrier,
-        pulled.apex,
-        {(u, g): (u, act[sigma(u), g]) for (u, g) in I.action.carrier},
-    )
-    return Trivialization(psi, phi)
+    moved = c(a.act, amb.into_pullback(a.dom, c(sigma, Q.to_left), Q.to_right))
+    return Trivialization(psi, amb.into_pullback(pulled, Q.to_left, moved))
 
 
 def trivialization_to_section(B: Bundle, triv: Trivialization, pi):
+    """u -> the P-component of phi(u, 1_{psi(u)})."""
     amb = B.gpd.ambient
-    G = B.gpd
-    U = amb.src(pi)
-    return SetMap(U, B.action.carrier, {u: triv.phi((u, G.i(triv.psi(u))))[1] for u in U})
+    c = amb.compose
+    Q = amb.pullback(triv.psi, B.gpd.t)
+    pulled = amb.pullback(pi, B.p)
+    unit = amb.into_pullback(Q, amb.identity(amb.src(pi)), c(B.gpd.i, triv.psi))
+    return c(pulled.to_right, c(triv.phi, unit))
 
 
 def validate_trivialization(B: Bundle, triv: Trivialization, pi) -> bool:
+    """phi is an isomorphism from the trivial bundle over psi onto pi^* B,
+    over U, respecting the anchors, and equivariant: phi . act_I equals
+    act . (phi . pr1, pr2) on I's action domain.  A phi with other
+    endpoints is False."""
     amb = B.gpd.ambient
-    G = B.gpd
-    if not triv.phi.is_bijective():
-        return False
-    I = trivial_bundle(G, triv.psi)
+    c = amb.compose
+    I = trivial_bundle(B.gpd, triv.psi)
     pulled = pullback_bundle(pi, B)
-    phi = triv.phi
-    if any(phi((u, g))[0] != u for (u, g) in I.action.carrier):
+    phi, a, d = triv.phi, pulled.action, I.action.dom
+    if amb.src(phi) != I.action.carrier or amb.tgt(phi) != a.carrier or not amb.is_iso(phi):
         return False
-    return all(
-        phi(I.action.act(((u, g), h))) == pulled.action.act((phi((u, g)), h))
-        for ((u, g), h) in I.action.dom.apex
-    )
+    if c(pulled.p, phi) != I.p or c(a.anchor, phi) != I.action.anchor:
+        return False
+    moved = amb.into_pullback(a.dom, c(phi, d.to_left), d.to_right)
+    return c(phi, I.action.act) == c(a.act, moved)
 
 
 # ---------------------------------------------------------------------------

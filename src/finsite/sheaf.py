@@ -387,7 +387,11 @@ def right_kan_extension(F: FunctorData, P: Presheaf) -> Presheaf:
 
 def counit(F: FunctorData, P: Presheaf) -> PresheafMorphism:
     """Evaluation of a compatible family at (x, id): F* F_* P -> P."""
-    ext = right_kan_extension(F, P)
+    return _counit(F, P, right_kan_extension(F, P))
+
+
+def _counit(F: FunctorData, P: Presheaf, ext: Presheaf) -> PresheafMorphism:
+    """counit(F, P), given ext = F_* P."""
     back = pullback_presheaf(F, ext)
     src_cat, tgt_cat = F.source, F.target
     comps = {}
@@ -400,11 +404,13 @@ def counit(F: FunctorData, P: Presheaf) -> PresheafMorphism:
 
 def unit(F: FunctorData, Q: Presheaf) -> PresheafMorphism:
     """Restriction along every slice leg: Q -> F_* F* Q."""
-    pulled = pullback_presheaf(F, Q)
-    ext = right_kan_extension(F, pulled)
-    tgt = F.target
+    return _unit(F, Q, right_kan_extension(F, pullback_presheaf(F, Q)))
+
+
+def _unit(F: FunctorData, Q: Presheaf, ext: Presheaf) -> PresheafMorphism:
+    """unit(F, Q), given ext = F_* F* Q."""
     comps = {}
-    for y in tgt.objects:
+    for y in F.target.objects:
         objects = F._slices[y].objects
         comps[y] = {q: tuple(Q.res(psi, q) for (_, psi) in objects) for q in Q.values[y]}
     return PresheafMorphism(Q, ext, comps)
@@ -417,22 +423,32 @@ def verify_adjunction(F: FunctorData, source_samples, target_samples) -> CheckRe
     reads eps_{F^*Q, x}(eta_{Q, F x}(q)) = q for q in Q(F x); F_* acts slot
     by slot along F._slices[y], so the second reads
     (eps_{x_k}(eta_{F_*P, y}(s)_k))_k = s for s in (F_*P)(y), where x_k is
-    the source object of slot k."""
+    the source object of slot k.  Each sample is extended once: F_* F^* Q
+    for Q, and F_* P and F_* F^* F_* P for P."""
+    return _verify_adjunction(
+        F,
+        ((P, right_kan_extension(F, P)) for P in source_samples),
+        ((Q, right_kan_extension(F, pullback_presheaf(F, Q))) for Q in target_samples),
+    )
+
+
+def _verify_adjunction(F: FunctorData, source, target) -> CheckReport:
+    """verify_adjunction on the pairs (P, F_* P) of source and
+    (Q, F_* F* Q) of target, reading those extensions."""
 
     def fail(**cx):
         return CheckReport(False, "verify_adjunction", counterexample=cx)
 
-    for Q in target_samples:
-        eta = unit(F, Q).components
-        eps = counit(F, pullback_presheaf(F, Q)).components
+    for Q, ext in target:
+        eta = _unit(F, Q, ext).components
+        eps = _counit(F, pullback_presheaf(F, Q), ext).components
         for x in F.source.objects:
             fx = F.on_obj(x)
             if any(eps[x][eta[fx][q]] != q for q in Q.values[fx]):
                 return fail(triangle="counit.F*unit", sample=Q.name)
-    for P in source_samples:
-        ext = right_kan_extension(F, P)
+    for P, ext in source:
         eta = unit(F, ext).components
-        eps = counit(F, P).components
+        eps = _counit(F, P, ext).components
         for y in F.target.objects:
             objects = F._slices[y].objects
             for s in ext.values[y]:
@@ -443,7 +459,9 @@ def verify_adjunction(F: FunctorData, source_samples, target_samples) -> CheckRe
 
 def verify_comparison(F: FunctorData, T1, T2, source_samples=(), target_samples=(), mode="literal") -> CheckReport:
     """The comparison-lemma hypotheses plus sheaf and unit/counit checks
-    on sample presheaves; refuses when a hypothesis fails."""
+    on sample presheaves; refuses when a hypothesis fails.  The checks and
+    the triangle identities read one extension per sample, as
+    verify_adjunction does."""
     hyps = {
         "continuous": _site.is_continuous(F, T1, T2).ok,
         "cocontinuous": _site.is_cocontinuous(F, T1, T2).ok,
@@ -457,15 +475,16 @@ def verify_comparison(F: FunctorData, T1, T2, source_samples=(), target_samples=
         return CheckReport(
             False, "verify_comparison", counterexample={"hypotheses_failed": failed, **hyps}
         )
+    source = [(P, right_kan_extension(F, P)) for P in source_samples]
+    target = [(Q, right_kan_extension(F, pullback_presheaf(F, Q))) for Q in target_samples]
     results = {}
-    for P in source_samples:
-        ext = right_kan_extension(F, P)
+    for P, ext in source:
         results[f"pushforward({P.name}) sheaf"] = is_sheaf(ext, T2, mode).ok
-        results[f"counit({P.name}) iso"] = is_presheaf_iso(counit(F, P))
-    for Q in target_samples:
+        results[f"counit({P.name}) iso"] = is_presheaf_iso(_counit(F, P, ext))
+    for Q, ext in target:
         results[f"pullback({Q.name}) sheaf"] = is_sheaf(pullback_presheaf(F, Q), T1, mode).ok
-        results[f"unit({Q.name}) iso"] = is_presheaf_iso(unit(F, Q))
-    adj = verify_adjunction(F, source_samples, target_samples)
+        results[f"unit({Q.name}) iso"] = is_presheaf_iso(_unit(F, Q, ext))
+    adj = _verify_adjunction(F, source, target)
     results["triangle_identities"] = adj.ok
     if all(results.values()):
         return CheckReport(True, "verify_comparison", witness={**hyps, **results})

@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finsite import catalog, cli, sheaf
@@ -741,7 +741,7 @@ def test_stray_table_row_exit_two(bundle_path, tmp_path, capsys, kind, edit):
 
 
 def _old_restriction_order(P):
-    return sorted(([cli._encode(m), cli._pairs(r)] for m, r in P.restriction.items()), key=repr)
+    return sorted(([_old_encode(m), _old_pairs(r)] for m, r in P.restriction.items()), key=repr)
 
 
 def test_serialized_restriction_rows_keep_the_whole_row_order():
@@ -1022,6 +1022,71 @@ def test_serialize_presheaf_matches_the_unshared_encoder():
         got = cli.serialize_presheaf(P, {id(P.cat): "C"})
         assert _stdlib_dumps(got) == expected
         assert cli._dumps(got) == expected
+
+
+# scalars whose reprs sort apart from their values or from each other:
+# True and 1, 1 and 10, -0.0 and 0.0, and strings holding quotes, commas and brackets
+_repr_scalars = st.one_of(
+    st.booleans(),
+    st.integers(-12, 12),
+    st.sampled_from([1, 10, -0.0, 0.0, 1.5, None]),
+    st.text(alphabet="ab'\",[] ", max_size=4),
+)
+_hashable_values = st.recursive(
+    _repr_scalars,
+    lambda inner: st.lists(inner, max_size=3).map(tuple) | st.frozensets(inner, max_size=3),
+    max_leaves=8,
+)
+_row_values = st.recursive(
+    _hashable_values,
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_hashable_values, _row_values), max_size=6))
+@example([(("x",), 1), (frozenset({"x"}), 10)])
+@example([("k", True), ("j", 1), ((-0.0,), 0.0), ((0.0,), -0.0), ("a'", '"b",'), ("[c]", "c, d")])
+def test_pairs_key_is_the_row_repr(items):
+    """The memoized key of each row is the repr of the encoded row, character
+    for character, for values met once or shared by many rows, so _pairs
+    orders rows as sorting them by repr did.  ("x",) and frozenset({"x"})
+    are two keys that both encode to ["x"]: with values 1 and 10 the row
+    [["x"], 10] comes first, where sorting by the pair of the two reprs
+    would put it last."""
+    # two more rows hold the first row's value object, so memoized reprs are read again
+    rows = items + [(("shared", i), items[0][1]) for i in range(2) if items]
+    encode = cli._encoder()
+    for k, v in rows:
+        assert "[" + encode.rep(k) + ", " + encode.rep(v) + "]" == repr([encode(k), encode(v)])
+    mapping = dict(rows)
+    assert repr(cli._pairs(mapping, cli._encoder())) == repr(_old_pairs(mapping))
+
+
+def test_streamed_kan_report_is_the_stdlib_encoding(tmp_path, capsys):
+    """kan along the inclusion of finset_skeleton([0, 1, 2]) into
+    finset_skeleton([0..3]) on the restricted Yo_n3, a report of about
+    900 KB, streams out the bytes that _dumps and json.dumps give."""
+    doc = cli.BundleDoc()
+    small = doc.categories["FS012"] = catalog.finset_skeleton([0, 1, 2])
+    big = doc.categories["FS0123"] = catalog.finset_skeleton([0, 1, 2, 3])
+    incl = doc.functors["i"] = FunctorData(
+        small, big, {x: x for x in small.objects}, {m: m for m in small.morphisms()}, name="i"
+    )
+    doc.presheaves["iYo_n3"] = sheaf.pullback_presheaf(incl, sheaf.representable(big, "n3"))
+    path = tmp_path / "fs012-fs0123.json"
+    path.write_text(json.dumps(cli.serialize_bundle_doc(doc)))
+    assert cli.main(["kan", str(path), "--functor", "i", "--presheaf", "iYo_n3"]) == 0
+    out = capsys.readouterr().out
+    loaded = cli.load_bundle(path)
+    ext = sheaf.right_kan_extension(loaded.functors["i"], loaded.presheaves["iYo_n3"])
+    report = {"presheaves": {ext.name: cli.serialize_presheaf(ext, cli._names(loaded))}}
+    assert len(out) > 900_000
+    # compared as booleans: pytest's diff of two texts this long takes minutes
+    as_dumps = out == cli._dumps(report) + "\n"
+    as_stdlib = out == _stdlib_dumps(json.loads(out)) + "\n"
+    assert as_dumps and as_stdlib
 
 
 def test_kan_stdout_is_the_stdlib_encoding(bundle_path, capsys):

@@ -351,6 +351,41 @@ def test_section_trivialization_round_trip(gpds):
         assert back == sigma
 
 
+def test_trivialization_round_trips_in_a_table_ambient():
+    """The bundle of arrows of the discrete groupoid on {a, b}, in a table
+    copy of finite sets, has one section over a map from {0, 1, 2}; its
+    trivialization, built from the table's pullbacks and mediators, is
+    valid and gives the section back."""
+    disc = _disc2()
+    U = frozenset({0, 1, 2})
+    amb = TableAmbient([disc.X0, disc.X2.apex, U])
+    B = internal.groupoid_as_bundle(internal.map_groupoid(amb, disc))
+    pi = amb.on_mor(SetMap(U, disc.X0, {0: "a", 1: "a", 2: "b"}))
+    (sigma,) = internal.sections_over(B, pi)
+    triv = internal.section_to_trivialization(B, sigma, pi)
+    assert internal.validate_trivialization(B, triv, pi)
+    assert internal.trivialization_to_section(B, triv, pi) == sigma
+
+
+def test_trivialization_with_a_bad_phi_is_invalid(gpds):
+    """Over a point sent to 0, the bundle of arrows of the pair groupoid on
+    {0, 1} has a trivialization whose phi is a bijection over U; swapping
+    its two values breaks the anchors, and a phi from another set has the
+    wrong source: both are invalid, where reading them elementwise raised
+    KeyError."""
+    B = internal.groupoid_as_bundle(gpds["FIX-PAIR2"])
+    U = frozenset({"u"})
+    pi = SetMap(U, B.base, {"u": 0})
+    triv = internal.section_to_trivialization(B, internal.sections_over(B, pi)[0], pi)
+    assert internal.validate_trivialization(B, triv, pi)
+    (e1, x1), (e2, x2) = triv.phi.mapping.items()
+    swapped = SetMap(triv.phi.src, triv.phi.tgt, {e1: x2, e2: x1})
+    elsewhere = SetMap({"v", "w"}, triv.phi.tgt, {"v": x1, "w": x2})
+    for phi in (swapped, elsewhere):
+        assert FS.is_iso(phi)
+        assert internal.validate_trivialization(B, internal.Trivialization(triv.psi, phi), pi) is False
+
+
 def test_bibundle_whose_right_anchor_is_not_left_invariant_fails():
     """Z/2 acts on {0, 1, 2} on the left by x -> -x, anchored at the point,
     and the pair groupoid on {0, 1, 2} on the right by x h = s(h), anchored

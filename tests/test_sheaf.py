@@ -344,12 +344,8 @@ def test_adjunction_builds_each_slice_once(monkeypatch):
     assert builds == {y: 1 for y in big.objects}
 
 
-def test_adjunction_reads_the_unit_and_counit_it_builds(monkeypatch):
-    """The triangle identities are read on the components of the unit and
-    counit: one sample pair on skeleton_inclusion() extends a presheaf
-    twice for Q (unit and counit) and three times for P (F_*P, unit and
-    counit), where lifting them to whole presheaf morphisms took 7."""
-    small, big, incl = catalog.skeleton_inclusion()
+def _counted_extensions(monkeypatch):
+    """The names of the presheaves sheaf.right_kan_extension extends, in call order."""
     calls = []
     extend = sheaf.right_kan_extension
 
@@ -358,9 +354,35 @@ def test_adjunction_reads_the_unit_and_counit_it_builds(monkeypatch):
         return extend(F, P)
 
     monkeypatch.setattr(sheaf, "right_kan_extension", counted)
+    return calls
+
+
+def test_adjunction_reads_the_unit_and_counit_it_builds(monkeypatch):
+    """The triangle identities are read on the components of the unit and
+    counit, built from one extension per sample: one sample pair on
+    skeleton_inclusion() extends F^*Q for Q, and P and F^*F_*P for P, where
+    building the unit and counit each on its own took 5 and lifting them
+    to whole presheaf morphisms 7."""
+    small, big, incl = catalog.skeleton_inclusion()
+    calls = _counted_extensions(monkeypatch)
     Q = sheaf.representable(big, "n2")
-    assert sheaf.verify_adjunction(incl, [sheaf.pullback_presheaf(incl, Q)], [Q]).ok
-    assert len(calls) <= 5, calls
+    P = sheaf.pullback_presheaf(incl, Q)
+    assert sheaf.verify_adjunction(incl, [P], [Q]).ok
+    assert calls == [P.name, P.name, f"{incl.name}*{incl.name}_*{P.name}"]
+
+
+def test_verify_comparison_extends_each_sample_once(monkeypatch):
+    """The comparison's sheaf, unit and counit checks and its triangle
+    identities share their extensions: F_*Yo_n1, F_*F^*Yo_n2 and
+    F_*F^*F_*Yo_n1, where each check building its own took 8 calls."""
+    small, big, incl = catalog.skeleton_inclusion()
+    calls = _counted_extensions(monkeypatch)
+    P, Q = sheaf.representable(small, "n1"), sheaf.representable(big, "n2")
+    r = sheaf.verify_comparison(
+        incl, indiscrete_topology(small), indiscrete_topology(big), [P], [Q], mode="disjoint"
+    )
+    assert r.ok, r.counterexample
+    assert calls == [P.name, f"{incl.name}*{Q.name}", f"{incl.name}*{incl.name}_*{P.name}"]
 
 
 def test_adjunction_names_the_triangle_a_shifted_counit_breaks(monkeypatch):
@@ -368,10 +390,10 @@ def test_adjunction_names_the_triangle_a_shifted_counit_breaks(monkeypatch):
     on a target sample and, with no target sample, the second on a source
     sample."""
     small, big, incl = catalog.skeleton_inclusion()
-    counit = sheaf.counit
+    counit = sheaf._counit
 
-    def shifted(F, P):
-        eps = counit(F, P)
+    def shifted(F, P, ext):
+        eps = counit(F, P, ext)
         comps = {}
         for x in F.source.objects:
             fx = F.on_obj(x)
@@ -379,7 +401,7 @@ def test_adjunction_names_the_triangle_a_shifted_counit_breaks(monkeypatch):
             comps[x] = {fam: fam[(k + 1) % len(fam)] for fam in eps.src.values[x]}
         return sheaf.PresheafMorphism(eps.src, P, comps)
 
-    monkeypatch.setattr(sheaf, "counit", shifted)
+    monkeypatch.setattr(sheaf, "_counit", shifted)
     Q = sheaf.representable(big, "n2")
     P = sheaf.pullback_presheaf(incl, Q)
     report = sheaf.verify_adjunction(incl, [P], [Q])
